@@ -8,6 +8,7 @@ insertion-loss expressions, and seeded Monte-Carlo fidelity experiments.
 """
 
 from .errors import (
+    ConfigError,
     CrossmeshError,
     DegenerateDeviceError,
     DimensionError,
@@ -45,7 +46,6 @@ from .nodes import (
 from .clements import (
     ClementsDevice,
     ClementsMesh,
-    MeshNode,
     apply_common_deviation,
     apply_mesh,
     build_svd_clements,

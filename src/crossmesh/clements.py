@@ -7,6 +7,15 @@ convention: a unitary is eliminated to a diagonal by alternating column
 then commuted through the residual phase screen so that all cells end up
 between the inputs and a single output phase screen.
 
+Meshes are stored as arrays.  The rectangular layout follows from the port
+count n alone: the mesh has n layers (one when n = 2), and layer k
+(0-based, inputs first) couples the port pairs (r, r + 1) for
+r = k % 2, k % 2 + 2, ... up to n - 2.  A mesh's ``theta`` and ``phi``
+list its n(n-1)/2 cells layer by layer, rows ascending within a layer
+("layer-major" order), so every layer is a contiguous run of cells acting
+on a strided slice of the ports.  The phase arrays may carry leading
+batch axes; a batch of meshes sharing the layout evaluates in one pass.
+
 The full device cascades a mesh for ``v_dagger``, one attenuator cell per
 port for the singular values, and a mesh for ``u``.  With lossy cells every
 cell contributes the scalar field factor ``T_node``, so signal paths that
@@ -17,6 +26,7 @@ imbalance is the device's loss-induced infidelity mechanism.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -24,81 +34,93 @@ import numpy as np
 
 from .errors import DimensionError, DomainError
 from .linalg import ensure_square, svd_factorize, unitarity_residual
-from .nodes import LossModel, NodeSettings, mzi_matrix, voa_transfer, voa_transfer_at
+from .nodes import LossModel, NodeSettings, mzi_entries, voa_transfer, voa_transfer_at
+
+_TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
-class MeshNode:
-    """One MZI cell coupling ports (row, row + 1), 0-based, at a 1-based layer."""
+def _layers(n: int) -> list[tuple[int, int, int]]:
+    """(first row, first cell index, cell count) of each layer, inputs first."""
+    counts = [(n - k % 2) // 2 for k in range(n)]
+    starts = itertools.accumulate(counts, initial=0)
+    return [(k % 2, start, count) for k, (start, count) in enumerate(zip(starts, counts)) if count]
 
-    row: int
-    layer: int
-    settings: NodeSettings
+
+def _cells(n: int) -> list[tuple[int, int]]:
+    """(1-based layer, row) of every cell, in layer-major order."""
+    return [
+        (layer, row)
+        for layer, (first, _start, count) in enumerate(_layers(n), start=1)
+        for row in range(first, first + 2 * count, 2)
+    ]
 
 
 @dataclass(frozen=True, eq=False)
 class ClementsMesh:
-    """A rectangular mesh: cells in propagation order plus output phases."""
+    """A rectangular mesh: cell phases in layer-major order plus output phases.
+
+    ``theta`` and ``phi`` have shape ``(..., n(n-1)/2)`` and hold phases
+    reduced mod 2 pi.  Cell i of layer k (both 0-based) sits at index
+    ``start_k + i``, where ``start_k`` counts the cells of the earlier
+    layers, and couples ports ``(k % 2 + 2i, k % 2 + 2i + 1)``.  Leading
+    axes, if any, index a batch of meshes.  ``output_phases`` (length n)
+    is the phase screen after the last layer.
+    """
 
     n: int
-    nodes: tuple[MeshNode, ...]
+    theta: np.ndarray
+    phi: np.ndarray
     output_phases: np.ndarray
 
     @property
     def depth(self) -> int:
-        return max((node.layer for node in self.nodes), default=0)
+        return len(_layers(self.n))
 
 
-def _right_null_angles(a: complex, b: complex) -> tuple[float, float]:
-    # Zero `a` by mixing its column with the right neighbour holding `b`.
-    # An exactly-zero target keeps the cell at bar so identity-like inputs
+def _mesh(n: int, cells, output_phases, name: str = "mesh") -> ClementsMesh:
+    """Mesh from (1-based layer, row, theta, phi) cells given in any order.
+
+    DomainError unless the cells cover the n-port rectangular layout once
+    each.
+    """
+    layers, rows, theta, phi = zip(*sorted(cells))
+    if list(zip(layers, rows)) != _cells(n):
+        raise DomainError(f"{name} cells do not cover the {n}-port rectangular layout once each")
+    return ClementsMesh(
+        n=n,
+        theta=np.mod(theta, _TWO_PI),
+        phi=np.mod(phi, _TWO_PI),
+        output_phases=np.asarray(output_phases, dtype=np.float64),
+    )
+
+
+def _null_angles(keep: complex, zero: complex, offset: float) -> tuple[float, float]:
+    # Angles of the cell that zeroes `zero` by mixing it with `keep`; the
+    # phase offset is -pi for a column step and 0 for a row step.  An
+    # exactly-zero target keeps the cell at bar so identity-like inputs
     # decompose to all-bar meshes.
-    if abs(a) == 0.0:
+    if abs(zero) == 0.0:
         return math.pi, 0.0
-    if abs(b) == 0.0:
+    if abs(keep) == 0.0:
         return 0.0, 0.0
-    theta = 2.0 * math.atan2(abs(b), abs(a))
-    phi = cmath.phase(a) - cmath.phase(b) - math.pi
-    return theta, phi
-
-
-def _left_null_angles(p: complex, a: complex) -> tuple[float, float]:
-    # Zero `a` by mixing its row with the row above holding `p`.
-    if abs(a) == 0.0:
-        return math.pi, 0.0
-    if abs(p) == 0.0:
-        return 0.0, 0.0
-    theta = 2.0 * math.atan2(abs(p), abs(a))
-    phi = cmath.phase(a) - cmath.phase(p)
-    return theta, phi
+    return 2.0 * math.atan2(abs(keep), abs(zero)), cmath.phase(zero) - cmath.phase(keep) + offset
 
 
 def _apply_right_inverse(work: np.ndarray, c: int, theta: float, phi: float) -> None:
-    m = mzi_matrix(theta, phi).conj().T
+    # Right-multiply columns (c, c + 1) by M(theta, phi)^dagger.
+    m11, m12, m21, m22 = mzi_entries(theta, phi)
     col_c = work[:, c].copy()
-    col_d = work[:, c + 1].copy()
-    work[:, c] = col_c * m[0, 0] + col_d * m[1, 0]
-    work[:, c + 1] = col_c * m[0, 1] + col_d * m[1, 1]
+    col_d = work[:, c + 1]
+    work[:, c] = col_c * m11.conjugate() + col_d * m12.conjugate()
+    work[:, c + 1] = col_c * m21.conjugate() + col_d * m22.conjugate()
 
 
 def _apply_left(work: np.ndarray, r: int, theta: float, phi: float) -> None:
-    m = mzi_matrix(theta, phi)
+    m11, m12, m21, m22 = mzi_entries(theta, phi)
     row_r = work[r, :].copy()
-    row_s = work[r + 1, :].copy()
-    work[r, :] = m[0, 0] * row_r + m[0, 1] * row_s
-    work[r + 1, :] = m[1, 0] * row_r + m[1, 1] * row_s
-
-
-def _assign_layers(sequence: list[tuple[int, float, float]], n: int) -> list[MeshNode]:
-    # Earliest-possible layer per cell; for the elimination ordering this
-    # reproduces the rectangular tiling with depth <= n.
-    next_free = [1] * n
-    nodes = []
-    for row, theta, phi in sequence:
-        layer = max(next_free[row], next_free[row + 1])
-        next_free[row] = next_free[row + 1] = layer + 1
-        nodes.append(MeshNode(row=row, layer=layer, settings=NodeSettings(theta, phi)))
-    return nodes
+    row_s = work[r + 1, :]
+    work[r, :] = m11 * row_r + m12 * row_s
+    work[r + 1, :] = m21 * row_r + m22 * row_s
 
 
 def clements_decompose(u, *, atol: float = 1e-8) -> ClementsMesh:
@@ -113,9 +135,9 @@ def clements_decompose(u, *, atol: float = 1e-8) -> ClementsMesh:
     Returns
     -------
     ClementsMesh
-        ``n(n-1)/2`` cells in propagation order with layer assignments of
-        depth at most n, plus n output phases.  The lossless mesh transfer
-        reproduces ``u`` to close to machine precision.
+        ``n(n-1)/2`` cells in layer-major order plus n output phases.  The
+        lossless mesh transfer reproduces ``u`` to close to machine
+        precision.
     """
     u = ensure_square(u, name="u")
     residual = unitarity_residual(u)
@@ -132,13 +154,13 @@ def clements_decompose(u, *, atol: float = 1e-8) -> ClementsMesh:
         if i % 2 == 1:
             for j in range(i):
                 r, c = n - 1 - j, i - 1 - j
-                theta, phi = _right_null_angles(work[r, c], work[r, c + 1])
+                theta, phi = _null_angles(work.item(r, c + 1), work.item(r, c), -math.pi)
                 _apply_right_inverse(work, c, theta, phi)
                 rights.append((c, theta, phi))
         else:
             for j in range(1, i + 1):
                 r, c = n - 1 + j - i, j - 1
-                theta, phi = _left_null_angles(work[r - 1, c], work[r, c])
+                theta, phi = _null_angles(work.item(r - 1, c), work.item(r, c), 0.0)
                 _apply_left(work, r - 1, theta, phi)
                 lefts.append((r - 1, theta, phi))
 
@@ -161,64 +183,73 @@ def clements_decompose(u, *, atol: float = 1e-8) -> ClementsMesh:
         sequence.append((row, theta, a - b))
         phases[row] = b - theta - phi + math.pi
         phases[row + 1] = b - theta + math.pi
-    phases = np.mod(phases, 2.0 * math.pi)
+    phases = np.mod(phases, _TWO_PI)
 
-    nodes = _assign_layers(sequence, n)
-    return ClementsMesh(n=n, nodes=tuple(nodes), output_phases=phases)
-
-
-def _layer_groups(mesh: ClementsMesh, settings=None):
-    """Group cells by layer as (rows, thetas, phis) arrays, inputs first."""
-    if settings is None:
-        settings = [node.settings for node in mesh.nodes]
-    grouped: dict[int, list[tuple[int, float, float]]] = {}
-    for node, s in zip(mesh.nodes, settings):
-        grouped.setdefault(node.layer, []).append((node.row, s.theta, s.phi))
-    for layer in sorted(grouped):
-        entries = grouped[layer]
-        rows = np.array([e[0] for e in entries], dtype=np.intp)
-        thetas = np.array([e[1] for e in entries])
-        phis = np.array([e[2] for e in entries])
-        yield rows, thetas, phis
+    # Place each cell in the earliest layer free on both its ports; for
+    # this elimination order that is the rectangular layout.
+    next_free = [0] * n
+    cells = []
+    for row, theta, phi in sequence:
+        layer = max(next_free[row], next_free[row + 1]) + 1
+        next_free[row] = next_free[row + 1] = layer
+        cells.append((layer, row, theta, phi))
+    return _mesh(n, cells, phases)
 
 
-def apply_mesh(y: np.ndarray, mesh: ClementsMesh, *, node_field: float = 1.0, settings=None) -> np.ndarray:
+def apply_mesh(y: np.ndarray, mesh: ClementsMesh, *, node_field: float = 1.0) -> np.ndarray:
     """Left-multiply ``y`` by the mesh transfer, cell losses included.
 
-    ``node_field`` is the per-cell scalar field factor (``T_node``); ports
-    that skip a layer pass unattenuated.  ``settings`` optionally overrides
-    the programmed cell settings (same ordering as ``mesh.nodes``).
+    ``y`` has shape ``(..., n, m)``; its leading axes broadcast against the
+    batch axes of the mesh's phase arrays.  ``node_field`` is the per-cell
+    scalar field factor (``T_node``); ports that skip a layer pass
+    unattenuated.
     """
-    y = np.array(y, dtype=np.complex128, copy=True)
-    if y.shape[0] != mesh.n:
-        raise DimensionError(f"operand has {y.shape[0]} rows, mesh has {mesh.n} ports")
-    for rows, thetas, phis in _layer_groups(mesh, settings):
-        half = 0.5 * thetas
+    y = np.asarray(y)
+    if y.ndim < 2 or y.shape[-2] != mesh.n:
+        raise DimensionError(f"operand of shape {y.shape} does not have the mesh's {mesh.n} rows")
+    out = np.empty(np.broadcast_shapes(y.shape[:-2], mesh.theta.shape[:-1]) + y.shape[-2:],
+                   dtype=np.complex128)
+    out[...] = y
+    for first, start, count in _layers(mesh.n):
+        half = 0.5 * mesh.theta[..., start : start + count]
         common = node_field * 1j * np.exp(1j * half)
         s, c = np.sin(half), np.cos(half)
-        ephi = np.exp(1j * phis)
-        m11 = common * ephi * s
-        m12 = common * c
-        m21 = common * ephi * c
-        m22 = -common * s
-        top = y[rows, :]
-        bot = y[rows + 1, :]
-        y[rows, :] = m11[:, None] * top + m12[:, None] * bot
-        y[rows + 1, :] = m21[:, None] * top + m22[:, None] * bot
-    return np.exp(1j * mesh.output_phases)[:, None] * y
+        ephi = np.exp(1j * mesh.phi[..., start : start + count])
+        m11 = (common * ephi * s)[..., None]
+        m12 = (common * c)[..., None]
+        m21 = (common * ephi * c)[..., None]
+        m22 = (-common * s)[..., None]
+        tops = slice(first, first + 2 * count, 2)
+        bottoms = slice(first + 1, first + 2 * count + 1, 2)
+        top = out[..., tops, :]
+        bot = out[..., bottoms, :]
+        # In-place sums keep one fewer (K, count, m) temporary alive.
+        new_top = m11 * top
+        new_top += m12 * bot
+        new_bot = m21 * top
+        new_bot += m22 * bot
+        out[..., bottoms, :] = new_bot
+        out[..., tops, :] = new_top
+    return np.exp(1j * mesh.output_phases)[:, None] * out
 
 
-def mesh_transfer(mesh: ClementsMesh, *, node_field: float = 1.0, settings=None) -> np.ndarray:
+def mesh_transfer(mesh: ClementsMesh, *, node_field: float = 1.0) -> np.ndarray:
     """Full transfer matrix of a mesh (identity propagated through it)."""
-    return apply_mesh(np.eye(mesh.n, dtype=np.complex128), mesh, node_field=node_field, settings=settings)
+    return apply_mesh(np.eye(mesh.n, dtype=np.complex128), mesh, node_field=node_field)
 
 
 @dataclass(frozen=True, eq=False)
 class ClementsDevice:
-    """A programmed SVD device: v_dagger mesh, attenuator column, u mesh."""
+    """A programmed SVD device: v_dagger mesh, attenuator column, u mesh.
+
+    ``sigma_theta`` and ``sigma_phi`` hold the attenuator cells' phases by
+    port, reduced mod 2 pi, with the same optional batch axes as the
+    meshes.  An attenuator's phi shifter sits on its unconnected arm.
+    """
 
     v_dagger_mesh: ClementsMesh
-    sigma_settings: tuple[NodeSettings, ...]
+    sigma_theta: np.ndarray
+    sigma_phi: np.ndarray
     u_mesh: ClementsMesh
     loss: LossModel
     programming_steps: int
@@ -229,7 +260,7 @@ class ClementsDevice:
 
     @property
     def node_count(self) -> int:
-        return len(self.v_dagger_mesh.nodes) + len(self.sigma_settings) + len(self.u_mesh.nodes)
+        return self.n * self.n
 
 
 def build_svd_clements(d, loss: LossModel) -> ClementsDevice:
@@ -255,11 +286,11 @@ def build_svd_clements(d, loss: LossModel) -> ClementsDevice:
     amplitudes = factors.sigma / sigma_max
 
     transfers = []
-    settings = []
+    sigma_theta = []
     for a in amplitudes:
         transfer, s = voa_transfer(float(a))
         transfers.append(transfer)
-        settings.append(s)
+        sigma_theta.append(s.theta)
 
     # Fold the attenuators' inherent unit-modulus phases into u.
     inherent = np.array([t / a if a > 0.0 else -1j for t, a in zip(transfers, amplitudes)])
@@ -269,77 +300,76 @@ def build_svd_clements(d, loss: LossModel) -> ClementsDevice:
     u_mesh = clements_decompose(u_adjusted)
     return ClementsDevice(
         v_dagger_mesh=v_mesh,
-        sigma_settings=tuple(settings),
+        sigma_theta=np.array(sigma_theta),
+        sigma_phi=np.zeros(n),
         u_mesh=u_mesh,
         loss=loss,
         programming_steps=n * (n - 1) // 2,
     )
 
 
-def evaluate_svd_clements(
-    device: ClementsDevice,
-    *,
-    v_settings=None,
-    sigma_settings=None,
-    u_settings=None,
-) -> np.ndarray:
+def evaluate_svd_clements(device: ClementsDevice, deviations=None) -> np.ndarray:
     """Effective transfer matrix of the device, losses included.
 
     Propagates the uniform 1:N input split (scalar ``1/sqrt(N)``), the
-    v_dagger mesh, the attenuator column, and the u mesh.  The optional
-    settings arguments substitute perturbed cell settings without
-    recompiling.
+    v_dagger mesh, the attenuator column, and the u mesh.
+
+    ``deviations``, if given, is a pair ``(dtheta, dphi)`` of length-K
+    sequences.  Trial k shifts every MZI cell, attenuators included, by
+    ``(dtheta[k], dphi[k])`` exactly as ``apply_common_deviation`` does,
+    and the K transfer matrices come back stacked as ``(K, n, n)``.
     """
+    if deviations is not None:
+        dtheta, dphi = (np.asarray(d, dtype=np.float64) for d in deviations)
+        if dtheta.ndim != 1 or dtheta.shape != dphi.shape:
+            raise DimensionError(f"deviations must be two equal-length 1-D sequences: {dtheta.shape}, {dphi.shape}")
+        device = _shifted(device, dtheta[:, None], dphi[:, None])
     n = device.n
     t_field = device.loss.t_node
     y = np.eye(n, dtype=np.complex128) / math.sqrt(n)
-    y = apply_mesh(y, device.v_dagger_mesh, node_field=t_field, settings=v_settings)
-    sig = sigma_settings if sigma_settings is not None else device.sigma_settings
-    column = np.array([voa_transfer_at(s, device.loss) for s in sig])
-    y = column[:, None] * y
-    return apply_mesh(y, device.u_mesh, node_field=t_field, settings=u_settings)
+    y = apply_mesh(y, device.v_dagger_mesh, node_field=t_field)
+    column = [voa_transfer_at(NodeSettings(t, 0.0), device.loss) for t in device.sigma_theta.flat]
+    y = np.reshape(column, device.sigma_theta.shape)[..., None] * y
+    return apply_mesh(y, device.u_mesh, node_field=t_field)
+
+
+def _shifted(device: ClementsDevice, dtheta, dphi) -> ClementsDevice:
+    """The device with (dtheta, dphi) added to every MZI cell, reduced mod 2 pi.
+
+    The shifts broadcast against the cells laid end to end: v_dagger cells,
+    the attenuator column, then u cells.  Output phase screens are plain
+    shifters, not MZI cells, and stay untouched.
+    """
+    v, u = device.v_dagger_mesh, device.u_mesh
+    theta = np.concatenate((v.theta, device.sigma_theta, u.theta), axis=-1) + dtheta
+    phi = np.concatenate((v.phi, device.sigma_phi, u.phi), axis=-1) + dphi
+    theta, phi = np.mod(theta, _TWO_PI), np.mod(phi, _TWO_PI)
+    a = v.theta.shape[-1]
+    b = a + device.sigma_theta.shape[-1]
+    return replace(
+        device,
+        v_dagger_mesh=replace(v, theta=theta[..., :a], phi=phi[..., :a]),
+        sigma_theta=theta[..., a:b],
+        sigma_phi=phi[..., a:b],
+        u_mesh=replace(u, theta=theta[..., b:], phi=phi[..., b:]),
+    )
 
 
 def perturb_device(device: ClementsDevice, sigma: float, rng: np.random.Generator) -> ClementsDevice:
-    """Gaussian-perturb every MZI cell's (theta, phi) pair.
+    """Gaussian-perturb every MZI cell's (theta, phi) pair independently.
 
-    Draw order is fixed: v_dagger cells in propagation order, then the
-    attenuator column by port, then u cells, two draws per cell (theta
-    first).  Output phase screens are plain shifters, not MZI cells, and
-    stay untouched.  The total draw count is 2 N^2 per call.
+    Draw order is fixed: v_dagger cells in layer-major order, then the
+    attenuator column by port, then u cells in layer-major order, two
+    draws per cell (theta first).  Output phase screens are plain
+    shifters, not MZI cells, and stay untouched.  The total draw count is
+    2 N^2 per call.
     """
     if sigma < 0.0:
         raise DomainError(f"sigma must be >= 0, got {sigma}")
     if sigma == 0.0:
         return device
-
-    def shift(settings_list, deltas):
-        return tuple(
-            NodeSettings(s.theta + d[0], s.phi + d[1]) for s, d in zip(settings_list, deltas)
-        )
-
-    n_v = len(device.v_dagger_mesh.nodes)
-    n_s = len(device.sigma_settings)
-    n_u = len(device.u_mesh.nodes)
-    draws = rng.normal(0.0, sigma, size=(n_v + n_s + n_u, 2))
-
-    v_new = shift([nd.settings for nd in device.v_dagger_mesh.nodes], draws[:n_v])
-    s_new = shift(device.sigma_settings, draws[n_v : n_v + n_s])
-    u_new = shift([nd.settings for nd in device.u_mesh.nodes], draws[n_v + n_s :])
-
-    def remesh(mesh: ClementsMesh, new_settings) -> ClementsMesh:
-        nodes = tuple(
-            replace(node, settings=s) for node, s in zip(mesh.nodes, new_settings)
-        )
-        return ClementsMesh(n=mesh.n, nodes=nodes, output_phases=mesh.output_phases)
-
-    return ClementsDevice(
-        v_dagger_mesh=remesh(device.v_dagger_mesh, v_new),
-        sigma_settings=s_new,
-        u_mesh=remesh(device.u_mesh, u_new),
-        loss=device.loss,
-        programming_steps=device.programming_steps,
-    )
+    draws = rng.normal(0.0, sigma, size=(device.node_count, 2))
+    return _shifted(device, draws[:, 0], draws[:, 1])
 
 
 def apply_common_deviation(device: ClementsDevice, dtheta: float, dphi: float) -> ClementsDevice:
@@ -348,26 +378,11 @@ def apply_common_deviation(device: ClementsDevice, dtheta: float, dphi: float) -
     This is the figure-experiment error model: a phase-error trial consists
     of a single two-element deviation set applied to all cells of the
     device.  Output phase screens are plain shifters, not MZI cells, and
-    stay untouched.
+    stay untouched.  ``evaluate_svd_clements`` takes a batch of such pairs.
     """
     if dtheta == 0.0 and dphi == 0.0:
         return device
-
-    def remesh(mesh: ClementsMesh) -> ClementsMesh:
-        nodes = tuple(
-            replace(nd, settings=NodeSettings(nd.settings.theta + dtheta, nd.settings.phi + dphi))
-            for nd in mesh.nodes
-        )
-        return ClementsMesh(n=mesh.n, nodes=nodes, output_phases=mesh.output_phases)
-
-    return replace(
-        device,
-        v_dagger_mesh=remesh(device.v_dagger_mesh),
-        sigma_settings=tuple(
-            NodeSettings(s.theta + dtheta, s.phi + dphi) for s in device.sigma_settings
-        ),
-        u_mesh=remesh(device.u_mesh),
-    )
+    return _shifted(device, dtheta, dphi)
 
 
 def with_loss(device: ClementsDevice, loss: LossModel) -> ClementsDevice:
@@ -408,25 +423,37 @@ def svd_architecture_stats(n: int) -> dict:
 
 def _mesh_to_json(mesh: ClementsMesh) -> tuple[list, list]:
     nodes = [
-        {"row": nd.row, "layer": nd.layer, "theta": nd.settings.theta, "phi": nd.settings.phi}
-        for nd in mesh.nodes
+        {"row": row, "layer": layer, "theta": theta, "phi": phi}
+        for (layer, row), theta, phi in zip(_cells(mesh.n), mesh.theta.tolist(), mesh.phi.tolist())
     ]
     return nodes, mesh.output_phases.tolist()
 
 
-def _mesh_from_json(n: int, nodes_obj, phases_obj) -> ClementsMesh:
-    nodes = tuple(
-        MeshNode(
-            row=int(o["row"]),
-            layer=int(o["layer"]),
-            settings=NodeSettings(float(o["theta"]), float(o["phi"])),
-        )
-        for o in nodes_obj
-    )
-    phases = np.asarray(phases_obj, dtype=np.float64)
-    if phases.shape != (n,):
-        raise DimensionError(f"output phase vector must have length {n}")
-    return ClementsMesh(n=n, nodes=nodes, output_phases=phases)
+def _number(obj, key, what: str) -> float:
+    # obj[key] as a float; DomainError unless it is a finite JSON number.
+    try:
+        value = obj[key]
+    except (KeyError, IndexError, TypeError):
+        value = None
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise DomainError(f"{what}: {key!r} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _list(obj: dict, key: str, length: int) -> list:
+    value = obj.get(key)
+    if not isinstance(value, list) or len(value) != length:
+        raise DomainError(f"svd-clements dump: {key!r} must be a list of {length} entries")
+    return value
+
+
+def _mesh_from_json(obj: dict, name: str, n: int) -> ClementsMesh:
+    phases = _list(obj, f"{name}_output_phases", n)
+    cells = [
+        tuple(_number(c, key, name) for key in ("layer", "row", "theta", "phi"))
+        for c in _list(obj, name, n * (n - 1) // 2)
+    ]
+    return _mesh(n, cells, [_number(phases, i, f"{name} output phases") for i in range(n)], name)
 
 
 def device_to_json(device: ClementsDevice) -> dict:
@@ -437,7 +464,10 @@ def device_to_json(device: ClementsDevice) -> dict:
         "n": device.n,
         "v_dagger": v_nodes,
         "v_dagger_output_phases": v_phases,
-        "sigma": [{"theta": s.theta, "phi": s.phi} for s in device.sigma_settings],
+        "sigma": [
+            {"theta": theta, "phi": phi}
+            for theta, phi in zip(device.sigma_theta.tolist(), device.sigma_phi.tolist())
+        ],
         "u": u_nodes,
         "u_output_phases": u_phases,
         "loss": device.loss.to_json(),
@@ -446,15 +476,28 @@ def device_to_json(device: ClementsDevice) -> dict:
 
 
 def device_from_json(obj: dict) -> ClementsDevice:
-    if obj.get("arch") != "svd-clements":
-        raise DomainError(f"not an svd-clements device dump: arch={obj.get('arch')!r}")
-    n = int(obj["n"])
+    """Load a ``device_to_json`` dump; DomainError unless it is a valid device.
+
+    Each mesh must list every (layer, row) cell of the n-port rectangular
+    layout exactly once, in any order, and n output phases; the attenuator
+    column must have n cells.
+    """
+    arch = obj.get("arch") if isinstance(obj, dict) else None
+    if arch != "svd-clements":
+        raise DomainError(f"not an svd-clements device dump: arch={arch!r}")
+    n = obj.get("n")
+    if isinstance(n, bool) or not isinstance(n, int) or n < 2:
+        raise DomainError(f"svd-clements dump: n must be an integer >= 2, got {n!r}")
+    sigma = _list(obj, "sigma", n)
+    try:
+        loss = LossModel.from_json(obj["loss"])
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise DomainError(f"svd-clements dump: bad loss model: {exc!r}") from exc
     return ClementsDevice(
-        v_dagger_mesh=_mesh_from_json(n, obj["v_dagger"], obj["v_dagger_output_phases"]),
-        sigma_settings=tuple(
-            NodeSettings(float(s["theta"]), float(s["phi"])) for s in obj["sigma"]
-        ),
-        u_mesh=_mesh_from_json(n, obj["u"], obj["u_output_phases"]),
-        loss=LossModel.from_json(obj["loss"]),
-        programming_steps=int(obj["programming_steps"]),
+        v_dagger_mesh=_mesh_from_json(obj, "v_dagger", n),
+        sigma_theta=np.mod([_number(c, "theta", "sigma") for c in sigma], _TWO_PI),
+        sigma_phi=np.mod([_number(c, "phi", "sigma") for c in sigma], _TWO_PI),
+        u_mesh=_mesh_from_json(obj, "u", n),
+        loss=loss,
+        programming_steps=int(_number(obj, "programming_steps", "svd-clements dump")),
     )

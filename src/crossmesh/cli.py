@@ -44,7 +44,7 @@ from .crossbar import (
     device_to_json as xbar_device_to_json,
     evaluate_xbar,
 )
-from .errors import CrossmeshError
+from .errors import ConfigError, CrossmeshError
 from .linalg import matrix_from_json, vector_from_json, vector_to_json
 from .nodes import SILICON_PASSIVES, LossModel
 from .montecarlo import (
@@ -365,7 +365,8 @@ def _build_parser() -> _Parser:
             p.add_argument("--seed", type=int, default=1234, help="master seed (default 1234)")
         p.add_argument("--loss", default=None, help="path to loss-model JSON")
         if threaded:
-            p.add_argument("--threads", type=int, default=1, help="worker processes (default 1)")
+            p.add_argument("--threads", type=int, default=1,
+                           help="number of worker processes, not threads, >= 1 (default 1)")
 
     p = sub.add_parser("fig3", help="insertion-loss comparison curves")
     p.add_argument("--n", required=True, help="matrix sizes, e.g. 4,8 or 4:64:4")
@@ -426,7 +427,7 @@ def run_experiment(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except CliError as exc:
+    except (CliError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except json.JSONDecodeError as exc:
@@ -445,3 +446,7 @@ main = run_experiment
 
 def console_entry() -> None:
     sys.exit(run_experiment())
+
+
+if __name__ == "__main__":
+    console_entry()

@@ -337,11 +337,17 @@ def device_from_json(obj: dict) -> XbarDevice:
     )
     if weights.shape != (n, m):
         raise DimensionError(f"weights must be {n} x {m}, got {weights.shape}")
+    xi = np.asarray(obj["xi"], dtype=np.float64)
+    t = np.asarray(obj["t"], dtype=np.float64)
+    if xi.shape != (m,) or t.shape != (m - 1,):
+        raise DimensionError(
+            f"xi must have {m} entries and t {m - 1}, got shapes {xi.shape} and {t.shape}"
+        )
     return XbarDevice(
         topology=topology,
         weights=weights,
-        xi=np.asarray(obj["xi"], dtype=np.float64),
-        t=np.asarray(obj["t"], dtype=np.float64),
+        xi=xi,
+        t=t,
         loss=LossModel.from_json(obj["loss"]),
         balanced=(obj.get("mode", "balanced") == "balanced"),
     )

@@ -13,6 +13,10 @@ class DomainError(CrossmeshError, ValueError):
     """A value lies outside the mathematical domain of an operation."""
 
 
+class ConfigError(DomainError):
+    """An experiment configuration is invalid: a flag or config problem, not a numerical one."""
+
+
 class DegenerateDeviceError(DomainError):
     """A device has a fully extinguished column (some p_c = 0) and cannot be restored."""
 

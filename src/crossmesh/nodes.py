@@ -167,16 +167,19 @@ class NodeSettings:
         object.__setattr__(self, "phi", float(self.phi) % _TWO_PI)
 
 
-def mzi_matrix(theta: float, phi: float) -> np.ndarray:
-    """Lossless 2x2 cell matrix in the convention of the module docstring."""
+def mzi_entries(theta: float, phi: float) -> tuple[complex, complex, complex, complex]:
+    """Entries (m11, m12, m21, m22) of ``mzi_matrix`` as Python complex scalars."""
     half = 0.5 * theta
     s, c = math.sin(half), math.cos(half)
     common = 1j * complex(math.cos(half), math.sin(half))
     ephi = complex(math.cos(phi), math.sin(phi))
-    return np.array(
-        [[common * ephi * s, common * c], [common * ephi * c, -common * s]],
-        dtype=np.complex128,
-    )
+    return common * ephi * s, common * c, common * ephi * c, -common * s
+
+
+def mzi_matrix(theta: float, phi: float) -> np.ndarray:
+    """Lossless 2x2 cell matrix in the convention of the module docstring."""
+    m11, m12, m21, m22 = mzi_entries(theta, phi)
+    return np.array([[m11, m12], [m21, m22]], dtype=np.complex128)
 
 
 def node_transfer(settings: NodeSettings, loss: LossModel = LOSSLESS) -> np.ndarray:

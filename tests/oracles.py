@@ -76,22 +76,27 @@ def haar_unitary_qr(n, rng):
 
 
 def mesh_layer_product(mesh, node_field=1.0):
-    """Mesh transfer as an explicit product of dense embedded layer matrices."""
+    """Mesh transfer as an explicit product of dense embedded layer matrices.
+
+    The cells are read from ``mesh.theta``/``mesh.phi`` in order; layer k
+    (0-based) of an n-port rectangular mesh holds the cells on rows
+    k % 2, k % 2 + 2, ... up to n - 2, and there are n layers.
+    """
     n = mesh.n
-    layers = {}
-    for node in mesh.nodes:
-        layers.setdefault(node.layer, []).append(node)
+    cells = iter(zip(mesh.theta.tolist(), mesh.phi.tolist()))
     total = np.eye(n, dtype=np.complex128)
-    for layer in sorted(layers):
+    for k in range(n):
         mat = np.eye(n, dtype=np.complex128)
-        for node in layers[layer]:
-            block = node_field * mzi_product(node.settings.theta, node.settings.phi)
-            r = node.row
+        for r in range(k % 2, n - 1, 2):
+            theta, phi = next(cells)
+            block = node_field * mzi_product(theta, phi)
             mat[r, r] = block[0, 0]
             mat[r, r + 1] = block[0, 1]
             mat[r + 1, r] = block[1, 0]
             mat[r + 1, r + 1] = block[1, 1]
         total = mat @ total
+    if next(cells, None) is not None:
+        raise ValueError("mesh has more cells than its rectangular layout")
     return np.diag(np.exp(1j * mesh.output_phases)) @ total
 
 
@@ -101,8 +106,8 @@ def svd_device_layer_product(device):
     t_field = device.loss.t_node
     result = mesh_layer_product(device.v_dagger_mesh, t_field) / np.sqrt(n)
     column = np.zeros((n, n), dtype=np.complex128)
-    for r, s in enumerate(device.sigma_settings):
-        cell = t_field * mzi_product(s.theta, s.phi)
+    for r, (theta, phi) in enumerate(zip(device.sigma_theta, device.sigma_phi)):
+        cell = t_field * mzi_product(theta, phi)
         column[r, r] = cell[1, 1]
     result = column @ result
     return mesh_layer_product(device.u_mesh, t_field) @ result

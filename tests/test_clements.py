@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from crossmesh import (
+    DimensionError,
     DomainError,
     LOSSLESS,
     apply_common_deviation,
@@ -29,12 +30,12 @@ class TestDecompose:
         rng = np.random.default_rng(0)
         u = haar_unitary_qr(2, rng)
         mesh = clements_decompose(u)
-        assert len(mesh.nodes) == 1
+        assert mesh.theta.shape == mesh.phi.shape == (1,)
         assert np.max(np.abs(mesh_transfer(mesh) - u)) < 1e-12
 
     def test_identity_is_all_bar(self):
         mesh = clements_decompose(np.eye(4))
-        assert all(abs(nd.settings.theta - math.pi) < 1e-12 for nd in mesh.nodes)
+        assert np.all(np.abs(mesh.theta - math.pi) < 1e-12)
         assert np.max(np.abs(mesh_transfer(mesh) - np.eye(4))) < 1e-12
 
     @pytest.mark.parametrize("n", list(range(2, 17)))
@@ -43,7 +44,7 @@ class TestDecompose:
         for _ in range(8):
             u = haar_unitary_qr(n, rng)
             mesh = clements_decompose(u)
-            assert len(mesh.nodes) == n * (n - 1) // 2
+            assert mesh.theta.shape == mesh.phi.shape == (n * (n - 1) // 2,)
             assert mesh.depth <= n
             assert np.max(np.abs(mesh_transfer(mesh) - u)) < 1e-9
 
@@ -54,16 +55,28 @@ class TestDecompose:
         assert np.max(np.abs(mesh_transfer(mesh) - u)) < 1e-9
 
     def test_rectangular_layering(self):
-        # alternating odd/even nearest-neighbour columns
+        # alternating odd/even nearest-neighbour columns, listed layer-major
         for n in (4, 5, 6, 8):
-            mesh = clements_decompose(haar_unitary_qr(n, np.random.default_rng(n)))
-            layers = defaultdict(list)
-            for nd in mesh.nodes:
-                layers[nd.layer].append(nd.row)
-            for layer, rows in layers.items():
-                parity = (layer - 1) % 2
-                assert all(r % 2 == parity for r in rows)
-                assert len(set(rows)) == len(rows)
+            dump = device_to_json(build_svd_clements(target_matrix(n, n, 0), LOSSLESS))
+            for key in ("v_dagger", "u"):
+                cells = [(nd["layer"], nd["row"]) for nd in dump[key]]
+                assert cells == sorted(cells)
+                assert len(cells) == n * (n - 1) // 2
+                layers = defaultdict(list)
+                for layer, row in cells:
+                    layers[layer].append(row)
+                assert max(layers) <= n
+                for layer, rows in layers.items():
+                    parity = (layer - 1) % 2
+                    assert all(r % 2 == parity for r in rows)
+                    assert len(set(rows)) == len(rows)
+
+    @pytest.mark.parametrize("n", [17, 33, 64])
+    def test_layout_at_larger_sizes(self, n):
+        # the cells land on the rectangular layout the oracle derives from n
+        mesh = clements_decompose(haar_unitary_qr(n, np.random.default_rng(500 + n)))
+        assert mesh.depth == n
+        assert np.max(np.abs(mesh_transfer(mesh) - mesh_layer_product(mesh))) < 1e-12
 
     def test_matches_layer_product_oracle(self):
         u = haar_unitary_qr(6, np.random.default_rng(77))
@@ -86,7 +99,7 @@ class TestBuildEvaluate:
 
     def test_diagonal_target_amplitudes(self):
         device = build_svd_clements(np.diag([1.0, 0.5]), LOSSLESS)
-        amps = [math.sin(s.theta / 2.0) for s in device.sigma_settings]
+        amps = np.sin(device.sigma_theta / 2.0)
         assert abs(amps[0] - 1.0) < 1e-12
         assert abs(amps[1] - 0.5) < 1e-12
         y = evaluate_svd_clements(device)
@@ -176,30 +189,45 @@ class TestPerturbation:
         device = build_svd_clements(target_matrix(0, 4, 0), LOSSLESS)
         shaken = perturb_device(device, 0.2, np.random.default_rng(21))
         rng = np.random.default_rng(21)
-        cells = (
-            [nd.settings for nd in device.v_dagger_mesh.nodes]
-            + list(device.sigma_settings)
-            + [nd.settings for nd in device.u_mesh.nodes]
-        )
-        shaken_cells = (
-            [nd.settings for nd in shaken.v_dagger_mesh.nodes]
-            + list(shaken.sigma_settings)
-            + [nd.settings for nd in shaken.u_mesh.nodes]
-        )
-        for before, after in zip(cells, shaken_cells):
+
+        def cells(d):
+            # v_dagger cells layer-major, attenuators by port, u cells layer-major
+            return zip(
+                np.concatenate((d.v_dagger_mesh.theta, d.sigma_theta, d.u_mesh.theta)),
+                np.concatenate((d.v_dagger_mesh.phi, d.sigma_phi, d.u_mesh.phi)),
+            )
+
+        assert len(list(cells(shaken))) == 16  # N^2 cells, two draws each
+        for (theta, phi), (new_theta, new_phi) in zip(cells(device), cells(shaken)):
             dt = rng.normal(0.0, 0.2)
             dp = rng.normal(0.0, 0.2)
-            assert abs(after.theta - (before.theta + dt) % (2 * math.pi)) < 1e-12
-            assert abs(after.phi - (before.phi + dp) % (2 * math.pi)) < 1e-12
+            assert abs(new_theta - (theta + dt) % (2 * math.pi)) < 1e-12
+            assert abs(new_phi - (phi + dp) % (2 * math.pi)) < 1e-12
 
     def test_common_deviation_shifts_every_cell(self):
         device = build_svd_clements(target_matrix(0, 5, 1), LOSSLESS)
         shaken = apply_common_deviation(device, 0.3, -0.2)
-        for before, after in zip(device.v_dagger_mesh.nodes, shaken.v_dagger_mesh.nodes):
-            assert abs(after.settings.theta - (before.settings.theta + 0.3) % (2 * math.pi)) < 1e-12
-            assert abs(after.settings.phi - (before.settings.phi - 0.2) % (2 * math.pi)) < 1e-12
+        for before, after in (
+            (device.v_dagger_mesh, shaken.v_dagger_mesh), (device.u_mesh, shaken.u_mesh),
+        ):
+            assert np.all(np.abs(after.theta - (before.theta + 0.3) % (2 * math.pi)) < 1e-12)
+            assert np.all(np.abs(after.phi - (before.phi - 0.2) % (2 * math.pi)) < 1e-12)
+        assert np.all(np.abs(shaken.sigma_theta - (device.sigma_theta + 0.3) % (2 * math.pi)) < 1e-12)
         assert np.array_equal(device.v_dagger_mesh.output_phases, shaken.v_dagger_mesh.output_phases)
         assert fidelity(evaluate_svd_clements(shaken), evaluate_svd_clements(device)) < 1.0
+
+    def test_batched_deviations_match_single_trials(self):
+        # one batched call equals K scalar evaluations bit for bit
+        device = build_svd_clements(target_matrix(0, 6, 2), node_loss_model(0.3))
+        rng = np.random.default_rng(4)
+        dtheta, dphi = rng.normal(0.0, 0.1, 5), rng.normal(0.0, 0.1, 5)
+        batch = evaluate_svd_clements(device, (dtheta, dphi))
+        assert batch.shape == (5, 6, 6)
+        for k in range(5):
+            single = evaluate_svd_clements(apply_common_deviation(device, dtheta[k], dphi[k]))
+            assert np.array_equal(batch[k], single)
+        with pytest.raises(DimensionError):
+            evaluate_svd_clements(device, (dtheta, dphi[:4]))
 
 
 class TestClosedForms:
@@ -248,3 +276,37 @@ class TestDeviceJson:
     def test_wrong_arch_rejected(self):
         with pytest.raises(DomainError):
             device_from_json({"arch": "xbar"})
+
+    def test_cell_order_in_dump_is_irrelevant(self):
+        # dumps listing cells in propagation order (or any order) still load
+        device = build_svd_clements(target_matrix(2, 5, 4), LOSSLESS)
+        dump = device_to_json(device)
+        dump["u"] = dump["u"][::-1]
+        dump["v_dagger"] = dump["v_dagger"][1:] + dump["v_dagger"][:1]
+        again = device_from_json(dump)
+        assert np.array_equal(evaluate_svd_clements(again), evaluate_svd_clements(device))
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda d: d.update(u=d["u"][:2]),
+            lambda d: d["u"][0].update(row=7),
+            lambda d: d["u"][1].update(layer=d["u"][0]["layer"], row=d["u"][0]["row"]),
+            lambda d: d.update(sigma=d["sigma"][:3]),
+            lambda d: d.update(v_dagger_output_phases=d["v_dagger_output_phases"][:3]),
+            lambda d: d["v_dagger"][0].pop("theta"),
+            lambda d: d["v_dagger"][0].update(phi="0.5"),
+            lambda d: d["sigma"][0].update(theta=float("nan")),
+            lambda d: d.pop("loss"),
+            lambda d: d["loss"].update(il_coup_db="x"),
+            lambda d: d.update(n=1),
+        ],
+        ids=["truncated-u", "row-off-layout", "cell-twice", "truncated-sigma",
+             "truncated-phases", "missing-theta", "string-phi", "nan-sigma",
+             "missing-loss", "bad-loss", "n-too-small"],
+    )
+    def test_invalid_dump_rejected(self, corrupt):
+        dump = device_to_json(build_svd_clements(target_matrix(2, 4, 1), LOSSLESS))
+        corrupt(dump)
+        with pytest.raises(DomainError):
+            device_from_json(dump)

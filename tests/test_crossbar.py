@@ -377,3 +377,10 @@ class TestDeviceJson:
     def test_wrong_arch_rejected(self):
         with pytest.raises(DomainError):
             device_from_json({"arch": "svd-clements"})
+
+    @pytest.mark.parametrize("key", ["xi", "t"])
+    def test_truncated_splitters_rejected(self, key):
+        dump = device_to_json(build_xbar(target_matrix(59, 4, 0), LOSSLESS, "balanced"))
+        dump[key] = dump[key][:-1]
+        with pytest.raises(DimensionError):
+            device_from_json(dump)
