@@ -16,12 +16,8 @@ from .errors import (
     SweepError,
 )
 from .linalg import (
-    DEFAULT_ATOL,
     SvdFactors,
     fidelity,
-    haar_random_unitary,
-    is_unitary,
-    matrices_close,
     matrix_from_json,
     matrix_to_json,
     random_target_matrix,
@@ -32,16 +28,12 @@ from .nodes import (
     LOSSLESS,
     SILICON_PASSIVES,
     LossModel,
-    NodeSettings,
     db_to_field,
     field_to_db,
     mzi_matrix,
     node_loss_model,
-    node_transfer,
-    perturb_phases,
     voa_transfer,
     voa_transfer_at,
-    xbar_node_transfer,
 )
 from .clements import (
     ClementsDevice,
@@ -52,13 +44,11 @@ from .clements import (
     clements_decompose,
     evaluate_svd_clements,
     mesh_transfer,
-    perturb_device,
     svd_architecture_stats,
     svd_insertion_loss,
     with_loss,
 )
 from .crossbar import (
-    TransmissionMatrix,
     XbarDevice,
     XbarTopology,
     build_topology,
@@ -66,7 +56,6 @@ from .crossbar import (
     design_splitters,
     evaluate_xbar,
     passive_loss,
-    perturbed_weights,
     realized_matrix,
     restoration_matrix,
     transmission_matrix,

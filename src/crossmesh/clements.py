@@ -17,7 +17,8 @@ on a strided slice of the ports.  The phase arrays may carry leading
 batch axes; a batch of meshes sharing the layout evaluates in one pass.
 
 The full device cascades a mesh for ``v_dagger``, one attenuator cell per
-port for the singular values, and a mesh for ``u``.  With lossy cells every
+port for the singular values, and a mesh for ``u``: n^2 cells in all, which
+``apply_common_deviation`` shifts as one array.  With lossy cells every
 cell contributes the scalar field factor ``T_node``, so signal paths that
 traverse different numbers of cells pick up unequal attenuation; that
 imbalance is the device's loss-induced infidelity mechanism.
@@ -33,8 +34,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .linalg import ensure_square, svd_factorize, unitarity_residual
-from .nodes import LossModel, NodeSettings, mzi_entries, voa_transfer, voa_transfer_at
+from .linalg import ensure_square, number_from_json, svd_factorize, unitarity_residual
+from .nodes import LossModel, mzi_entries, voa_transfer, voa_transfer_at
 
 _TWO_PI = 2.0 * math.pi
 
@@ -252,15 +253,14 @@ class ClementsDevice:
     sigma_phi: np.ndarray
     u_mesh: ClementsMesh
     loss: LossModel
-    programming_steps: int
 
     @property
     def n(self) -> int:
         return self.v_dagger_mesh.n
 
     @property
-    def node_count(self) -> int:
-        return self.n * self.n
+    def programming_steps(self) -> int:
+        return self.n * (self.n - 1) // 2
 
 
 def build_svd_clements(d, loss: LossModel) -> ClementsDevice:
@@ -288,9 +288,9 @@ def build_svd_clements(d, loss: LossModel) -> ClementsDevice:
     transfers = []
     sigma_theta = []
     for a in amplitudes:
-        transfer, s = voa_transfer(float(a))
+        transfer, theta = voa_transfer(float(a))
         transfers.append(transfer)
-        sigma_theta.append(s.theta)
+        sigma_theta.append(theta)
 
     # Fold the attenuators' inherent unit-modulus phases into u.
     inherent = np.array([t / a if a > 0.0 else -1j for t, a in zip(transfers, amplitudes)])
@@ -304,7 +304,6 @@ def build_svd_clements(d, loss: LossModel) -> ClementsDevice:
         sigma_phi=np.zeros(n),
         u_mesh=u_mesh,
         loss=loss,
-        programming_steps=n * (n - 1) // 2,
     )
 
 
@@ -323,23 +322,32 @@ def evaluate_svd_clements(device: ClementsDevice, deviations=None) -> np.ndarray
         dtheta, dphi = (np.asarray(d, dtype=np.float64) for d in deviations)
         if dtheta.ndim != 1 or dtheta.shape != dphi.shape:
             raise DimensionError(f"deviations must be two equal-length 1-D sequences: {dtheta.shape}, {dphi.shape}")
-        device = _shifted(device, dtheta[:, None], dphi[:, None])
+        device = apply_common_deviation(device, dtheta[:, None], dphi[:, None])
     n = device.n
     t_field = device.loss.t_node
     y = np.eye(n, dtype=np.complex128) / math.sqrt(n)
     y = apply_mesh(y, device.v_dagger_mesh, node_field=t_field)
-    column = [voa_transfer_at(NodeSettings(t, 0.0), device.loss) for t in device.sigma_theta.flat]
-    y = np.reshape(column, device.sigma_theta.shape)[..., None] * y
+    y = voa_transfer_at(device.sigma_theta, device.loss)[..., None] * y
     return apply_mesh(y, device.u_mesh, node_field=t_field)
 
 
-def _shifted(device: ClementsDevice, dtheta, dphi) -> ClementsDevice:
+def apply_common_deviation(device: ClementsDevice, dtheta, dphi) -> ClementsDevice:
     """The device with (dtheta, dphi) added to every MZI cell, reduced mod 2 pi.
 
-    The shifts broadcast against the cells laid end to end: v_dagger cells,
-    the attenuator column, then u cells.  Output phase screens are plain
-    shifters, not MZI cells, and stay untouched.
+    The deviations broadcast against the device's n^2 cells laid end to
+    end: v_dagger cells in layer-major order, the attenuator column by
+    port, then u cells in layer-major order.  A scalar pair is one shared
+    deviation on every cell, the figure-experiment error model.  Arrays of
+    length n^2 give each cell its own deviation (independent per-cell
+    errors); the draw order is the caller's, e.g. columns 0 and 1 of
+    ``rng.normal(0, sigma, (n * n, 2))`` give each cell, in the order
+    above, a theta draw and then a phi draw.  A leading axis indexes a
+    batch of devices, as ``evaluate_svd_clements`` uses it.  Output phase
+    screens are plain shifters, not MZI cells, and stay untouched.  A
+    scalar zero pair returns ``device`` itself.
     """
+    if np.ndim(dtheta) == np.ndim(dphi) == 0 and dtheta == 0.0 and dphi == 0.0:
+        return device
     v, u = device.v_dagger_mesh, device.u_mesh
     theta = np.concatenate((v.theta, device.sigma_theta, u.theta), axis=-1) + dtheta
     phi = np.concatenate((v.phi, device.sigma_phi, u.phi), axis=-1) + dphi
@@ -355,38 +363,12 @@ def _shifted(device: ClementsDevice, dtheta, dphi) -> ClementsDevice:
     )
 
 
-def perturb_device(device: ClementsDevice, sigma: float, rng: np.random.Generator) -> ClementsDevice:
-    """Gaussian-perturb every MZI cell's (theta, phi) pair independently.
+def with_loss(device, loss: LossModel):
+    """Same programmed device, different component losses.
 
-    Draw order is fixed: v_dagger cells in layer-major order, then the
-    attenuator column by port, then u cells in layer-major order, two
-    draws per cell (theta first).  Output phase screens are plain
-    shifters, not MZI cells, and stay untouched.  The total draw count is
-    2 N^2 per call.
+    Works for either architecture: any device dataclass with a ``loss``
+    field.
     """
-    if sigma < 0.0:
-        raise DomainError(f"sigma must be >= 0, got {sigma}")
-    if sigma == 0.0:
-        return device
-    draws = rng.normal(0.0, sigma, size=(device.node_count, 2))
-    return _shifted(device, draws[:, 0], draws[:, 1])
-
-
-def apply_common_deviation(device: ClementsDevice, dtheta: float, dphi: float) -> ClementsDevice:
-    """Shift every MZI cell's (theta, phi) by one shared deviation pair.
-
-    This is the figure-experiment error model: a phase-error trial consists
-    of a single two-element deviation set applied to all cells of the
-    device.  Output phase screens are plain shifters, not MZI cells, and
-    stay untouched.  ``evaluate_svd_clements`` takes a batch of such pairs.
-    """
-    if dtheta == 0.0 and dphi == 0.0:
-        return device
-    return _shifted(device, dtheta, dphi)
-
-
-def with_loss(device: ClementsDevice, loss: LossModel) -> ClementsDevice:
-    """Same programmed phases, different component losses."""
     return replace(device, loss=loss)
 
 
@@ -429,17 +411,6 @@ def _mesh_to_json(mesh: ClementsMesh) -> tuple[list, list]:
     return nodes, mesh.output_phases.tolist()
 
 
-def _number(obj, key, what: str) -> float:
-    # obj[key] as a float; DomainError unless it is a finite JSON number.
-    try:
-        value = obj[key]
-    except (KeyError, IndexError, TypeError):
-        value = None
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise DomainError(f"{what}: {key!r} must be a finite number, got {value!r}")
-    return float(value)
-
-
 def _list(obj: dict, key: str, length: int) -> list:
     value = obj.get(key)
     if not isinstance(value, list) or len(value) != length:
@@ -450,10 +421,10 @@ def _list(obj: dict, key: str, length: int) -> list:
 def _mesh_from_json(obj: dict, name: str, n: int) -> ClementsMesh:
     phases = _list(obj, f"{name}_output_phases", n)
     cells = [
-        tuple(_number(c, key, name) for key in ("layer", "row", "theta", "phi"))
+        tuple(number_from_json(c, key, name) for key in ("layer", "row", "theta", "phi"))
         for c in _list(obj, name, n * (n - 1) // 2)
     ]
-    return _mesh(n, cells, [_number(phases, i, f"{name} output phases") for i in range(n)], name)
+    return _mesh(n, cells, [number_from_json(phases, i, f"{name} output phases") for i in range(n)], name)
 
 
 def device_to_json(device: ClementsDevice) -> dict:
@@ -480,7 +451,7 @@ def device_from_json(obj: dict) -> ClementsDevice:
 
     Each mesh must list every (layer, row) cell of the n-port rectangular
     layout exactly once, in any order, and n output phases; the attenuator
-    column must have n cells.
+    column must have n cells; ``programming_steps`` must be n(n-1)/2.
     """
     arch = obj.get("arch") if isinstance(obj, dict) else None
     if arch != "svd-clements":
@@ -488,16 +459,14 @@ def device_from_json(obj: dict) -> ClementsDevice:
     n = obj.get("n")
     if isinstance(n, bool) or not isinstance(n, int) or n < 2:
         raise DomainError(f"svd-clements dump: n must be an integer >= 2, got {n!r}")
+    steps = number_from_json(obj, "programming_steps", "svd-clements dump")
+    if steps != n * (n - 1) // 2:
+        raise DomainError(f"svd-clements dump: programming_steps must be {n * (n - 1) // 2}, got {steps}")
     sigma = _list(obj, "sigma", n)
-    try:
-        loss = LossModel.from_json(obj["loss"])
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise DomainError(f"svd-clements dump: bad loss model: {exc!r}") from exc
     return ClementsDevice(
         v_dagger_mesh=_mesh_from_json(obj, "v_dagger", n),
-        sigma_theta=np.mod([_number(c, "theta", "sigma") for c in sigma], _TWO_PI),
-        sigma_phi=np.mod([_number(c, "phi", "sigma") for c in sigma], _TWO_PI),
+        sigma_theta=np.mod([number_from_json(c, "theta", "sigma") for c in sigma], _TWO_PI),
+        sigma_phi=np.mod([number_from_json(c, "phi", "sigma") for c in sigma], _TWO_PI),
         u_mesh=_mesh_from_json(obj, "u", n),
-        loss=loss,
-        programming_steps=int(_number(obj, "programming_steps", "svd-clements dump")),
+        loss=LossModel.from_json(obj.get("loss")),
     )

@@ -44,7 +44,7 @@ from .crossbar import (
     device_to_json as xbar_device_to_json,
     evaluate_xbar,
 )
-from .errors import ConfigError, CrossmeshError
+from .errors import ConfigError, CrossmeshError, DomainError
 from .linalg import matrix_from_json, vector_from_json, vector_to_json
 from .nodes import SILICON_PASSIVES, LossModel
 from .montecarlo import (
@@ -138,7 +138,10 @@ def _load_json(path: str) -> dict:
 def _load_loss(path: str | None) -> LossModel:
     if path is None:
         return SILICON_PASSIVES
-    return LossModel.from_json(_load_json(path))
+    try:
+        return LossModel.from_json(_load_json(path))
+    except DomainError as exc:
+        raise CliError(f"bad loss file {path}: {exc}") from exc
 
 
 @dataclass
@@ -314,7 +317,7 @@ def _cmd_compile(args) -> int:
 def _cmd_eval(args) -> int:
     dump = _load_json(args.device)
     x = vector_from_json(_load_json(args.input))
-    arch = dump.get("arch")
+    arch = dump.get("arch") if isinstance(dump, dict) else None
     if arch == ARCH_XBAR:
         device = xbar_device_from_json(dump)
         out = evaluate_xbar(device, x)

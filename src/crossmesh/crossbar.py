@@ -15,7 +15,8 @@ so the realized operator is ``P^T W^T`` for weight matrix W.  Choosing the
 coupler ratios so every p_c is identical makes the whole loss budget a
 global scalar (fidelity exactly 1); with identical couplers instead, the
 per-column imbalance is removed after the fact by the diagonal restoration
-matrix ``(P^T)^{-1}``.
+matrix ``(P^T)^{-1}``.  Phase errors change the weights themselves, through
+``weights_with_common_deviation``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDeviceError, DimensionError, DomainError
-from .linalg import ensure_matrix
+from .linalg import ensure_matrix, number_from_json
 from .nodes import LossModel
 
 
@@ -139,27 +140,15 @@ class XbarDevice:
     t: np.ndarray
     loss: LossModel
     balanced: bool
-    programming_steps: int = 1
 
 
-@dataclass(frozen=True, eq=False)
-class TransmissionMatrix:
-    """Diagonal of the per-column transmission matrix P."""
-
-    p: np.ndarray
-
-    def as_matrix(self) -> np.ndarray:
-        return np.diag(self.p)
-
-
-def transmission_matrix(device: XbarDevice) -> TransmissionMatrix:
-    """Per-column field factors p_c collecting every split and loss."""
+def transmission_matrix(device: XbarDevice) -> np.ndarray:
+    """Per-column field factors p_c (the diagonal of P) collecting every split and loss."""
     top = device.topology
     loss = device.loss
     l_passive = np.array([passive_loss(c, top, loss) for c in range(1, top.m + 1)])
     t_products = np.concatenate(([1.0], np.cumprod(device.t)))
-    p = loss.alpha * loss.t_node * l_passive * t_products * device.xi / top.n_f
-    return TransmissionMatrix(p=p)
+    return loss.alpha * loss.t_node * l_passive * t_products * device.xi / top.n_f
 
 
 def build_xbar(y, loss: LossModel, mode: str = "balanced") -> XbarDevice:
@@ -194,8 +183,7 @@ def build_xbar(y, loss: LossModel, mode: str = "balanced") -> XbarDevice:
 def realized_matrix(device: XbarDevice, weights: np.ndarray | None = None) -> np.ndarray:
     """The M x N operator the device applies to its input vector: P^T W^T."""
     w = device.weights if weights is None else weights
-    p = transmission_matrix(device).p
-    return p[:, None] * w.T
+    return transmission_matrix(device)[:, None] * w.T
 
 
 def evaluate_xbar(device: XbarDevice, x) -> np.ndarray:
@@ -246,61 +234,27 @@ def xbar_insertion_loss(
 
 def restoration_matrix(device: XbarDevice) -> np.ndarray:
     """Diagonal output correction (P^T)^{-1} that restores fidelity to 1."""
-    p = transmission_matrix(device).p
+    p = transmission_matrix(device)
     if np.any(p <= 0.0):
         raise DegenerateDeviceError("restoration impossible: some column has p_c = 0")
     return np.diag(1.0 / p)
 
 
-def node_settings(device: XbarDevice) -> tuple[np.ndarray, np.ndarray]:
-    """Cell phases realizing the stored weights.
+def weights_with_common_deviation(device: XbarDevice, dtheta) -> np.ndarray:
+    """Effective weights after the deviation d_theta on every cell's attenuator MZI.
 
-    Returns (theta, phi_value) arrays of shape N x M: the attenuator cell
-    angle ``theta = 2 asin(|w|)`` and the value phase shifter setting that
-    cancels the cell's inherent through-port phase ``theta/2 - pi/2``.
+    ``dtheta`` is a scalar or an N x M array.  A scalar is one shared
+    deviation on every cell, the figure-experiment error model: it detunes
+    every amplitude through sin(theta/2) and adds the common inherent phase
+    d_theta/2, a global factor.  An array gives each cell its own deviation
+    (independent per-cell errors), which also makes the inherent phase
+    d_theta/2 differ from cell to cell.  Only d_theta matters: a cell's
+    d_phi lands on the unconnected arm of its attenuator MZI and never
+    reaches the through path, and the separate value phase shifter is not
+    an MZI cell.  Zero deviation returns an exact copy of the weights.
     """
     w = device.weights
-    mag = np.clip(np.abs(w), 0.0, 1.0)
-    theta = 2.0 * np.arcsin(mag)
-    phi_value = np.angle(w) - (theta / 2.0 - math.pi / 2.0)
-    return theta, phi_value
-
-
-def perturbed_weights(device: XbarDevice, sigma: float, rng: np.random.Generator) -> np.ndarray:
-    """Effective weights after Gaussian deviations on every cell's MZI phases.
-
-    Each cell consumes one (d_theta, d_phi) pair in row-major order, theta
-    first, matching the draw accounting of the mesh architectures.  The
-    d_phi deviation lands on the attenuator MZI's input-side shifter, which
-    sits on the unconnected arm and cannot reach the through path; the
-    d_theta deviation changes the amplitude through sin(theta/2) and leaks
-    d_theta/2 into the entry phase through the cell's inherent phase.  The
-    separate value phase shifter is not an MZI cell and is untouched.
-    """
-    if sigma < 0.0:
-        raise DomainError(f"sigma must be >= 0, got {sigma}")
-    w = device.weights
-    if sigma == 0.0:
-        return w.copy()
-    n, m = w.shape
-    draws = rng.normal(0.0, sigma, size=(n * m, 2))
-    d_theta = draws[:, 0].reshape(n, m)
-    theta = 2.0 * np.arcsin(np.clip(np.abs(w), 0.0, 1.0))
-    theta_new = theta + d_theta
-    return np.sin(theta_new / 2.0) * np.exp(1j * (np.angle(w) + d_theta / 2.0))
-
-
-def weights_with_common_deviation(device: XbarDevice, dtheta: float) -> np.ndarray:
-    """Effective weights when one shared (d_theta, d_phi) pair hits every cell.
-
-    This is the figure-experiment error model.  The shared d_phi lands on
-    the unconnected arm of every attenuator MZI and never reaches the
-    through path; the shared d_theta detunes every amplitude through
-    sin(theta/2) and adds the common inherent phase d_theta/2, which is a
-    global factor.
-    """
-    w = device.weights
-    if dtheta == 0.0:
+    if not np.any(dtheta):
         return w.copy()
     theta = 2.0 * np.arcsin(np.clip(np.abs(w), 0.0, 1.0)) + dtheta
     return np.sin(theta / 2.0) * np.exp(1j * (np.angle(w) + dtheta / 2.0))
@@ -323,31 +277,39 @@ def device_to_json(device: XbarDevice) -> dict:
 
 
 def device_from_json(obj: dict) -> XbarDevice:
-    if obj.get("arch") != "xbar":
-        raise DomainError(f"not an xbar device dump: arch={obj.get('arch')!r}")
-    n = int(obj["n"])
-    m = int(obj["m"])
+    """Load a ``device_to_json`` dump; DomainError unless it is a valid device.
+
+    The weights must be an n x m array of magnitudes at most 1, ``xi`` must
+    have m entries and ``t`` m - 1, all finite.
+    """
+    arch = obj.get("arch") if isinstance(obj, dict) else None
+    if arch != "xbar":
+        raise DomainError(f"not an xbar device dump: arch={arch!r}")
+    n, m, n_f = (int(number_from_json(obj, key, "xbar dump")) for key in ("n", "m", "n_f"))
     topology = build_topology(n, m)
-    if topology.n_f != int(obj["n_f"]):
-        raise DomainError(
-            f"inconsistent dump: n={n} implies n_f={topology.n_f}, dump says {obj['n_f']}"
+    if topology.n_f != n_f:
+        raise DomainError(f"inconsistent dump: n={n} implies n_f={topology.n_f}, dump says {n_f}")
+    try:
+        re, im, xi, t = (
+            np.asarray(v, dtype=np.float64)
+            for v in (obj["weights"]["re"], obj["weights"]["im"], obj["xi"], obj["t"])
         )
-    weights = np.asarray(obj["weights"]["re"], dtype=np.float64) + 1j * np.asarray(
-        obj["weights"]["im"], dtype=np.float64
-    )
-    if weights.shape != (n, m):
-        raise DimensionError(f"weights must be {n} x {m}, got {weights.shape}")
-    xi = np.asarray(obj["xi"], dtype=np.float64)
-    t = np.asarray(obj["t"], dtype=np.float64)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DomainError(f"malformed xbar dump: {exc!r}") from exc
+    if re.shape != (n, m) or im.shape != (n, m):
+        raise DimensionError(f"weights must be {n} x {m}, got {re.shape} and {im.shape}")
     if xi.shape != (m,) or t.shape != (m - 1,):
         raise DimensionError(
             f"xi must have {m} entries and t {m - 1}, got shapes {xi.shape} and {t.shape}"
         )
+    weights = re + 1j * im
+    if not all(np.isfinite(a).all() for a in (weights, xi, t)) or np.max(np.abs(weights)) > 1.0 + 1e-12:
+        raise DomainError("xbar dump: weights, xi and t must be finite and no weight may exceed magnitude 1")
     return XbarDevice(
         topology=topology,
         weights=weights,
         xi=xi,
         t=t,
-        loss=LossModel.from_json(obj["loss"]),
+        loss=LossModel.from_json(obj.get("loss")),
         balanced=(obj.get("mode", "balanced") == "balanced"),
     )

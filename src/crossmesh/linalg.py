@@ -2,21 +2,19 @@
 
 Matrices are plain ``numpy.ndarray`` objects with dtype complex128.  The
 helpers here enforce the contracts the rest of the library relies on:
-finite entries, explicit comparison tolerances, an SVD wrapper with a
-deterministic ordering convention, the Frobenius fidelity measure, and the
-seeded random-matrix ensemble used by the Monte-Carlo experiments.
+finite entries, an SVD wrapper with a deterministic ordering convention,
+the Frobenius fidelity measure, the seeded random-matrix ensemble used by
+the Monte-Carlo experiments, and checked parsing of JSON numbers.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionError, DomainError
-
-#: Library-wide default absolute tolerance for matrix comparisons.
-DEFAULT_ATOL = 1e-10
 
 
 def ensure_matrix(a, *, name: str = "matrix") -> np.ndarray:
@@ -46,24 +44,11 @@ def ensure_square(a, *, name: str = "matrix") -> np.ndarray:
     return arr
 
 
-def matrices_close(a, b, atol: float = DEFAULT_ATOL) -> bool:
-    """Entrywise comparison with an explicit absolute tolerance."""
-    a = ensure_matrix(a, name="a")
-    b = ensure_matrix(b, name="b")
-    if a.shape != b.shape:
-        raise DimensionError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return bool(np.max(np.abs(a - b)) <= atol)
-
-
 def unitarity_residual(u) -> float:
     """Max-entry deviation of ``u^dagger u`` from the identity."""
     u = ensure_square(u, name="u")
     n = u.shape[0]
     return float(np.max(np.abs(u.conj().T @ u - np.eye(n))))
-
-
-def is_unitary(u, atol: float = DEFAULT_ATOL) -> bool:
-    return unitarity_residual(u) <= atol
 
 
 @dataclass(frozen=True)
@@ -130,14 +115,18 @@ def random_target_matrix(n: int, seed: int) -> np.ndarray:
     return raw / np.max(np.abs(raw))
 
 
-def haar_random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary via QR of a complex Ginibre matrix."""
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
-    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    d = np.diag(r)
-    return q * (d / np.abs(d))
+def number_from_json(obj, key, what: str) -> float:
+    """``obj[key]`` as a float; DomainError unless it is a finite JSON number.
+
+    A missing key, or an ``obj`` that cannot be indexed, is an error too.
+    """
+    try:
+        value = obj[key]
+    except (KeyError, IndexError, TypeError):
+        value = None
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise DomainError(f"{what}: {key!r} must be a finite number, got {value!r}")
+    return float(value)
 
 
 def matrix_to_json(a) -> dict:

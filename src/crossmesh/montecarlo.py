@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -166,15 +166,14 @@ def _loss_chunk(args) -> np.ndarray:
         try:
             y = target_matrix(master_seed, n, m_idx)
             if arch == ARCH_SVD_CLEMENTS:
-                device = build_svd_clements(y, LOSSLESS)
-                for k, il in enumerate(il_grid):
-                    lossy = with_loss(device, node_loss_model(il, passives))
-                    out[row, k] = fidelity(evaluate_svd_clements(lossy), y)
+                device, evaluate = build_svd_clements(y, LOSSLESS), evaluate_svd_clements
             else:
+                # The balanced splitters depend on the passive losses only.
                 device = build_xbar(y.T, node_loss_model(il_grid[0], passives), "balanced")
-                for k, il in enumerate(il_grid):
-                    lossy = replace(device, loss=node_loss_model(il, passives))
-                    out[row, k] = fidelity(realized_matrix(lossy), y)
+                evaluate = realized_matrix
+            for k, il in enumerate(il_grid):
+                lossy = with_loss(device, node_loss_model(il, passives))
+                out[row, k] = fidelity(evaluate(lossy), y)
         except Exception as exc:
             raise SweepError(
                 f"loss sweep failed at arch={arch}, n={n}, matrix={m_idx}: {exc}"
@@ -190,26 +189,24 @@ def _phase_chunk(args) -> np.ndarray:
         try:
             y = target_matrix(master_seed, n, m_idx)
             if arch == ARCH_SVD_CLEMENTS:
-                device = build_svd_clements(y, LOSSLESS)
-                for s_idx, sigma in enumerate(sigma_grid):
-                    if sigma == 0.0:
-                        # Every trial is the unperturbed device.
-                        out[row, s_idx] = fidelity(evaluate_svd_clements(device), y)
-                        continue
-                    deviations = np.array([
-                        _trial_deviation_pair(master_seed, arch, n, s_idx, m_idx, t_idx, sigma)
-                        for t_idx in range(n_trials)
-                    ])
+                device, evaluate = build_svd_clements(y, LOSSLESS), evaluate_svd_clements
+            else:
+                device, evaluate = build_xbar(y.T, LOSSLESS, "balanced"), realized_matrix
+            for s_idx, sigma in enumerate(sigma_grid):
+                if sigma == 0.0:
+                    # Every trial is the unperturbed device.
+                    out[row, s_idx] = fidelity(evaluate(device), y)
+                    continue
+                deviations = np.array([
+                    _trial_deviation_pair(master_seed, arch, n, s_idx, m_idx, t_idx, sigma)
+                    for t_idx in range(n_trials)
+                ])
+                if arch == ARCH_SVD_CLEMENTS:
                     for first in range(0, n_trials, batch):
                         transfers = evaluate_svd_clements(device, deviations[first : first + batch].T)
                         out[row, s_idx, first : first + batch] = [fidelity(t, y) for t in transfers]
-            else:
-                device = build_xbar(y.T, LOSSLESS, "balanced")
-                for s_idx, sigma in enumerate(sigma_grid):
-                    for t_idx in range(n_trials):
-                        dth, _dph = _trial_deviation_pair(
-                            master_seed, arch, n, s_idx, m_idx, t_idx, sigma
-                        )
+                else:
+                    for t_idx, dth in enumerate(deviations[:, 0].tolist()):
                         w = weights_with_common_deviation(device, dth)
                         out[row, s_idx, t_idx] = fidelity(realized_matrix(device, w), y)
         except Exception as exc:

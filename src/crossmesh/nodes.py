@@ -21,19 +21,27 @@ crossbar weight cells) are the same cell with only the lower input and lower
 output connected.  The connected-port transfer is the (2, 2) element
 ``-i e^{i theta/2} sin(theta/2)``, so the amplitude law is
 ``w = sin(theta/2)`` and the cell's own input phase shifter sits on the
-unconnected arm, where it has no effect on the through path.
+unconnected arm, where it has no effect on the through path.  A crossbar
+weight cell follows its attenuator with a value phase shifter, so it
+transfers ``T_node * w * e^{i phi}``; the crossbar folds ``T_node`` into its
+per-column factors.
+
+A cell is nothing but its (theta, phi) pair: the meshes store those pairs
+as arrays (``clements.ClementsMesh``) and the crossbar derives them from its
+weights.  Phase errors enter through one shift function per architecture,
+``clements.apply_common_deviation`` and
+``crossbar.weights_with_common_deviation``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from .errors import DomainError
-
-_TWO_PI = 2.0 * math.pi
+from .linalg import number_from_json
 
 
 def db_to_field(db: float) -> float:
@@ -104,23 +112,19 @@ class LossModel:
         return 2.0 * self.il_coup_db + 2.0 * self.il_ps_db
 
     def to_json(self) -> dict:
-        return {
-            "il_coup_db": self.il_coup_db,
-            "il_ps_db": self.il_ps_db,
-            "il_xi_db": self.il_xi_db,
-            "il_x_db": self.il_x_db,
-            "alpha_db": self.alpha_db,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json(cls, obj: dict) -> "LossModel":
-        return cls(
-            il_coup_db=float(obj.get("il_coup_db", 0.0)),
-            il_ps_db=float(obj.get("il_ps_db", 0.0)),
-            il_xi_db=float(obj.get("il_xi_db", 0.0)),
-            il_x_db=float(obj.get("il_x_db", 0.0)),
-            alpha_db=float(obj.get("alpha_db", 0.0)),
-        )
+        """Parse ``to_json`` output; a missing loss is 0 dB.
+
+        DomainError unless ``obj`` is a JSON object whose losses are finite
+        numbers >= 0.
+        """
+        if not isinstance(obj, dict):
+            raise DomainError(f"loss model must be a JSON object, got {obj!r}")
+        given = [f.name for f in fields(cls) if f.name in obj]
+        return cls(**{name: number_from_json(obj, name, "loss model") for name in given})
 
 
 #: All components ideal.
@@ -155,18 +159,6 @@ def node_loss_model(il_node_db: float, passives: LossModel = SILICON_PASSIVES) -
     )
 
 
-@dataclass(frozen=True)
-class NodeSettings:
-    """Programmed phases of one MZI cell, stored reduced mod 2 pi."""
-
-    theta: float
-    phi: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "theta", float(self.theta) % _TWO_PI)
-        object.__setattr__(self, "phi", float(self.phi) % _TWO_PI)
-
-
 def mzi_entries(theta: float, phi: float) -> tuple[complex, complex, complex, complex]:
     """Entries (m11, m12, m21, m22) of ``mzi_matrix`` as Python complex scalars."""
     half = 0.5 * theta
@@ -182,53 +174,29 @@ def mzi_matrix(theta: float, phi: float) -> np.ndarray:
     return np.array([[m11, m12], [m21, m22]], dtype=np.complex128)
 
 
-def node_transfer(settings: NodeSettings, loss: LossModel = LOSSLESS) -> np.ndarray:
-    """Lossy 2x2 transfer of one cell: ``T_node * M(theta, phi)``."""
-    return loss.t_node * mzi_matrix(settings.theta, settings.phi)
 
 
-def voa_transfer(target_amplitude: float, loss: LossModel = LOSSLESS) -> tuple[complex, NodeSettings]:
+def voa_transfer(target_amplitude: float, loss: LossModel = LOSSLESS) -> tuple[complex, float]:
     """Program a single-input/single-output attenuator cell.
 
     Returns the complex field transfer of the connected port together with
-    the settings that realize it: ``theta = 2 asin(a)`` and
+    the cell angle that realizes it: ``theta = 2 asin(a)`` and
     ``transfer = T_node * sin(theta/2) * (-i e^{i theta/2})``, so
     ``|transfer| = T_node * a``.
     """
     if not (0.0 <= target_amplitude <= 1.0):
         raise DomainError(f"target amplitude must lie in [0, 1], got {target_amplitude}")
     theta = 2.0 * math.asin(target_amplitude)
-    settings = NodeSettings(theta=theta, phi=0.0)
-    return voa_transfer_at(settings, loss), settings
+    return complex(voa_transfer_at(theta, loss)), theta
 
 
-def voa_transfer_at(settings: NodeSettings, loss: LossModel = LOSSLESS) -> complex:
-    """Connected-port transfer of an attenuator cell at given settings.
+def voa_transfer_at(theta, loss: LossModel = LOSSLESS) -> np.ndarray:
+    """Connected-port transfers of attenuator cells at the angles ``theta``.
 
-    Equals ``node_transfer(settings, loss)[1, 1]``; the cell's phi shifter
-    sits on the unconnected arm and does not appear.
+    ``theta`` may be a scalar or an array of any shape; the result has the
+    same shape.  Each value is the (2, 2) element of the lossy cell
+    ``T_node * M(theta, phi)``, which does not depend on phi: the cell's phi
+    shifter sits on the unconnected arm.
     """
-    half = 0.5 * settings.theta
-    return complex(loss.t_node * -1j * complex(math.cos(half), math.sin(half)) * math.sin(half))
-
-
-def xbar_node_transfer(w: float, phi: float, loss: LossModel = LOSSLESS) -> complex:
-    """Programmed transfer of one crossbar weight cell: ``T_node * w * e^{i phi}``."""
-    if not (0.0 <= w <= 1.0):
-        raise DomainError(f"weight magnitude must lie in [0, 1], got {w}")
-    return complex(loss.t_node * w * complex(math.cos(phi), math.sin(phi)))
-
-
-def perturb_phases(settings: NodeSettings, sigma: float, rng: np.random.Generator) -> NodeSettings:
-    """Add independent Gaussian deviations to both phases of one cell.
-
-    Draws theta first, then phi, from ``rng``; sigma = 0 returns the input
-    unchanged without consuming draws.
-    """
-    if sigma < 0.0:
-        raise DomainError(f"sigma must be >= 0, got {sigma}")
-    if sigma == 0.0:
-        return settings
-    dtheta = rng.normal(0.0, sigma)
-    dphi = rng.normal(0.0, sigma)
-    return NodeSettings(theta=settings.theta + dtheta, phi=settings.phi + dphi)
+    half = 0.5 * np.asarray(theta, dtype=np.float64)
+    return loss.t_node * -1j * (np.cos(half) + 1j * np.sin(half)) * np.sin(half)

@@ -15,7 +15,6 @@ from crossmesh import (
     fidelity,
     mesh_transfer,
     node_loss_model,
-    perturb_device,
     svd_architecture_stats,
     svd_insertion_loss,
     with_loss,
@@ -114,7 +113,8 @@ class TestBuildEvaluate:
 
     def test_device_counts(self):
         device = build_svd_clements(target_matrix(4, 6, 0), LOSSLESS)
-        assert device.node_count == 36
+        cells = device.v_dagger_mesh.theta.size + device.sigma_theta.size + device.u_mesh.theta.size
+        assert cells == 36
         assert device.programming_steps == 15
 
     def test_zero_matrix_rejected(self):
@@ -175,19 +175,25 @@ class TestBuildEvaluate:
 class TestPerturbation:
     def test_sigma_zero_identity(self):
         device = build_svd_clements(target_matrix(0, 4, 0), LOSSLESS)
-        assert perturb_device(device, 0.0, np.random.default_rng(0)) is device
         assert apply_common_deviation(device, 0.0, 0.0) is device
+        zeros = apply_common_deviation(device, np.zeros(16), np.zeros(16))
+        assert np.array_equal(evaluate_svd_clements(zeros), evaluate_svd_clements(device))
 
     def test_perturb_deterministic(self):
         device = build_svd_clements(target_matrix(0, 4, 0), LOSSLESS)
-        a = perturb_device(device, 0.1, np.random.default_rng(9))
-        b = perturb_device(device, 0.1, np.random.default_rng(9))
+        a, b = (
+            apply_common_deviation(device, *np.random.default_rng(9).normal(0.0, 0.1, (16, 2)).T)
+            for _ in range(2)
+        )
         ya, yb = evaluate_svd_clements(a), evaluate_svd_clements(b)
         assert np.array_equal(ya, yb)
+        assert not np.array_equal(ya, evaluate_svd_clements(device))
 
     def test_perturb_matches_per_cell_draws(self):
+        # independent per-cell errors: one (n^2, 2) draw, columns theta and phi
         device = build_svd_clements(target_matrix(0, 4, 0), LOSSLESS)
-        shaken = perturb_device(device, 0.2, np.random.default_rng(21))
+        draws = np.random.default_rng(21).normal(0.0, 0.2, (16, 2))
+        shaken = apply_common_deviation(device, draws[:, 0], draws[:, 1])
         rng = np.random.default_rng(21)
 
         def cells(d):
@@ -201,8 +207,8 @@ class TestPerturbation:
         for (theta, phi), (new_theta, new_phi) in zip(cells(device), cells(shaken)):
             dt = rng.normal(0.0, 0.2)
             dp = rng.normal(0.0, 0.2)
-            assert abs(new_theta - (theta + dt) % (2 * math.pi)) < 1e-12
-            assert abs(new_phi - (phi + dp) % (2 * math.pi)) < 1e-12
+            assert new_theta == (theta + dt) % (2 * math.pi)
+            assert new_phi == (phi + dp) % (2 * math.pi)
 
     def test_common_deviation_shifts_every_cell(self):
         device = build_svd_clements(target_matrix(0, 5, 1), LOSSLESS)
@@ -300,10 +306,15 @@ class TestDeviceJson:
             lambda d: d.pop("loss"),
             lambda d: d["loss"].update(il_coup_db="x"),
             lambda d: d.update(n=1),
+            lambda d: d.pop("programming_steps"),
+            lambda d: d.update(programming_steps="6"),
+            lambda d: d.update(programming_steps=7),
+            lambda d: d.update(loss=[0.1]),
         ],
         ids=["truncated-u", "row-off-layout", "cell-twice", "truncated-sigma",
              "truncated-phases", "missing-theta", "string-phi", "nan-sigma",
-             "missing-loss", "bad-loss", "n-too-small"],
+             "missing-loss", "bad-loss", "n-too-small", "missing-steps",
+             "string-steps", "wrong-steps", "loss-not-object"],
     )
     def test_invalid_dump_rejected(self, corrupt):
         dump = device_to_json(build_svd_clements(target_matrix(2, 4, 1), LOSSLESS))

@@ -94,7 +94,38 @@ class TestCorruptDumps:
         dump["sigma"] = dump["sigma"][:2]
         assert self.eval_dump(tmp_path, dump, 4) == 2
 
+    def xbar_dump(self):
+        return xbar_device_to_json(build_xbar(target_matrix(1, 4, 0), LOSSLESS, "balanced"))
+
     def test_truncated_xbar_xi(self, tmp_path):
-        dump = xbar_device_to_json(build_xbar(target_matrix(1, 4, 0), LOSSLESS, "balanced"))
+        dump = self.xbar_dump()
         dump["xi"] = dump["xi"][:-1]
         assert self.eval_dump(tmp_path, dump, 4) == 2
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [lambda d: d.pop("t"), lambda d: d["loss"].update(il_coup_db="x")],
+        ids=["xbar-missing-t", "xbar-string-loss"],
+    )
+    def test_malformed_xbar_dump_is_a_one_line_error(self, tmp_path, capsys, corrupt):
+        dump = self.xbar_dump()
+        corrupt(dump)
+        assert self.eval_dump(tmp_path, dump, 4) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_non_object_dump_is_a_one_line_error(self, tmp_path, capsys):
+        assert self.eval_dump(tmp_path, [1, 2], 4) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_bad_loss_file_is_a_config_error(tmp_path, capsys):
+    loss = tmp_path / "loss.json"
+    loss.write_text(json.dumps({"il_coup_db": "x"}))
+    argv = ["fidelity-loss", "--n", "3", "--node-loss", "0", "--matrices", "1",
+            "--loss", str(loss), "--out", str(tmp_path / "out.csv")]
+    assert run_experiment(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "out.csv").exists()

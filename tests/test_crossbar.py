@@ -17,7 +17,6 @@ from crossmesh import (
     fidelity,
     node_loss_model,
     passive_loss,
-    perturbed_weights,
     realized_matrix,
     restoration_matrix,
     svd_insertion_loss,
@@ -127,19 +126,19 @@ class TestPassiveLoss:
 class TestTransmissionMatrix:
     def test_lossless_balanced_4x4(self):
         device = build_xbar(np.ones((4, 4)), LOSSLESS, "balanced")
-        p = transmission_matrix(device).p
+        p = transmission_matrix(device)
         assert np.allclose(p, 1 / 8, atol=1e-15)
 
     def test_alpha_common_factor(self):
         base = build_xbar(np.ones((4, 4)), LOSSLESS, "balanced")
         mod = build_xbar(np.ones((4, 4)), LossModel(alpha_db=3.0), "balanced")
-        ratio = transmission_matrix(mod).p / transmission_matrix(base).p
+        ratio = transmission_matrix(mod) / transmission_matrix(base)
         assert np.allclose(ratio, 10 ** (-3 / 20), atol=1e-15)
 
     def test_uniform_mode_column_ratios(self):
         loss = node_loss_model(1.0)
         device = build_xbar(np.ones((8, 8)), loss, "uniform")
-        p = transmission_matrix(device).p
+        p = transmission_matrix(device)
         top = device.topology
         expected = (1 / math.sqrt(2)) * loss.l_xi * loss.l_x**top.m_fwd
         for c in range(1, top.m - 1):
@@ -162,7 +161,7 @@ class TestEvaluate:
         x = np.zeros(4, dtype=complex)
         x[2] = 1.0
         out = evaluate_xbar(device, x)
-        p = transmission_matrix(device).p
+        p = transmission_matrix(device)
         assert out[1] == p[1] * device.weights[2, 1]
         assert np.all(out[[0, 2, 3]] == 0.0)
 
@@ -231,7 +230,7 @@ class TestRestoration:
     def test_balanced_is_scalar(self):
         device = build_xbar(target_matrix(23, 6, 0), node_loss_model(1.1), "balanced")
         r = restoration_matrix(device)
-        p = transmission_matrix(device).p
+        p = transmission_matrix(device)
         assert np.allclose(r, np.eye(6) / p[0], atol=1e-12)
 
     def test_uniform_ratios_reproduce_two_branch_form(self):
@@ -271,7 +270,6 @@ class TestBuild:
     def test_identity_weights(self):
         device = build_xbar(np.eye(4), LOSSLESS, "balanced")
         assert np.allclose(device.weights, np.eye(4), atol=1e-15)
-        assert device.programming_steps == 1
 
     def test_peak_normalization(self):
         y = 3.0 * target_matrix(31, 4, 0)
@@ -282,7 +280,7 @@ class TestBuild:
         rng = np.random.default_rng(10)
         y = target_matrix(37, 4, 0)
         device = build_xbar(y, node_loss_model(0.4), "balanced")
-        p = transmission_matrix(device).p
+        p = transmission_matrix(device)
         for _ in range(20):
             x = rng.standard_normal(4) + 1j * rng.standard_normal(4)
             x /= np.max(np.abs(x))
@@ -325,14 +323,16 @@ class TestLossBalancedFidelity:
 class TestPerturbedWeights:
     def test_sigma_zero_copy(self):
         device = build_xbar(target_matrix(43, 4, 0), LOSSLESS, "balanced")
-        w = perturbed_weights(device, 0.0, np.random.default_rng(0))
-        assert np.array_equal(w, device.weights)
-        assert w is not device.weights
+        for zero in (0.0, np.zeros((4, 4))):
+            w = weights_with_common_deviation(device, zero)
+            assert np.array_equal(w, device.weights)
+            assert w is not device.weights
 
     def test_draw_accounting_row_major(self):
+        # independent per-cell errors: one (d_theta, d_phi) draw per cell, row-major
         device = build_xbar(target_matrix(43, 3, 1), LOSSLESS, "balanced")
-        w = perturbed_weights(device, 0.15, np.random.default_rng(77))
         draws = np.random.default_rng(77).normal(0.0, 0.15, size=(9, 2))
+        w = weights_with_common_deviation(device, draws[:, 0].reshape(3, 3))
         theta = 2.0 * np.arcsin(np.clip(np.abs(device.weights), 0, 1))
         expected = np.sin((theta + draws[:, 0].reshape(3, 3)) / 2.0) * np.exp(
             1j * (np.angle(device.weights) + draws[:, 0].reshape(3, 3) / 2.0)
@@ -377,10 +377,34 @@ class TestDeviceJson:
     def test_wrong_arch_rejected(self):
         with pytest.raises(DomainError):
             device_from_json({"arch": "svd-clements"})
+        with pytest.raises(DomainError):
+            device_from_json([{"arch": "xbar"}])
 
     @pytest.mark.parametrize("key", ["xi", "t"])
     def test_truncated_splitters_rejected(self, key):
         dump = device_to_json(build_xbar(target_matrix(59, 4, 0), LOSSLESS, "balanced"))
         dump[key] = dump[key][:-1]
         with pytest.raises(DimensionError):
+            device_from_json(dump)
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda d: d.pop("t"),
+            lambda d: d.pop("n"),
+            lambda d: d.update(m="4"),
+            lambda d: d.update(weights=[[1.0]]),
+            lambda d: d["weights"]["im"][0].__setitem__(0, None),
+            lambda d: d.update(xi=["x"] * 4),
+            lambda d: d["loss"].update(il_coup_db="x"),
+            lambda d: d.update(loss="lossless"),
+            lambda d: d["weights"]["re"][1].__setitem__(2, 1.5),
+        ],
+        ids=["missing-t", "missing-n", "string-m", "weights-not-object", "null-weight",
+             "string-xi", "string-loss", "loss-not-object", "weight-above-one"],
+    )
+    def test_invalid_dump_rejected(self, corrupt):
+        dump = device_to_json(build_xbar(target_matrix(59, 4, 0), LOSSLESS, "balanced"))
+        corrupt(dump)
+        with pytest.raises(DomainError):
             device_from_json(dump)

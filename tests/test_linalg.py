@@ -5,7 +5,6 @@ from crossmesh import (
     DimensionError,
     DomainError,
     fidelity,
-    matrices_close,
     matrix_from_json,
     matrix_to_json,
     random_target_matrix,
@@ -157,9 +156,3 @@ class TestMatrixJson:
             matrix_from_json(obj)
         with pytest.raises(DomainError):
             matrix_from_json({"rows": 1, "cols": 1})
-
-    def test_matrices_close_tolerance(self):
-        a = np.eye(2)
-        b = np.eye(2) + 1e-11
-        assert matrices_close(a, b, atol=1e-10)
-        assert not matrices_close(a, b, atol=1e-12)

@@ -1,3 +1,6 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,13 +11,14 @@ from crossmesh import (
     SweepConfig,
     apply_common_deviation,
     build_svd_clements,
+    build_xbar,
     evaluate_svd_clements,
     fidelity,
     loss_fidelity_sweep,
     phase_fidelity_sweep,
 )
 from crossmesh.montecarlo import _phase_chunk, _trial_deviation_pair, target_matrix
-from oracles import svd_device_layer_product
+from oracles import svd_device_layer_product, xbar_column_sums
 
 PHASE_CFG = SweepConfig(
     n_values=(3, 4),
@@ -54,6 +58,32 @@ def test_batched_trials_match_layer_product_oracle():
                 shaken = apply_common_deviation(device, dth, dph)
                 expected = fidelity(svd_device_layer_product(shaken), y)
                 assert abs(got[m_idx, s_idx, t_idx] - expected) <= 1e-12
+
+
+def test_crossbar_trials_match_column_sum_oracle():
+    # Per trial: detune every cell's amplitude angle by the shared d_theta
+    # entry by entry, then read the realized matrix column by column off the
+    # literal per-column sums.
+    seed, n, sigmas, trials = 5, 4, (0.0, 0.05, 0.2), 6
+    got = _phase_chunk((seed, ARCH_XBAR, n, sigmas, trials, 0, 2))
+    assert got.shape == (2, 3, 6)
+    for m_idx in range(2):
+        y = target_matrix(seed, n, m_idx)
+        device = build_xbar(y.T, LOSSLESS, "balanced")
+        for s_idx, sigma in enumerate(sigmas):
+            for t_idx in range(trials):
+                dth, _ = _trial_deviation_pair(seed, ARCH_XBAR, n, s_idx, m_idx, t_idx, sigma)
+                w = np.array([
+                    [math.sin(math.asin(min(1.0, abs(v))) + dth / 2.0)
+                     * complex(math.cos(np.angle(v) + dth / 2.0), math.sin(np.angle(v) + dth / 2.0))
+                     for v in row]
+                    for row in device.weights
+                ])
+                shaken = replace(device, weights=w)
+                realized = np.column_stack([xbar_column_sums(shaken, x) for x in np.eye(n)])
+                expected = fidelity(realized, y)
+                assert abs(got[m_idx, s_idx, t_idx] - expected) <= 1e-12
+        assert np.all(got[m_idx, 0] == got[m_idx, 0, 0])
 
 
 @pytest.mark.parametrize("n", [4, 7, 64])

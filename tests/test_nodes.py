@@ -1,22 +1,39 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from crossmesh import (
+    ClementsMesh,
     DomainError,
     LOSSLESS,
     LossModel,
-    NodeSettings,
     SILICON_PASSIVES,
+    SweepConfig,
+    apply_common_deviation,
+    build_svd_clements,
+    build_xbar,
+    evaluate_svd_clements,
+    mesh_transfer,
+    mzi_matrix,
     node_loss_model,
-    node_transfer,
-    perturb_phases,
+    realized_matrix,
+    transmission_matrix,
     voa_transfer,
     voa_transfer_at,
-    xbar_node_transfer,
+    with_loss,
 )
+from crossmesh.crossbar import device_from_json as xbar_device_from_json
+from crossmesh.crossbar import device_to_json as xbar_device_to_json
+from crossmesh.montecarlo import target_matrix
 from oracles import mzi_product
+
+
+def lossy_cell(theta, phi, loss):
+    """One lossy cell as the 2-port mesh that holds it."""
+    mesh = ClementsMesh(n=2, theta=np.array([theta]), phi=np.array([phi]), output_phases=np.zeros(2))
+    return mesh_transfer(mesh, node_field=loss.t_node)
 
 
 class TestLossModel:
@@ -66,13 +83,13 @@ class TestNodeLossModel:
 
 class TestNodeTransfer:
     def test_bar_state(self):
-        m = node_transfer(NodeSettings(math.pi, 0.0))
+        m = mzi_matrix(math.pi, 0.0)
         assert abs(abs(m[0, 0]) - 1.0) < 1e-12
         assert abs(abs(m[1, 1]) - 1.0) < 1e-12
         assert abs(m[0, 1]) < 1e-12 and abs(m[1, 0]) < 1e-12
 
     def test_cross_state(self):
-        m = node_transfer(NodeSettings(0.0, 0.0))
+        m = mzi_matrix(0.0, 0.0)
         assert abs(abs(m[0, 1]) - 1.0) < 1e-12
         assert abs(abs(m[1, 0]) - 1.0) < 1e-12
         assert abs(m[0, 0]) < 1e-12 and abs(m[1, 1]) < 1e-12
@@ -82,7 +99,7 @@ class TestNodeTransfer:
         loss = node_loss_model(2.0)
         for _ in range(50):
             theta, phi = rng.uniform(0, 2 * np.pi, 2)
-            m = node_transfer(NodeSettings(theta, phi), loss)
+            m = lossy_cell(theta, phi, loss)
             oracle = loss.t_node * mzi_product(theta, phi)
             assert np.max(np.abs(m - oracle)) < 1e-12
             gram = m.conj().T @ m
@@ -92,7 +109,7 @@ class TestNodeTransfer:
         rng = np.random.default_rng(12)
         for _ in range(1000):
             theta, phi = rng.uniform(0, 2 * np.pi, 2)
-            m = node_transfer(NodeSettings(theta, phi))
+            m = mzi_matrix(theta, phi)
             assert np.max(np.abs(m.conj().T @ m - np.eye(2))) < 1e-12
 
     def test_scalar_loss_never_mixes(self):
@@ -100,7 +117,7 @@ class TestNodeTransfer:
         rng = np.random.default_rng(13)
         for _ in range(100):
             theta, phi = rng.uniform(0, 2 * np.pi, 2)
-            m = node_transfer(NodeSettings(theta, phi), loss)
+            m = lossy_cell(theta, phi, loss)
             gram = m.conj().T @ m
             assert np.max(np.abs(gram - loss.t_node**2 * np.eye(2))) < 1e-14
 
@@ -108,28 +125,28 @@ class TestNodeTransfer:
         rng = np.random.default_rng(14)
         for _ in range(50):
             theta, phi = rng.uniform(0, 2 * np.pi, 2)
-            m = node_transfer(NodeSettings(theta, phi))
-            m0 = node_transfer(NodeSettings(theta, 0.0))
+            m = mzi_matrix(theta, phi)
+            m0 = mzi_matrix(theta, 0.0)
             assert np.max(np.abs(m - m0 @ np.diag([np.exp(1j * phi), 1.0]))) < 1e-12
 
 
 class TestVoaTransfer:
     def test_full_transmission(self):
-        transfer, settings = voa_transfer(1.0)
+        transfer, theta = voa_transfer(1.0)
         assert abs(abs(transfer) - 1.0) < 1e-12
-        assert abs(settings.theta - math.pi) < 1e-12
+        assert abs(theta - math.pi) < 1e-12
 
     def test_full_extinction(self):
-        transfer, settings = voa_transfer(0.0)
+        transfer, theta = voa_transfer(0.0)
         assert transfer == 0.0
-        assert settings.theta == 0.0
+        assert theta == 0.0
 
     def test_half_amplitude_with_loss(self):
         loss = node_loss_model(1.0)
-        transfer, settings = voa_transfer(0.5, loss)
+        transfer, theta = voa_transfer(0.5, loss)
         assert abs(abs(transfer) - 10 ** (-0.05) * 0.5) < 1e-12
         # reading the connected port of the full cell gives the same value
-        connected = node_transfer(settings, loss)[1, 1]
+        connected = lossy_cell(theta, 0.0, loss)[1, 1]
         assert abs(transfer - connected) < 1e-15
 
     def test_monotone_in_amplitude(self):
@@ -139,9 +156,21 @@ class TestVoaTransfer:
         assert all(m1 < m2 for m1, m2 in zip(mags, mags[1:]))
 
     def test_phi_never_reaches_through_path(self):
-        settings = NodeSettings(1.1, 0.0)
-        shifted = NodeSettings(1.1, 2.2)
-        assert voa_transfer_at(settings) == voa_transfer_at(shifted)
+        assert abs(voa_transfer_at(1.1) - mzi_matrix(1.1, 2.2)[1, 1]) < 1e-15
+        # the attenuator column's phi shifters leave the device transfer unchanged
+        device = build_svd_clements(target_matrix(3, 4, 0), node_loss_model(0.4))
+        shifted = replace(device, sigma_phi=np.array([2.2, 0.3, 5.0, 1.0]))
+        assert np.array_equal(evaluate_svd_clements(shifted), evaluate_svd_clements(device))
+
+    def test_array_of_angles(self):
+        # one call over an array equals the per-cell transfers
+        loss = node_loss_model(0.5)
+        thetas = np.random.default_rng(15).uniform(0, 2 * np.pi, (3, 7))
+        column = voa_transfer_at(thetas, loss)
+        assert column.shape == (3, 7)
+        for theta, value in zip(thetas.flat, column.flat):
+            assert value == voa_transfer_at(theta, loss)
+            assert abs(value - loss.t_node * mzi_product(theta, 0.0)[1, 1]) < 1e-15
 
     def test_out_of_range(self):
         with pytest.raises(DomainError):
@@ -151,55 +180,83 @@ class TestVoaTransfer:
 
 
 class TestXbarNodeTransfer:
+    # A crossbar weight cell transfers T_node * w * e^{i phi}; the device
+    # applies it as entry (c, r) = p_c * w[r, c] of its realized matrix.
+
+    def cell_entries(self, weights, loss):
+        device = build_xbar(weights, loss, "balanced")
+        return realized_matrix(device).T / transmission_matrix(with_loss(device, LOSSLESS))
+
     def test_transparency(self):
-        assert xbar_node_transfer(1.0, 0.0) == 1.0 + 0.0j
+        w = np.ones((4, 4))
+        assert np.allclose(self.cell_entries(w, LOSSLESS), 1.0, rtol=0, atol=1e-15)
 
     def test_direct_value(self):
-        v = xbar_node_transfer(0.7, math.pi / 2)
-        assert abs(v - 0.7j) < 1e-12
+        w = np.ones((2, 3), dtype=complex)
+        w[1, 2] = 0.7j
+        assert abs(self.cell_entries(w, LOSSLESS)[1, 2] - 0.7j) < 1e-12
 
     def test_with_loss(self):
-        v = xbar_node_transfer(1.0, 0.0, node_loss_model(2.0))
-        assert abs(v - 10 ** (-0.1)) < 1e-12
+        # phase-shifter loss changes T_node only, not the splitters
+        w = np.ones((3, 3))
+        entries = self.cell_entries(w, LossModel(il_ps_db=1.0))
+        assert np.allclose(entries, 10 ** (-0.1), rtol=0, atol=1e-12)
 
     def test_out_of_range(self):
+        dump = xbar_device_to_json(build_xbar(np.ones((2, 2)), LOSSLESS))
+        dump["weights"]["re"][0][1] = 1.2
         with pytest.raises(DomainError):
-            xbar_node_transfer(1.2, 0.0)
+            xbar_device_from_json(dump)
 
 
 class TestPerturbPhases:
+    # Per-cell deviations go through the device's one shift function.
+
+    def device(self):
+        return build_svd_clements(target_matrix(1, 2, 0), LOSSLESS)  # 4 cells
+
+    def phases(self, device):
+        return (
+            np.concatenate((device.v_dagger_mesh.theta, device.sigma_theta, device.u_mesh.theta), axis=-1),
+            np.concatenate((device.v_dagger_mesh.phi, device.sigma_phi, device.u_mesh.phi), axis=-1),
+        )
+
     def test_sigma_zero_is_identity(self):
-        settings = NodeSettings(1.0, 2.0)
-        rng = np.random.default_rng(0)
-        assert perturb_phases(settings, 0.0, rng) is settings
+        device = self.device()
+        shifted = apply_common_deviation(device, np.zeros(4), np.zeros(4))
+        for before, after in zip(self.phases(device), self.phases(shifted)):
+            assert np.array_equal(before, after)
 
     def test_reproducible(self):
-        settings = NodeSettings(1.0, 2.0)
-        a = perturb_phases(settings, 0.1, np.random.default_rng(42))
-        b = perturb_phases(settings, 0.1, np.random.default_rng(42))
-        assert a == b
-        assert a != settings
+        device = self.device()
+        a, b = (
+            apply_common_deviation(device, *np.random.default_rng(42).normal(0.0, 0.1, (4, 2)).T)
+            for _ in range(2)
+        )
+        for pa, pb, p0 in zip(self.phases(a), self.phases(b), self.phases(device)):
+            assert np.array_equal(pa, pb)
+            assert not np.array_equal(pa, p0)
 
     def test_sample_std(self):
-        rng = np.random.default_rng(7)
-        settings = NodeSettings(3.0, 3.0)
-        deltas = []
-        for _ in range(100_000):
-            p = perturb_phases(settings, 0.1, rng)
-            d = (p.theta - settings.theta + math.pi) % (2 * math.pi) - math.pi
-            deltas.append(d)
-        std = float(np.std(deltas))
-        assert 0.099 < std < 0.101
+        # 25 000 devices of 4 cells in one batch: 100 000 wrapped shifts
+        device = self.device()
+        draws = np.random.default_rng(7).normal(0.0, 0.1, (25_000, 4))
+        theta = self.phases(apply_common_deviation(device, draws, 0.0))[0]
+        deltas = (theta - self.phases(device)[0] + math.pi) % (2 * math.pi) - math.pi
+        assert theta.shape == (25_000, 4)
+        assert 0.099 < float(np.std(deltas)) < 0.101
 
     def test_draw_order_theta_first(self):
-        rng = np.random.default_rng(5)
-        expect_dt = np.random.default_rng(5).normal(0.0, 0.2)
-        p = perturb_phases(NodeSettings(0.5, 0.5), 0.2, rng)
-        assert abs((p.theta - 0.5) - expect_dt) < 1e-15
+        device = self.device()
+        draws = np.random.default_rng(5).normal(0.0, 0.2, (4, 2))
+        theta, phi = self.phases(apply_common_deviation(device, draws[:, 0], draws[:, 1]))
+        theta0, phi0 = self.phases(device)
+        assert theta[0] == (theta0[0] + np.random.default_rng(5).normal(0.0, 0.2)) % (2 * math.pi)
+        assert np.array_equal(phi, np.mod(phi0 + draws[:, 1], 2 * math.pi))
 
     def test_negative_sigma(self):
         with pytest.raises(DomainError):
-            perturb_phases(NodeSettings(0, 0), -0.1, np.random.default_rng(0))
+            SweepConfig(sigma_grid=(-0.1,))
 
 
 def test_vectorized_normal_matches_scalar_sequence():
