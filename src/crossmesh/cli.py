@@ -68,26 +68,32 @@ class _Parser(argparse.ArgumentParser):
 
 
 def parse_value_list(text: str) -> tuple[float, ...]:
-    """Parse ``start:stop:step`` (inclusive within half a step) or a comma list."""
+    """Parse ``start:stop:step`` (inclusive within half a step) or a comma list.
+
+    Every number given must be finite.
+    """
     text = text.strip()
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise CliError(f"range must be start:stop:step, got {text!r}")
-        try:
-            start, stop, step = (float(p) for p in parts)
-        except ValueError as exc:
-            raise CliError(f"bad range {text!r}: {exc}") from exc
-        if step <= 0:
-            raise CliError(f"range step must be positive, got {step}")
-        count = int(math.floor((stop - start) / step + 0.5)) + 1
-        if count < 1:
-            raise CliError(f"empty range {text!r}")
-        return tuple(start + k * step for k in range(count))
+    else:
+        parts = [p for p in text.split(",") if p.strip() != ""]
     try:
-        return tuple(float(p) for p in text.split(",") if p.strip() != "")
+        values = tuple(float(p) for p in parts)
     except ValueError as exc:
         raise CliError(f"bad value list {text!r}: {exc}") from exc
+    if not all(math.isfinite(v) for v in values):
+        raise CliError(f"values must be finite, got {text!r}")
+    if ":" not in text:
+        return values
+    start, stop, step = values
+    if step <= 0:
+        raise CliError(f"range step must be positive, got {step}")
+    count = int(math.floor((stop - start) / step + 0.5)) + 1
+    if count < 1:
+        raise CliError(f"empty range {text!r}")
+    return tuple(start + k * step for k in range(count))
 
 
 def parse_int_list(text: str) -> tuple[int, ...]:

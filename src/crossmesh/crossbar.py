@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -132,7 +133,13 @@ def passive_loss(c: int, topology: XbarTopology, loss: LossModel) -> float:
 
 @dataclass(frozen=True, eq=False)
 class XbarDevice:
-    """A programmed crossbar: weights, coupler ratios, and loss model."""
+    """A programmed crossbar: weights, coupler ratios, and loss model.
+
+    What every evaluation needs and only the device determines is computed
+    on first use and kept, read-only: the column factors ``p``
+    (``transmission_matrix``) and ``cell_angles``.  ``dataclasses.replace``
+    (and so ``with_loss``) makes a new device, which computes its own.
+    """
 
     topology: XbarTopology
     weights: np.ndarray
@@ -140,6 +147,21 @@ class XbarDevice:
     t: np.ndarray
     loss: LossModel
     balanced: bool
+
+    @cached_property
+    def p(self) -> np.ndarray:
+        return _read_only(transmission_matrix(self))
+
+    @cached_property
+    def cell_angles(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each cell's attenuator angle ``2 arcsin|w|`` and value phase ``angle(w)``."""
+        w = self.weights
+        return _read_only(2.0 * np.arcsin(np.clip(np.abs(w), 0.0, 1.0))), _read_only(np.angle(w))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def transmission_matrix(device: XbarDevice) -> np.ndarray:
@@ -181,9 +203,14 @@ def build_xbar(y, loss: LossModel, mode: str = "balanced") -> XbarDevice:
 
 
 def realized_matrix(device: XbarDevice, weights: np.ndarray | None = None) -> np.ndarray:
-    """The M x N operator the device applies to its input vector: P^T W^T."""
+    """The M x N operator the device applies to its input vector: P^T W^T.
+
+    ``weights`` (default: the device's own) may be a (..., N, M) stack, such
+    as a batch of trials from ``weights_with_common_deviation``; the result
+    is then the (..., M, N) stack of operators.
+    """
     w = device.weights if weights is None else weights
-    return transmission_matrix(device)[:, None] * w.T
+    return device.p[:, None] * np.swapaxes(w, -1, -2)
 
 
 def evaluate_xbar(device: XbarDevice, x) -> np.ndarray:
@@ -234,7 +261,7 @@ def xbar_insertion_loss(
 
 def restoration_matrix(device: XbarDevice) -> np.ndarray:
     """Diagonal output correction (P^T)^{-1} that restores fidelity to 1."""
-    p = transmission_matrix(device)
+    p = device.p
     if np.any(p <= 0.0):
         raise DegenerateDeviceError("restoration impossible: some column has p_c = 0")
     return np.diag(1.0 / p)
@@ -243,21 +270,35 @@ def restoration_matrix(device: XbarDevice) -> np.ndarray:
 def weights_with_common_deviation(device: XbarDevice, dtheta) -> np.ndarray:
     """Effective weights after the deviation d_theta on every cell's attenuator MZI.
 
-    ``dtheta`` is a scalar or an N x M array.  A scalar is one shared
-    deviation on every cell, the figure-experiment error model: it detunes
-    every amplitude through sin(theta/2) and adds the common inherent phase
-    d_theta/2, a global factor.  An array gives each cell its own deviation
-    (independent per-cell errors), which also makes the inherent phase
-    d_theta/2 differ from cell to cell.  Only d_theta matters: a cell's
-    d_phi lands on the unconnected arm of its attenuator MZI and never
-    reaches the through path, and the separate value phase shifter is not
-    an MZI cell.  Zero deviation returns an exact copy of the weights.
+    ``dtheta`` is a scalar, an N x M array, or either with leading batch
+    axes, e.g. shape (K, 1, 1) for K trials of one shared deviation each;
+    the result has the broadcast shape, (K, N, M) there.  A scalar is one
+    shared deviation on every cell, the figure-experiment error model: it
+    detunes every amplitude through sin(theta/2) and adds the common
+    inherent phase d_theta/2, a global factor.  An array gives each cell
+    its own deviation (independent per-cell errors), which also makes the
+    inherent phase d_theta/2 differ from cell to cell.  Only d_theta
+    matters: a cell's d_phi lands on the unconnected arm of its attenuator
+    MZI and never reaches the through path, and the separate value phase
+    shifter is not an MZI cell.  An all-zero deviation returns an exact
+    copy of the weights, broadcast to that shape.  Each entry is the same
+    arithmetic on the device's cached ``cell_angles`` whatever the batch,
+    so a batch equals its trials computed one by one, bit for bit.
     """
+    dtheta = np.asarray(dtheta, dtype=np.float64)
     w = device.weights
-    if not np.any(dtheta):
-        return w.copy()
-    theta = 2.0 * np.arcsin(np.clip(np.abs(w), 0.0, 1.0)) + dtheta
-    return np.sin(theta / 2.0) * np.exp(1j * (np.angle(w) + dtheta / 2.0))
+    if not dtheta.any():
+        return np.broadcast_to(w, np.broadcast_shapes(w.shape, dtheta.shape)).copy()
+    amplitude_angle, phase = device.cell_angles
+    amplitude = np.sin((amplitude_angle + dtheta) / 2.0)
+    psi = phase + dtheta / 2.0
+    # amplitude * e^{i psi} from np.cos and np.sin, cheaper than np.exp(1j * psi).
+    # With numpy 2.4 on x86-64 both give the same values (signs of zero aside);
+    # TestPerturbedWeights compares them bit for bit.
+    out = np.empty_like(psi, dtype=np.complex128)
+    np.multiply(amplitude, np.cos(psi), out=out.real)
+    np.multiply(amplitude, np.sin(psi), out=out.imag)
+    return out
 
 
 def device_to_json(device: XbarDevice) -> dict:

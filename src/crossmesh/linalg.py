@@ -79,25 +79,37 @@ def svd_factorize(d) -> SvdFactors:
     return SvdFactors(u=u, sigma=sigma, v_dagger=v_dagger)
 
 
-def fidelity(y_exp, y) -> float:
+def fidelity(y_exp, y) -> float | np.ndarray:
     """Normalized Frobenius-inner-product agreement of two matrices.
 
     Returns ``|tr(y^dagger y_exp)|^2 / (tr(y^dagger y) tr(y_exp^dagger y_exp))``,
     a value in [0, 1] that is symmetric in its arguments and invariant under
     rescaling either argument by any nonzero complex factor.
+
+    ``y_exp`` may be a stack (..., n, m) of matrices, each compared with the
+    n x m ``y``; the result is then an array of the stack's leading shape.
+    Finiteness is checked once for the whole stack, and each matrix is
+    reduced by the same ``np.vdot`` calls as a single one, so every entry
+    equals the call on that matrix alone, bit for bit, whatever the stack.
     """
-    y_exp = ensure_matrix(y_exp, name="y_exp")
     y = ensure_matrix(y, name="y")
-    if y_exp.shape != y.shape:
+    y_exp = np.asarray(y_exp, dtype=np.complex128)
+    if y_exp.shape[-2:] != y.shape:
         raise DimensionError(f"shape mismatch: {y_exp.shape} vs {y.shape}")
+    if not np.isfinite(y_exp).all():
+        raise DomainError("y_exp contains non-finite entries")
     yy = float(np.vdot(y, y).real)
-    ee = float(np.vdot(y_exp, y_exp).real)
     if yy == 0.0:
         raise DomainError("y is the zero matrix")
-    if ee == 0.0:
-        raise DomainError("y_exp is the zero matrix")
-    cross = np.vdot(y, y_exp)
-    return float(abs(cross) ** 2 / (yy * ee))
+    out = []
+    for e in y_exp.reshape(-1, *y.shape):
+        ee = float(np.vdot(e, e).real)
+        if ee == 0.0:
+            raise DomainError("y_exp is the zero matrix")
+        out.append(abs(np.vdot(y, e)) ** 2 / (yy * ee))
+    if y_exp.ndim == 2:
+        return float(out[0])
+    return np.array(out).reshape(y_exp.shape[:-2])
 
 
 def random_target_matrix(n: int, seed: int) -> np.ndarray:

@@ -11,7 +11,9 @@ by (n, matrix index) and shared by both architectures and all sweep points;
 phase trials are keyed by (architecture, n, sweep index, matrix index, trial
 index).  Aggregation uses ``math.fsum`` in fixed index order, so results are
 bit-identical regardless of how the work is scheduled across processes or
-how many phase trials are evaluated per batch.
+how many phase trials are evaluated per batch.  Both architectures evaluate
+the trials of one (matrix, sigma) point in batches capped by transfer-matrix
+entries (``_BATCH_ENTRIES``, ``_XBAR_BATCH_ENTRIES``) and sigma = 0 once.
 """
 
 from __future__ import annotations
@@ -48,10 +50,16 @@ _TAG_TARGET = 11
 _TAG_PHASE = 22
 
 # Most transfer-matrix entries (K n^2) evaluated in one batch of K phase
-# trials.  At the CLI's default 100 trials and n = 64 this held the peak RSS
-# to 47 MB, against 78 MB with all trials in one batch, at no loss of wall
-# time (2-vCPU Xeon).
+# trials.  SVD device: at the CLI's default 100 trials and n = 64 this held
+# the peak RSS to 47 MB, against 78 MB with all trials in one batch, at no
+# loss of wall time (2-vCPU Xeon).  Crossbar: its trials are elementwise
+# work, so batch width does not change their speed.  On the phase-xbar
+# benchmark (n = 16 and 64, 30 trials; two 15 s runs per cap, same host) the
+# sweep wall time was 0.87-0.97 s for caps of 2^10 to 2^16 entries, while
+# the peak RSS was 37.8 MB at 2^10 and 2^12 (as with one trial at a time),
+# 38.7 MB at 2^14 and 42.3 MB at 2^16.
 _BATCH_ENTRIES = 1 << 16
+_XBAR_BATCH_ENTRIES = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -84,10 +92,9 @@ class SweepConfig:
             raise ConfigError(f"n_matrices must be >= 1, got {self.n_matrices}")
         if self.n_phase_trials < 1:
             raise ConfigError(f"n_phase_trials must be >= 1, got {self.n_phase_trials}")
-        if any(v < 0.0 for v in self.il_node_grid):
-            raise ConfigError("il_node_grid values must be >= 0")
-        if any(v < 0.0 for v in self.sigma_grid):
-            raise ConfigError("sigma_grid values must be >= 0")
+        for name in ("il_node_grid", "sigma_grid"):
+            if not all(math.isfinite(v) and v >= 0.0 for v in getattr(self, name)):
+                raise ConfigError(f"{name} values must be finite and >= 0")
         if self.master_seed < 0:
             raise ConfigError("master_seed must be a non-negative integer")
 
@@ -184,7 +191,8 @@ def _loss_chunk(args) -> np.ndarray:
 def _phase_chunk(args) -> np.ndarray:
     master_seed, arch, n, sigma_grid, n_trials, lo, hi = args
     out = np.empty((hi - lo, len(sigma_grid), n_trials))
-    batch = max(1, _BATCH_ENTRIES // (n * n))
+    entries = _BATCH_ENTRIES if arch == ARCH_SVD_CLEMENTS else _XBAR_BATCH_ENTRIES
+    batch = max(1, entries // (n * n))
     for row, m_idx in enumerate(range(lo, hi)):
         try:
             y = target_matrix(master_seed, n, m_idx)
@@ -197,18 +205,20 @@ def _phase_chunk(args) -> np.ndarray:
                     # Every trial is the unperturbed device.
                     out[row, s_idx] = fidelity(evaluate(device), y)
                     continue
-                deviations = np.array([
+                deviations = [
                     _trial_deviation_pair(master_seed, arch, n, s_idx, m_idx, t_idx, sigma)
                     for t_idx in range(n_trials)
-                ])
-                if arch == ARCH_SVD_CLEMENTS:
-                    for first in range(0, n_trials, batch):
-                        transfers = evaluate_svd_clements(device, deviations[first : first + batch].T)
-                        out[row, s_idx, first : first + batch] = [fidelity(t, y) for t in transfers]
-                else:
-                    for t_idx, dth in enumerate(deviations[:, 0].tolist()):
-                        w = weights_with_common_deviation(device, dth)
-                        out[row, s_idx, t_idx] = fidelity(realized_matrix(device, w), y)
+                ]
+                for first in range(0, n_trials, batch):
+                    part = deviations[first : first + batch]
+                    if arch == ARCH_SVD_CLEMENTS:
+                        transfers = evaluate_svd_clements(device, np.array(part).T)
+                    else:
+                        # A (K, 1, 1) nested list, not an array: bench/trace_run.py
+                        # tests each positional deviation with `== 0.0` and bool().
+                        dtheta = [[[dth]] for dth, _dph in part]
+                        transfers = realized_matrix(device, weights_with_common_deviation(device, dtheta))
+                    out[row, s_idx, first : first + batch] = fidelity(transfers, y)
         except Exception as exc:
             raise SweepError(
                 f"phase sweep failed at arch={arch}, n={n}, matrix={m_idx}: {exc}"

@@ -64,6 +64,29 @@ class TestConfigErrors:
         assert run_experiment(argv + flags) == 1
 
 
+class TestNonFiniteGrids:
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["fidelity-phase", "--matrices", "1", "--trials", "1", "--sigma", "nan"],
+            ["fidelity-phase", "--matrices", "1", "--trials", "1", "--sigma", "inf"],
+            ["fidelity-phase", "--matrices", "1", "--trials", "1", "--sigma", "0:nan:0.1"],
+            ["fidelity-phase", "--matrices", "1", "--trials", "1", "--sigma", "0:inf:0.1"],
+            ["fidelity-loss", "--matrices", "1", "--node-loss", "nan"],
+            ["fidelity-loss", "--matrices", "1", "--node-loss", "inf"],
+            ["fig3", "--node-loss", "nan"],
+        ],
+        ids=["sigma-nan", "sigma-inf", "sigma-range-nan", "sigma-range-inf",
+             "node-loss-nan", "node-loss-inf", "fig3-node-loss-nan"],
+    )
+    def test_exits_1_with_one_error_line(self, tmp_path, capsys, command):
+        out = tmp_path / "out.csv"
+        assert run_experiment(command + ["--n", "3", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+
 class TestCorruptDumps:
     def eval_dump(self, tmp_path, dump, n):
         device = tmp_path / "device.json"

@@ -23,6 +23,7 @@ from crossmesh import (
     transmission_matrix,
     uniform_splitters,
     weights_with_common_deviation,
+    with_loss,
     xbar_insertion_loss,
 )
 from crossmesh.crossbar import XbarDevice, device_from_json, device_to_json
@@ -362,6 +363,40 @@ class TestPerturbedWeights:
         )
         assert np.array_equal(w, expected)
         assert np.array_equal(weights_with_common_deviation(device, 0.0), device.weights)
+
+    def test_zero_batch_keeps_batch_axis(self):
+        device = build_xbar(target_matrix(43, 4, 0)[:, :3], LOSSLESS, "balanced")
+        w = weights_with_common_deviation(device, np.zeros((4, 1, 1)))
+        assert w.shape == (4, 4, 3)
+        assert all(np.array_equal(row, device.weights) for row in w)
+        w[0, 0, 0] = 7.0
+        assert device.weights[0, 0] != 7.0
+
+    def test_batch_matches_single_trials(self):
+        device = build_xbar(target_matrix(61, 5, 0)[:, :4], node_loss_model(0.3), "balanced")
+        dtheta = np.random.default_rng(5).normal(0.0, 0.2, size=7)
+        batch = weights_with_common_deviation(device, dtheta[:, None, None])
+        realized = realized_matrix(device, batch)
+        assert batch.shape == (7, 5, 4) and realized.shape == (7, 4, 5)
+        for k, d in enumerate(dtheta.tolist()):
+            w = weights_with_common_deviation(device, d)
+            assert np.array_equal(batch[k], w)
+            assert np.array_equal(realized[k], realized_matrix(device, w))
+
+
+class TestDeviceCache:
+    def test_replace_recomputes_column_factors(self):
+        device = build_xbar(target_matrix(67, 4, 0), LOSSLESS, "uniform")
+        assert np.array_equal(device.p, transmission_matrix(device))
+        lossy = with_loss(device, node_loss_model(1.0))
+        assert np.array_equal(lossy.p, transmission_matrix(lossy))
+        assert not np.array_equal(lossy.p, device.p)
+
+    def test_cached_arrays_are_read_only(self):
+        device = build_xbar(target_matrix(67, 4, 1), LOSSLESS, "balanced")
+        for a in (device.p, *device.cell_angles):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
 
 
 class TestDeviceJson:

@@ -105,10 +105,34 @@ class TestFidelity:
     def test_errors(self):
         with pytest.raises(DimensionError):
             fidelity(np.eye(2), np.eye(3))
+        with pytest.raises(DimensionError):
+            fidelity(np.ones((4, 2, 2)), np.eye(3))
         with pytest.raises(DomainError):
             fidelity(np.zeros((2, 2)), np.eye(2))
         with pytest.raises(DomainError):
             fidelity(np.eye(2), np.zeros((2, 2)))
+
+    def test_stack_matches_single_calls(self):
+        rng = np.random.default_rng(5)
+        y = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+        stack = rng.standard_normal((6, 3, 4)) + 1j * rng.standard_normal((6, 3, 4))
+        got = fidelity(stack, y)
+        assert got.shape == (6,)
+        assert got.tolist() == [fidelity(e, y) for e in stack]
+        # any stack layout and leading shape
+        assert fidelity(stack.reshape(2, 3, 3, 4), y).tolist() == got.reshape(2, 3).tolist()
+        transposed = np.swapaxes(stack.reshape(6, 4, 3), -1, -2)
+        assert fidelity(transposed, y).tolist() == [fidelity(e, y) for e in transposed]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0], ids=["nan", "inf", "zero-row"])
+    def test_stack_rejects_a_bad_row(self, bad):
+        stack = np.ones((4, 2, 2), dtype=complex)
+        if bad == 0.0:
+            stack[2] = 0.0
+        else:
+            stack[2, 1, 0] = bad
+        with pytest.raises(DomainError):
+            fidelity(stack, np.eye(2))
 
 
 class TestRandomTargetMatrix:

@@ -7,6 +7,7 @@ import pytest
 from crossmesh import (
     ARCH_SVD_CLEMENTS,
     ARCH_XBAR,
+    ConfigError,
     LOSSLESS,
     SweepConfig,
     apply_common_deviation,
@@ -16,6 +17,8 @@ from crossmesh import (
     fidelity,
     loss_fidelity_sweep,
     phase_fidelity_sweep,
+    realized_matrix,
+    weights_with_common_deviation,
 )
 from crossmesh.montecarlo import _phase_chunk, _trial_deviation_pair, target_matrix
 from oracles import svd_device_layer_product, xbar_column_sums
@@ -89,24 +92,40 @@ def test_crossbar_trials_match_column_sum_oracle():
 @pytest.mark.parametrize("n", [4, 7, 64])
 def test_batch_size_does_not_change_trials(n):
     # The sweep evaluates sigma = 0 once and the other trials in batches of
-    # up to _BATCH_ENTRIES // n^2 (16 at n = 64, so 17 trials split there);
-    # batches of 1 and of 3 trials give the same bits.
+    # up to _BATCH_ENTRIES // n^2 (16 at n = 64, so 17 trials split there)
+    # for the SVD device and _XBAR_BATCH_ENTRIES // n^2 (1 at n = 64) for
+    # the crossbar; batches of 1 and of 3 trials, each scored alone, give
+    # the same bits.
     seed, sigmas, trials = 3, (0.0, 0.1), 17
-    full = _phase_chunk((seed, ARCH_SVD_CLEMENTS, n, sigmas, trials, 0, 1))[0]
     y = target_matrix(seed, n, 0)
-    device = build_svd_clements(y, LOSSLESS)
-    for s_idx, sigma in enumerate(sigmas):
-        deviations = np.array([
-            _trial_deviation_pair(seed, ARCH_SVD_CLEMENTS, n, s_idx, 0, t_idx, sigma)
-            for t_idx in range(trials)
-        ])
-        for size in (1, 3):
-            got = [
-                fidelity(t, y)
-                for first in range(0, trials, size)
-                for t in evaluate_svd_clements(device, deviations[first : first + size].T)
-            ]
-            assert got == full[s_idx].tolist()
+    svd, xbar = build_svd_clements(y, LOSSLESS), build_xbar(y.T, LOSSLESS, "balanced")
+    evaluators = {
+        ARCH_SVD_CLEMENTS: lambda deviations: evaluate_svd_clements(svd, deviations.T),
+        ARCH_XBAR: lambda deviations: realized_matrix(
+            xbar, weights_with_common_deviation(xbar, deviations[:, 0, None, None])
+        ),
+    }
+    for arch, evaluate in evaluators.items():
+        full = _phase_chunk((seed, arch, n, sigmas, trials, 0, 1))[0]
+        for s_idx, sigma in enumerate(sigmas):
+            deviations = np.array([
+                _trial_deviation_pair(seed, arch, n, s_idx, 0, t_idx, sigma)
+                for t_idx in range(trials)
+            ])
+            for size in (1, 3):
+                got = [
+                    fidelity(t, y)
+                    for first in range(0, trials, size)
+                    for t in evaluate(deviations[first : first + size])
+                ]
+                assert got == full[s_idx].tolist(), arch
+
+
+@pytest.mark.parametrize("grid", ["sigma_grid", "il_node_grid"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -0.1])
+def test_grid_values_must_be_finite_and_non_negative(grid, value):
+    with pytest.raises(ConfigError):
+        SweepConfig(n_values=(3,), **{grid: (0.0, value)})
 
 
 def test_zero_sigma_and_balanced_crossbar_are_exact():
