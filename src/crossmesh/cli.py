@@ -22,6 +22,7 @@ import argparse
 import json
 import math
 import os
+import platform
 import sys
 import tempfile
 import time
@@ -54,6 +55,8 @@ from .montecarlo import (
     insertion_loss_sweep,
     loss_fidelity_sweep,
     phase_fidelity_sweep,
+    pool_size,
+    usable_cpus,
 )
 from .svgchart import line_chart
 
@@ -152,7 +155,11 @@ def _load_loss(path: str | None) -> LossModel:
 
 @dataclass
 class RunManifest:
-    """Provenance record written next to every experiment output."""
+    """Provenance record written next to every experiment output.
+
+    ``workers_used`` is the number of worker processes started, 1 when the
+    run stayed in this process.
+    """
 
     command: str
     config: dict
@@ -160,6 +167,10 @@ class RunManifest:
     version: str = field(default=__version__)
     duration_seconds: float = 0.0
     outputs: list[str] = field(default_factory=list)
+    workers_used: int = 1
+    python: str = field(default_factory=platform.python_version)
+    numpy: str = np.__version__
+    cpus_usable: int = field(default_factory=usable_cpus)
 
     def to_json(self) -> dict:
         return {
@@ -169,6 +180,10 @@ class RunManifest:
             "version": self.version,
             "duration_seconds": self.duration_seconds,
             "outputs": self.outputs,
+            "workers_used": self.workers_used,
+            "python": self.python,
+            "numpy": self.numpy,
+            "cpus_usable": self.cpus_usable,
         }
 
 
@@ -271,6 +286,7 @@ def _cmd_fidelity_loss(args) -> int:
         },
         master_seed=args.seed,
         outputs=outputs,
+        workers_used=pool_size(cfg, args.threads),
     )
     _finish_experiment(manifest, started)
     return 0
@@ -302,6 +318,7 @@ def _cmd_fidelity_phase(args) -> int:
         },
         master_seed=args.seed,
         outputs=outputs,
+        workers_used=pool_size(cfg, args.threads),
     )
     _finish_experiment(manifest, started)
     return 0
@@ -375,7 +392,8 @@ def _build_parser() -> _Parser:
         p.add_argument("--loss", default=None, help="path to loss-model JSON")
         if threaded:
             p.add_argument("--threads", type=int, default=1,
-                           help="number of worker processes, not threads, >= 1 (default 1)")
+                           help="worker processes (one BLAS thread each), at most the usable "
+                                "CPUs; >= 1 (default 1)")
 
     p = sub.add_parser("fig3", help="insertion-loss comparison curves")
     p.add_argument("--n", required=True, help="matrix sizes, e.g. 4,8 or 4:64:4")

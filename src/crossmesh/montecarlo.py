@@ -10,16 +10,24 @@ through ``numpy.random.SeedSequence`` spawn keys.  Target matrices are keyed
 by (n, matrix index) and shared by both architectures and all sweep points;
 phase trials are keyed by (architecture, n, sweep index, matrix index, trial
 index).  Aggregation uses ``math.fsum`` in fixed index order, so results are
-bit-identical regardless of how the work is scheduled across processes or
-how many phase trials are evaluated per batch.  Both architectures evaluate
-the trials of one (matrix, sigma) point in batches capped by transfer-matrix
-entries (``_BATCH_ENTRIES``, ``_XBAR_BATCH_ENTRIES``) and sigma = 0 once.
+bit-identical for any worker count and regardless of how many phase trials
+are evaluated per batch.  Both architectures evaluate the trials of one
+(matrix, sigma) point in batches capped by transfer-matrix entries
+(``_BATCH_ENTRIES``, ``_XBAR_BATCH_ENTRIES``) and sigma = 0 once.
+
+Parallelism: with more than one worker, a sweep runs every (architecture,
+n, matrix chunk) task in one process pool, sized to at most the task count
+and the usable CPUs, with the bundled OpenBLAS on one thread per worker.
 """
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -147,23 +155,92 @@ def _mean_std(values) -> tuple[float, float]:
     return mean, math.sqrt(var)
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call outside Linux
+        return os.cpu_count() or 1
+
+
 def _chunks(total: int, workers: int) -> list[tuple[int, int]]:
     pieces = max(1, min(total, workers * 4))
     step = -(-total // pieces)
     return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
 
 
-def _run_chunked(worker, common: tuple, total: int, workers: int) -> np.ndarray:
+def pool_size(cfg: SweepConfig, workers: int) -> int:
+    """Worker processes a Monte-Carlo sweep of ``cfg`` starts; 1 means it runs serially.
+
+    Never more than the sweep's tasks (the matrix chunks of every
+    (architecture, n) point) or the usable CPUs.
+    """
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
-    bounds = _chunks(total, workers)
-    args = [common + (lo, hi) for lo, hi in bounds]
-    if workers <= 1 or len(bounds) == 1:
-        parts = [worker(a) for a in args]
+    workers = min(workers, usable_cpus())
+    tasks = len(cfg.architectures) * len(cfg.n_values) * len(_chunks(cfg.n_matrices, workers))
+    return min(workers, tasks)
+
+
+def _run_sweep(
+    worker, cfg: SweepConfig, grid: tuple, workers: int
+) -> list[tuple[str, int, np.ndarray]]:
+    """Run ``worker`` over every (point, chunk) task of a sweep in one pool.
+
+    Returns ``(arch, n, values)`` per (architecture, n) point in config
+    order, the rows of ``values`` in matrix-index order.
+    """
+    size = pool_size(cfg, workers)
+    bounds = _chunks(cfg.n_matrices, size)
+    points = [(arch, n) for arch in cfg.architectures for n in cfg.n_values]
+    tasks = [(cfg.master_seed, arch, n) + grid + bound for arch, n in points for bound in bounds]
+    if size == 1:
+        parts = [worker(task) for task in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(worker, args))
-    return np.concatenate(parts, axis=0)
+        with _one_blas_thread(), ProcessPoolExecutor(max_workers=size) as pool:
+            parts = list(pool.map(worker, tasks))
+    per_point = len(bounds)
+    return [
+        (arch, n, np.concatenate(parts[k * per_point : (k + 1) * per_point], axis=0))
+        for k, (arch, n) in enumerate(points)
+    ]
+
+
+def _openblas_threads():
+    """``(get, set)`` thread-count functions of numpy's bundled OpenBLAS, or None."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "*openblas*")):
+        lib = ctypes.CDLL(path)
+        get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+        set_ = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+        if get is not None and set_ is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the bundled OpenBLAS on one thread while the block runs.
+
+    Set in the parent before the pool forks: a forked worker inherits the
+    count, whereas setting it inside a worker leaves the helper threads it
+    re-creates busy-waiting.  At n <= 64 a second BLAS thread only spins,
+    and processes are the unit of parallelism.  No-op for other BLAS
+    builds.
+    """
+    functions = _openblas_threads()
+    if functions is None:
+        yield
+        return
+    get, set_ = functions
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
 
 
 def _loss_chunk(args) -> np.ndarray:
@@ -249,15 +326,12 @@ def loss_fidelity_sweep(cfg: SweepConfig, *, workers: int = 1) -> list[FidelityR
     if not cfg.n_values:
         raise ConfigError("n_values must be non-empty")
     reports = []
-    for arch in cfg.architectures:
-        for n in cfg.n_values:
-            common = (cfg.master_seed, arch, n, cfg.il_node_grid, cfg.passive_losses)
-            values = _run_chunked(_loss_chunk, common, cfg.n_matrices, workers)
-            for k, il in enumerate(cfg.il_node_grid):
-                mean, std = _mean_std(values[:, k])
-                reports.append(
-                    FidelityReport(arch, n, il, mean, std, cfg.n_matrices, cfg.master_seed)
-                )
+    for arch, n, values in _run_sweep(
+        _loss_chunk, cfg, (cfg.il_node_grid, cfg.passive_losses), workers
+    ):
+        for k, il in enumerate(cfg.il_node_grid):
+            mean, std = _mean_std(values[:, k])
+            reports.append(FidelityReport(arch, n, il, mean, std, cfg.n_matrices, cfg.master_seed))
     return reports
 
 
@@ -273,19 +347,14 @@ def phase_fidelity_sweep(cfg: SweepConfig, *, workers: int = 1) -> list[Fidelity
         raise ConfigError("sigma_grid must be non-empty for a phase sweep")
     if not cfg.n_values:
         raise ConfigError("n_values must be non-empty")
+    samples = cfg.n_matrices * cfg.n_phase_trials
     reports = []
-    for arch in cfg.architectures:
-        for n in cfg.n_values:
-            common = (cfg.master_seed, arch, n, cfg.sigma_grid, cfg.n_phase_trials)
-            values = _run_chunked(_phase_chunk, common, cfg.n_matrices, workers)
-            for s_idx, sigma in enumerate(cfg.sigma_grid):
-                flat = values[:, s_idx, :].reshape(-1)
-                mean, std = _mean_std(flat)
-                reports.append(
-                    FidelityReport(
-                        arch, n, sigma, mean, std, cfg.n_matrices * cfg.n_phase_trials, cfg.master_seed
-                    )
-                )
+    for arch, n, values in _run_sweep(
+        _phase_chunk, cfg, (cfg.sigma_grid, cfg.n_phase_trials), workers
+    ):
+        for s_idx, sigma in enumerate(cfg.sigma_grid):
+            mean, std = _mean_std(values[:, s_idx, :].reshape(-1))
+            reports.append(FidelityReport(arch, n, sigma, mean, std, samples, cfg.master_seed))
     return reports
 
 

@@ -1,12 +1,14 @@
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from crossmesh import LOSSLESS, build_svd_clements, build_xbar
+from crossmesh import LOSSLESS, DomainError, build_svd_clements, build_xbar, montecarlo
 from crossmesh.cli import run_experiment
 from crossmesh.clements import device_to_json as svd_device_to_json
 from crossmesh.crossbar import device_to_json as xbar_device_to_json
@@ -152,3 +154,45 @@ def test_bad_loss_file_is_a_config_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not (tmp_path / "out.csv").exists()
+
+
+class TestParallelSweeps:
+    LOSS = ["fidelity-loss", "--n", "3,4", "--node-loss", "0,0.5", "--matrices", "3", "--seed", "5"]
+    PHASE = ["fidelity-phase", "--n", "3", "--sigma", "0,0.1", "--matrices", "2", "--trials", "2"]
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "usable_cpus", lambda: 2)
+
+    @pytest.mark.parametrize("command", [LOSS, PHASE], ids=["loss", "phase"])
+    def test_manifest_says_what_ran_it(self, tmp_path, command):
+        csv = {}
+        for threads in (1, 2):
+            out = tmp_path / f"{threads}.csv"
+            assert run_experiment(command + ["--threads", str(threads), "--out", str(out)]) == 0
+            manifest = json.loads((tmp_path / f"{threads}.csv.manifest.json").read_text())
+            assert manifest["workers_used"] == threads
+            assert manifest["python"] == platform.python_version()
+            assert manifest["numpy"] == np.__version__
+            assert manifest["cpus_usable"] == 2
+            csv[threads] = out.read_bytes()
+        assert csv[1] == csv[2]
+
+    def test_worker_failure_names_the_point(self, tmp_path, capsys, monkeypatch):
+        # The patched builder reaches the workers through fork.
+        bad = montecarlo.target_matrix(5, 4, 2)
+        build = montecarlo.build_svd_clements
+
+        def failing_build(y, loss):
+            if np.array_equal(y, bad):
+                raise DomainError("injected failure")
+            return build(y, loss)
+
+        monkeypatch.setattr(montecarlo, "build_svd_clements", failing_build)
+        argv = self.LOSS + ["--threads", "2", "--out", str(tmp_path / "out.csv")]
+        assert run_experiment(argv) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "error: loss sweep failed at arch=svd-clements, n=4, matrix=2: injected failure\n"
+        )
+        assert not (tmp_path / "out.csv").exists()

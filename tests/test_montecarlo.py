@@ -20,6 +20,7 @@ from crossmesh import (
     realized_matrix,
     weights_with_common_deviation,
 )
+from crossmesh import montecarlo
 from crossmesh.montecarlo import _phase_chunk, _trial_deviation_pair, target_matrix
 from oracles import svd_device_layer_product, xbar_column_sums
 
@@ -38,12 +39,98 @@ LOSS_CFG = SweepConfig(
 )
 
 
-def test_workers_do_not_change_reports():
+def test_workers_do_not_change_reports(monkeypatch):
+    # Five matrices per point: every (arch, n) point's chunks share one pool
+    # and spread unevenly over 2 or 3 workers.
+    monkeypatch.setattr(montecarlo, "usable_cpus", lambda: 3)
     for sweep, cfg in ((phase_fidelity_sweep, PHASE_CFG), (loss_fidelity_sweep, LOSS_CFG)):
+        cfg = replace(cfg, n_matrices=5)
         serial = sweep(cfg, workers=1)
-        parallel = sweep(cfg, workers=2)
-        assert serial == parallel
         assert len(serial) == 2 * 2 * 3
+        for workers in (2, 3):
+            assert montecarlo.pool_size(cfg, workers) == workers
+            assert sweep(cfg, workers=workers) == serial, workers
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize(
+    "workers, cpus, n_matrices, expected",
+    [(64, 8, 2, 2), (3, 2, 5, 2), (4, 8, 5, 4), (2, 1, 5, None), (1, 8, 5, None)],
+    ids=["capped-by-tasks", "capped-by-cpus", "as-asked", "one-cpu-serial", "one-worker-serial"],
+)
+def test_pool_never_exceeds_tasks_or_cpus(monkeypatch, workers, cpus, n_matrices, expected):
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(montecarlo, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    cfg = SweepConfig(
+        architectures=(ARCH_XBAR,), n_values=(3,), il_node_grid=(0.0,), n_matrices=n_matrices
+    )
+    reports = loss_fidelity_sweep(cfg, workers=workers)
+    assert [r.fidelity_mean for r in reports] == [pytest.approx(1.0, abs=1e-12)]
+    assert _RecordingPool.sizes == ([] if expected is None else [expected])
+    assert montecarlo.pool_size(cfg, workers) == (expected or 1)
+
+
+def _report_blas_threads(task):
+    get, _set = montecarlo._openblas_threads()
+    lo, hi = task[-2:]
+    return np.full((hi - lo, 1), get())
+
+
+def _fail_on_matrix_1(task):
+    lo, hi = task[-2:]
+    if lo <= 1 < hi:
+        raise ValueError("matrix 1 fails")
+    return np.zeros((hi - lo, 1))
+
+
+class TestOneBlasThreadPerWorker:
+    @pytest.fixture(autouse=True)
+    def blas(self, monkeypatch):
+        functions = montecarlo._openblas_threads()
+        if functions is None:
+            pytest.skip("numpy's bundled OpenBLAS not found")
+        monkeypatch.setattr(montecarlo, "usable_cpus", lambda: 2)
+        return functions
+
+    CFG = SweepConfig(n_values=(3,), il_node_grid=(0.0,), n_matrices=4)
+
+    def test_workers_run_one_blas_thread_and_parent_is_restored(self, blas):
+        get, _set = blas
+        before = get()
+        per_point = montecarlo._run_sweep(_report_blas_threads, self.CFG, (), workers=2)
+        assert [arch for arch, _n, _values in per_point] == [ARCH_XBAR, ARCH_SVD_CLEMENTS]
+        for _arch, _n, values in per_point:
+            assert values.tolist() == [[1]] * 4
+        assert get() == before
+
+    def test_parent_is_restored_when_a_worker_raises(self, blas):
+        get, set_ = blas
+        before = get()
+        set_(2)
+        try:
+            with pytest.raises(ValueError, match="matrix 1 fails"):
+                montecarlo._run_sweep(_fail_on_matrix_1, self.CFG, (), workers=2)
+            assert get() == 2
+        finally:
+            set_(before)
 
 
 def test_batched_trials_match_layer_product_oracle():
