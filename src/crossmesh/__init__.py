@@ -29,8 +29,6 @@ from .nodes import (
     SILICON_PASSIVES,
     LossModel,
     db_to_field,
-    field_to_db,
-    mzi_matrix,
     node_loss_model,
     voa_transfer,
     voa_transfer_at,
@@ -43,7 +41,6 @@ from .clements import (
     build_svd_clements,
     clements_decompose,
     evaluate_svd_clements,
-    mesh_transfer,
     svd_architecture_stats,
     svd_insertion_loss,
     with_loss,

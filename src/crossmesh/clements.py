@@ -234,11 +234,6 @@ def apply_mesh(y: np.ndarray, mesh: ClementsMesh, *, node_field: float = 1.0) ->
     return np.exp(1j * mesh.output_phases)[:, None] * out
 
 
-def mesh_transfer(mesh: ClementsMesh, *, node_field: float = 1.0) -> np.ndarray:
-    """Full transfer matrix of a mesh (identity propagated through it)."""
-    return apply_mesh(np.eye(mesh.n, dtype=np.complex128), mesh, node_field=node_field)
-
-
 @dataclass(frozen=True, eq=False)
 class ClementsDevice:
     """A programmed SVD device: v_dagger mesh, attenuator column, u mesh.
@@ -375,30 +370,34 @@ def with_loss(device, loss: LossModel):
 def svd_insertion_loss(n: int, il_node_db: float, case: str) -> float:
     """Closed-form device insertion loss along the extreme signal paths.
 
-    best:  10 log10(N) + (2 floor(N/2) + 1) IL_node
-    worst: 10 log10(N) + (2 N + 1) IL_node
+    10 log10(N) + depth IL_node, with the best- or worst-case depth of
+    ``svd_architecture_stats``.
     """
-    if n < 2:
-        raise DomainError(f"n must be >= 2, got {n}")
     if il_node_db < 0.0:
         raise DomainError(f"il_node_db must be >= 0, got {il_node_db}")
-    if case == "best":
-        depth = 2 * (n // 2) + 1
-    elif case == "worst":
-        depth = 2 * n + 1
-    else:
+    if case not in ("best", "worst"):
         raise DomainError(f"case must be 'best' or 'worst', got {case!r}")
+    depth = svd_architecture_stats(n)[f"{case}_depth"]
     return 10.0 * math.log10(n) + depth * il_node_db
 
 
 def svd_architecture_stats(n: int) -> dict:
-    """Cell count, extreme path depths, and programming step count."""
+    """Cell count, extreme path depths, and programming step count.
+
+    A bar-state path stays on its port: it crosses every layer that covers
+    the port once in each of the two meshes, plus the port's attenuator, so
+    the depths are 2 min + 1 and 2 max + 1 over the ports' layer counts.
+    """
     if n < 2:
         raise DomainError(f"n must be >= 2, got {n}")
+    covering = [0] * n
+    for first, _start, count in _layers(n):
+        for port in range(first, first + 2 * count):
+            covering[port] += 1
     return {
         "nodes": n * n,
-        "best_depth": 2 * (n // 2) + 1,
-        "worst_depth": 2 * n + 1,
+        "best_depth": 2 * min(covering) + 1,
+        "worst_depth": 2 * max(covering) + 1,
         "programming_steps": n * (n - 1) // 2,
     }
 

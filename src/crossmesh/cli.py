@@ -9,11 +9,20 @@ compile         program a matrix onto a device, dump device JSON
 eval            apply a dumped device to an input vector
 stats           architecture size/depth/programming-step numbers
 
-Every experiment writes its CSV atomically (temp file + rename) and drops a
-manifest JSON next to it recording the resolved configuration, seed, and
-library version; re-running with the same arguments reproduces the CSV
-byte for byte.  Exit codes: 0 success, 1 bad flags or config, 2 numerical
-failure, 3 I/O failure.
+The three experiments write their CSV (and SVG) atomically (temp file +
+rename, permissions from the umask) and then ``<csv>.manifest.json`` with
+the fields ``command``; ``config`` (architectures, sizes, the swept grid,
+and per command the matrix and trial counts, the passive loss model and
+``threads``); ``master_seed`` (Monte-Carlo commands only); ``version``;
+``duration_seconds``; ``outputs``; ``workers_used`` (processes started, 1
+when the sweep ran in this process); ``python``; ``numpy``; and
+``cpus_usable``.  Re-running with the same arguments reproduces the CSV
+byte for byte.
+
+Exit codes: 0 success; 1 a bad flag, value, grid or configuration, a
+malformed loss file, malformed JSON input, or a dump naming an unknown
+architecture; 2 a numerical failure or a dump that does not describe a
+valid device (a failed sweep point names itself); 3 an I/O failure.
 """
 
 from __future__ import annotations
@@ -26,7 +35,8 @@ import platform
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -61,13 +71,9 @@ from .montecarlo import (
 from .svgchart import line_chart
 
 
-class CliError(Exception):
-    """Bad command line or configuration (exit code 1)."""
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise CliError(message)
+        raise ConfigError(message)
 
 
 def parse_value_list(text: str) -> tuple[float, ...]:
@@ -79,23 +85,23 @@ def parse_value_list(text: str) -> tuple[float, ...]:
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
-            raise CliError(f"range must be start:stop:step, got {text!r}")
+            raise ConfigError(f"range must be start:stop:step, got {text!r}")
     else:
         parts = [p for p in text.split(",") if p.strip() != ""]
     try:
         values = tuple(float(p) for p in parts)
     except ValueError as exc:
-        raise CliError(f"bad value list {text!r}: {exc}") from exc
+        raise ConfigError(f"bad value list {text!r}: {exc}") from exc
     if not all(math.isfinite(v) for v in values):
-        raise CliError(f"values must be finite, got {text!r}")
+        raise ConfigError(f"values must be finite, got {text!r}")
     if ":" not in text:
         return values
     start, stop, step = values
     if step <= 0:
-        raise CliError(f"range step must be positive, got {step}")
+        raise ConfigError(f"range step must be positive, got {step}")
     count = int(math.floor((stop - start) / step + 0.5)) + 1
     if count < 1:
-        raise CliError(f"empty range {text!r}")
+        raise ConfigError(f"empty range {text!r}")
     return tuple(start + k * step for k in range(count))
 
 
@@ -104,19 +110,9 @@ def parse_int_list(text: str) -> tuple[int, ...]:
     out = []
     for v in values:
         if abs(v - round(v)) > 1e-9:
-            raise CliError(f"expected integers, got {v}")
+            raise ConfigError(f"expected integers, got {v}")
         out.append(int(round(v)))
     return tuple(out)
-
-
-def _parse_archs(text: str) -> tuple[str, ...]:
-    archs = tuple(a.strip() for a in text.split(",") if a.strip())
-    for a in archs:
-        if a not in (ARCH_XBAR, ARCH_SVD_CLEMENTS):
-            raise CliError(f"unknown architecture {a!r}")
-    if not archs:
-        raise CliError("no architecture selected")
-    return archs
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -125,6 +121,10 @@ def _atomic_write(path: str, text: str) -> None:
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
+            # mkstemp creates the file 0600; give it the mode open() would.
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(handle.fileno(), 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -132,7 +132,7 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _csv_text(header: list[str], rows) -> str:
+def _csv_text(header, rows) -> str:
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(repr(c) if isinstance(c, float) else str(c) for c in row))
@@ -150,177 +150,115 @@ def _load_loss(path: str | None) -> LossModel:
     try:
         return LossModel.from_json(_load_json(path))
     except DomainError as exc:
-        raise CliError(f"bad loss file {path}: {exc}") from exc
+        raise ConfigError(f"bad loss file {path}: {exc}") from exc
 
 
-@dataclass
-class RunManifest:
-    """Provenance record written next to every experiment output.
+def _series(points) -> list[tuple[str, list, list]]:
+    """Chart series from (label, x, y) points, in order of first appearance."""
+    series = {}
+    for label, x, y in points:
+        xs, ys = series.setdefault(label, ([], []))
+        xs.append(x)
+        ys.append(y)
+    return [(label, xs, ys) for label, (xs, ys) in series.items()]
 
-    ``workers_used`` is the number of worker processes started, 1 when the
-    run stayed in this process.
+
+def _write_manifest(command: str, config: dict, outputs: list[str], started: float, *,
+                    workers_used: int, master_seed: int | None) -> None:
+    """Write the provenance record next to the first output."""
+    manifest = {"command": command, "config": config}
+    if master_seed is not None:
+        manifest["master_seed"] = master_seed
+    manifest.update(
+        version=__version__,
+        duration_seconds=time.time() - started,
+        outputs=outputs,
+        workers_used=workers_used,
+        python=platform.python_version(),
+        numpy=np.__version__,
+        cpus_usable=usable_cpus(),
+    )
+    _atomic_write(outputs[0] + ".manifest.json", json.dumps(manifest, indent=2) + "\n")
+
+
+@dataclass(frozen=True)
+class _Experiment:
+    """What sets one experiment command apart from the other two.
+
+    ``run(cfg, workers)`` returns the CSV rows.  It names its sweep function
+    inside a lambda, so each call uses whatever this module's global holds
+    then (``bench/trace_run.py`` wraps those globals).  ``point`` maps a row
+    to its chart (label, x, y); ``chart`` holds the chart's titles.
     """
 
-    command: str
-    config: dict
-    master_seed: int
-    version: str = field(default=__version__)
-    duration_seconds: float = 0.0
-    outputs: list[str] = field(default_factory=list)
-    workers_used: int = 1
-    python: str = field(default_factory=platform.python_version)
-    numpy: str = np.__version__
-    cpus_usable: int = field(default_factory=usable_cpus)
-
-    def to_json(self) -> dict:
-        return {
-            "command": self.command,
-            "config": self.config,
-            "master_seed": self.master_seed,
-            "version": self.version,
-            "duration_seconds": self.duration_seconds,
-            "outputs": self.outputs,
-            "workers_used": self.workers_used,
-            "python": self.python,
-            "numpy": self.numpy,
-            "cpus_usable": self.cpus_usable,
-        }
+    grid_flag: str
+    grid_field: str
+    run: Callable
+    header: tuple[str, ...]
+    point: Callable
+    chart: dict
+    config_keys: tuple[str, ...]
 
 
-def _finish_experiment(manifest: RunManifest, started: float) -> None:
-    manifest.duration_seconds = time.time() - started
-    path = manifest.outputs[0] + ".manifest.json"
-    _atomic_write(path, json.dumps(manifest.to_json(), indent=2) + "\n")
+_FIDELITY_COLUMNS = ("fidelity_mean", "fidelity_std", "n_samples", "seed")
+
+_EXPERIMENTS = {
+    "fig3": _Experiment(
+        grid_flag="--node-loss", grid_field="il_node_grid",
+        run=lambda cfg, workers: insertion_loss_sweep(cfg),
+        header=("arch", "case", "n", "il_node_db", "il_total_db"),
+        point=lambda row: (f"{row[0]}/{row[1]} N={row[2]}", row[3], row[4]),
+        chart=dict(title="Total insertion loss vs per-cell loss", xlabel="IL_node (dB)",
+                   ylabel="total IL (dB)"),
+        config_keys=("arch", "n_values", "il_node_grid", "loss"),
+    ),
+    "fidelity-loss": _Experiment(
+        grid_flag="--node-loss", grid_field="il_node_grid",
+        run=lambda cfg, workers: [astuple(r) for r in loss_fidelity_sweep(cfg, workers=workers)],
+        header=("arch", "n", "il_node_db") + _FIDELITY_COLUMNS,
+        point=lambda row: (f"{row[0]} N={row[1]}", row[2], row[3]),
+        chart=dict(title="Loss-induced fidelity", xlabel="IL_node (dB)", ylabel="mean fidelity"),
+        config_keys=("arch", "n_values", "il_node_grid", "n_matrices", "loss", "threads"),
+    ),
+    "fidelity-phase": _Experiment(
+        grid_flag="--sigma", grid_field="sigma_grid",
+        run=lambda cfg, workers: [astuple(r) for r in phase_fidelity_sweep(cfg, workers=workers)],
+        header=("arch", "n", "sigma_rad") + _FIDELITY_COLUMNS,
+        point=lambda row: (f"{row[0]} N={row[1]}", row[2], row[3]),
+        chart=dict(title="Phase-error fidelity", xlabel="sigma (rad)", ylabel="mean fidelity"),
+        config_keys=("arch", "n_values", "sigma_grid", "n_matrices", "n_phase_trials", "threads"),
+    ),
+}
+
+# Experiment flags that not every command has, and the SweepConfig fields they fill.
+_CONFIG_FLAGS = (("matrices", "n_matrices"), ("trials", "n_phase_trials"), ("seed", "master_seed"))
 
 
-def _cmd_fig3(args) -> int:
+def _cmd_sweep(args) -> int:
     started = time.time()
-    passives = _load_loss(args.loss)
+    experiment = _EXPERIMENTS[args.command]
+    flags = vars(args)
+    workers = flags.get("threads", 1)
     cfg = SweepConfig(
-        architectures=_parse_archs(args.arch),
+        passive_losses=_load_loss(flags.get("loss")),
+        architectures=tuple(a.strip() for a in args.arch.split(",") if a.strip()),
         n_values=parse_int_list(args.n),
-        il_node_grid=parse_value_list(args.node_loss),
-        passive_losses=passives,
-        master_seed=args.seed,
+        **{experiment.grid_field: parse_value_list(args.grid)},
+        **{name: flags[flag] for flag, name in _CONFIG_FLAGS if flag in flags},
     )
-    rows = insertion_loss_sweep(cfg)
-    _atomic_write(args.out, _csv_text(["arch", "case", "n", "il_node_db", "il_total_db"], rows))
+    rows = experiment.run(cfg, workers)
+    _atomic_write(args.out, _csv_text(experiment.header, rows))
     outputs = [args.out]
     if args.svg:
-        series = {}
-        for arch, case, n, il, total in rows:
-            series.setdefault(f"{arch}/{case} N={n}", ([], []))
-            series[f"{arch}/{case} N={n}"][0].append(il)
-            series[f"{arch}/{case} N={n}"][1].append(total)
-        svg = line_chart(
-            [(k, xs, ys) for k, (xs, ys) in series.items()],
-            title="Total insertion loss vs per-cell loss",
-            xlabel="IL_node (dB)",
-            ylabel="total IL (dB)",
-        )
-        _atomic_write(args.svg, svg)
+        _atomic_write(args.svg, line_chart(_series(map(experiment.point, rows)), **experiment.chart))
         outputs.append(args.svg)
-    manifest = RunManifest(
-        command="fig3",
-        config={
-            "arch": list(cfg.architectures),
-            "n_values": list(cfg.n_values),
-            "il_node_grid": list(cfg.il_node_grid),
-            "loss": passives.to_json(),
-        },
-        master_seed=args.seed,
-        outputs=outputs,
-    )
-    _finish_experiment(manifest, started)
-    return 0
-
-
-def _fidelity_csv_and_svg(args, reports, value_column: str, title: str, xlabel: str) -> list[str]:
-    rows = [
-        (r.architecture, r.n, r.sweep_value, r.fidelity_mean, r.fidelity_std, r.n_samples, r.master_seed)
-        for r in reports
-    ]
-    header = ["arch", "n", value_column, "fidelity_mean", "fidelity_std", "n_samples", "seed"]
-    _atomic_write(args.out, _csv_text(header, rows))
-    outputs = [args.out]
-    if args.svg:
-        series = {}
-        for r in reports:
-            key = f"{r.architecture} N={r.n}"
-            series.setdefault(key, ([], []))
-            series[key][0].append(r.sweep_value)
-            series[key][1].append(r.fidelity_mean)
-        svg = line_chart(
-            [(k, xs, ys) for k, (xs, ys) in series.items()],
-            title=title, xlabel=xlabel, ylabel="mean fidelity",
-        )
-        _atomic_write(args.svg, svg)
-        outputs.append(args.svg)
-    return outputs
-
-
-def _cmd_fidelity_loss(args) -> int:
-    started = time.time()
-    passives = _load_loss(args.loss)
-    cfg = SweepConfig(
-        architectures=_parse_archs(args.arch),
-        n_values=parse_int_list(args.n),
-        il_node_grid=parse_value_list(args.node_loss),
-        n_matrices=args.matrices,
-        passive_losses=passives,
-        master_seed=args.seed,
-    )
-    reports = loss_fidelity_sweep(cfg, workers=args.threads)
-    outputs = _fidelity_csv_and_svg(
-        args, reports, "il_node_db", "Loss-induced fidelity", "IL_node (dB)"
-    )
-    manifest = RunManifest(
-        command="fidelity-loss",
-        config={
-            "arch": list(cfg.architectures),
-            "n_values": list(cfg.n_values),
-            "il_node_grid": list(cfg.il_node_grid),
-            "n_matrices": cfg.n_matrices,
-            "loss": passives.to_json(),
-            "threads": args.threads,
-        },
-        master_seed=args.seed,
-        outputs=outputs,
-        workers_used=pool_size(cfg, args.threads),
-    )
-    _finish_experiment(manifest, started)
-    return 0
-
-
-def _cmd_fidelity_phase(args) -> int:
-    started = time.time()
-    cfg = SweepConfig(
-        architectures=_parse_archs(args.arch),
-        n_values=parse_int_list(args.n),
-        sigma_grid=parse_value_list(args.sigma),
-        n_matrices=args.matrices,
-        n_phase_trials=args.trials,
-        master_seed=args.seed,
-    )
-    reports = phase_fidelity_sweep(cfg, workers=args.threads)
-    outputs = _fidelity_csv_and_svg(
-        args, reports, "sigma_rad", "Phase-error fidelity", "sigma (rad)"
-    )
-    manifest = RunManifest(
-        command="fidelity-phase",
-        config={
-            "arch": list(cfg.architectures),
-            "n_values": list(cfg.n_values),
-            "sigma_grid": list(cfg.sigma_grid),
-            "n_matrices": cfg.n_matrices,
-            "n_phase_trials": cfg.n_phase_trials,
-            "threads": args.threads,
-        },
-        master_seed=args.seed,
-        outputs=outputs,
-        workers_used=pool_size(cfg, args.threads),
-    )
-    _finish_experiment(manifest, started)
+    values = dict(arch=list(cfg.architectures), n_values=list(cfg.n_values),
+                  il_node_grid=list(cfg.il_node_grid), sigma_grid=list(cfg.sigma_grid),
+                  n_matrices=cfg.n_matrices, n_phase_trials=cfg.n_phase_trials,
+                  loss=cfg.passive_losses.to_json(), threads=workers)
+    config = {key: values[key] for key in experiment.config_keys}
+    _write_manifest(args.command, config, outputs, started,
+                    workers_used=pool_size(cfg, workers), master_seed=flags.get("seed"))
     return 0
 
 
@@ -353,7 +291,7 @@ def _cmd_eval(args) -> int:
             )
         out = y_exp @ x
     else:
-        raise CliError(f"unknown device arch {arch!r} in {args.device}")
+        raise ConfigError(f"unknown device arch {arch!r} in {args.device}")
     text = json.dumps(vector_to_json(out), indent=2) + "\n"
     if args.out:
         _atomic_write(args.out, text)
@@ -365,9 +303,13 @@ def _cmd_eval(args) -> int:
 def _cmd_stats(args) -> int:
     n = args.n
     m = args.m if args.m is not None else n
-    topology = build_topology(n, m)
+    try:
+        topology = build_topology(n, m)
+        svd_stats = svd_architecture_stats(n)
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from exc
     payload = {
-        "svd-clements": svd_architecture_stats(n),
+        "svd-clements": svd_stats,
         "xbar": {
             "n": topology.n,
             "m": topology.m,
@@ -386,44 +328,37 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="crossmesh", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, *, seeded=True, threaded=False):
-        if seeded:
-            p.add_argument("--seed", type=int, default=1234, help="master seed (default 1234)")
+    grid_help = {"--node-loss": "IL_node grid in dB, e.g. 0:2:0.05",
+                 "--sigma": "deviation grid in rad, e.g. 0:0.2:0.02"}
+
+    def add_experiment(command, help):
+        p = sub.add_parser(command, help=help)
+        grid_flag = _EXPERIMENTS[command].grid_flag
+        p.add_argument("--n", required=True, help="matrix sizes, e.g. 4,8 or 4:64:4")
+        p.add_argument(grid_flag, dest="grid", required=True, help=grid_help[grid_flag])
+        p.add_argument("--arch", default=f"{ARCH_XBAR},{ARCH_SVD_CLEMENTS}")
+        p.add_argument("--out", required=True)
+        p.add_argument("--svg", default=None, help="also write an SVG chart here")
+        p.set_defaults(func=_cmd_sweep)
+        return p
+
+    def add_monte_carlo(p):
+        p.add_argument("--matrices", type=int, default=500)
+        p.add_argument("--seed", type=int, default=1234, help="master seed (default 1234)")
+        p.add_argument("--threads", type=int, default=1,
+                       help="worker processes (one BLAS thread each), at most the usable "
+                            "CPUs; >= 1 (default 1)")
+
+    def add_loss(p):
         p.add_argument("--loss", default=None, help="path to loss-model JSON")
-        if threaded:
-            p.add_argument("--threads", type=int, default=1,
-                           help="worker processes (one BLAS thread each), at most the usable "
-                                "CPUs; >= 1 (default 1)")
 
-    p = sub.add_parser("fig3", help="insertion-loss comparison curves")
-    p.add_argument("--n", required=True, help="matrix sizes, e.g. 4,8 or 4:64:4")
-    p.add_argument("--node-loss", required=True, help="IL_node grid in dB, e.g. 0:2:0.05")
-    p.add_argument("--arch", default=f"{ARCH_XBAR},{ARCH_SVD_CLEMENTS}")
-    p.add_argument("--out", required=True)
-    p.add_argument("--svg", default=None, help="also write an SVG chart here")
-    add_common(p)
-    p.set_defaults(func=_cmd_fig3)
-
-    p = sub.add_parser("fidelity-loss", help="loss-induced fidelity Monte Carlo")
-    p.add_argument("--n", required=True)
-    p.add_argument("--node-loss", required=True)
-    p.add_argument("--arch", default=f"{ARCH_XBAR},{ARCH_SVD_CLEMENTS}")
-    p.add_argument("--matrices", type=int, default=500)
-    p.add_argument("--out", required=True)
-    p.add_argument("--svg", default=None)
-    add_common(p, threaded=True)
-    p.set_defaults(func=_cmd_fidelity_loss)
-
-    p = sub.add_parser("fidelity-phase", help="phase-error fidelity Monte Carlo")
-    p.add_argument("--n", required=True)
-    p.add_argument("--sigma", required=True, help="deviation grid in rad, e.g. 0:0.2:0.02")
-    p.add_argument("--arch", default=f"{ARCH_XBAR},{ARCH_SVD_CLEMENTS}")
-    p.add_argument("--matrices", type=int, default=500)
+    add_loss(add_experiment("fig3", "insertion-loss comparison curves"))
+    p = add_experiment("fidelity-loss", "loss-induced fidelity Monte Carlo")
+    add_monte_carlo(p)
+    add_loss(p)
+    p = add_experiment("fidelity-phase", "phase-error fidelity Monte Carlo")
+    add_monte_carlo(p)
     p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--out", required=True)
-    p.add_argument("--svg", default=None)
-    add_common(p, threaded=True)
-    p.set_defaults(func=_cmd_fidelity_phase)
 
     p = sub.add_parser("compile", help="program a matrix onto a device")
     p.add_argument("--arch", required=True, choices=[ARCH_XBAR, ARCH_SVD_CLEMENTS])
@@ -431,7 +366,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--mode", default="balanced", choices=["balanced", "uniform"],
                    help="crossbar coupler design (ignored for svd-clements)")
     p.add_argument("--out", required=True)
-    add_common(p, seeded=False)
+    add_loss(p)
     p.set_defaults(func=_cmd_compile)
 
     p = sub.add_parser("eval", help="apply a compiled device to an input vector")
@@ -454,7 +389,7 @@ def run_experiment(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (CliError, ConfigError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except json.JSONDecodeError as exc:
@@ -466,9 +401,6 @@ def run_experiment(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-
-
-main = run_experiment
 
 
 def console_entry() -> None:

@@ -63,9 +63,6 @@ class SvdFactors:
     sigma: np.ndarray
     v_dagger: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        return self.u @ np.diag(self.sigma.astype(np.complex128)) @ self.v_dagger
-
 
 def svd_factorize(d) -> SvdFactors:
     """Singular value decomposition of a square complex matrix.

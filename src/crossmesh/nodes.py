@@ -49,13 +49,6 @@ def db_to_field(db: float) -> float:
     return 10.0 ** (-db / 20.0)
 
 
-def field_to_db(field: float) -> float:
-    """Power loss in dB for an electric-field transmission coefficient."""
-    if field <= 0.0:
-        raise DomainError(f"field coefficient must be positive, got {field}")
-    return -20.0 * math.log10(field)
-
-
 @dataclass(frozen=True)
 class LossModel:
     """Per-component optical power insertion losses, all in dB (>= 0).
@@ -160,20 +153,12 @@ def node_loss_model(il_node_db: float, passives: LossModel = SILICON_PASSIVES) -
 
 
 def mzi_entries(theta: float, phi: float) -> tuple[complex, complex, complex, complex]:
-    """Entries (m11, m12, m21, m22) of ``mzi_matrix`` as Python complex scalars."""
+    """Entries (m11, m12, m21, m22) of the lossless cell M(theta, phi), as Python complex scalars."""
     half = 0.5 * theta
     s, c = math.sin(half), math.cos(half)
     common = 1j * complex(math.cos(half), math.sin(half))
     ephi = complex(math.cos(phi), math.sin(phi))
     return common * ephi * s, common * c, common * ephi * c, -common * s
-
-
-def mzi_matrix(theta: float, phi: float) -> np.ndarray:
-    """Lossless 2x2 cell matrix in the convention of the module docstring."""
-    m11, m12, m21, m22 = mzi_entries(theta, phi)
-    return np.array([[m11, m12], [m21, m22]], dtype=np.complex128)
-
-
 
 
 def voa_transfer(target_amplitude: float, loss: LossModel = LOSSLESS) -> tuple[complex, float]:

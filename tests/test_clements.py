@@ -9,11 +9,11 @@ from crossmesh import (
     DomainError,
     LOSSLESS,
     apply_common_deviation,
+    apply_mesh,
     build_svd_clements,
     clements_decompose,
     evaluate_svd_clements,
     fidelity,
-    mesh_transfer,
     node_loss_model,
     svd_architecture_stats,
     svd_insertion_loss,
@@ -22,6 +22,11 @@ from crossmesh import (
 from crossmesh.clements import device_from_json, device_to_json
 from crossmesh.montecarlo import target_matrix
 from oracles import haar_unitary_qr, mesh_layer_product, svd_device_layer_product
+
+
+def mesh_transfer(mesh):
+    """Full transfer matrix of a mesh (identity propagated through it)."""
+    return apply_mesh(np.eye(mesh.n), mesh)
 
 
 class TestDecompose:
@@ -255,11 +260,31 @@ class TestClosedForms:
         assert svd_architecture_stats(6) == {
             "nodes": 36, "best_depth": 7, "worst_depth": 13, "programming_steps": 15,
         }
+        # n = 2 is a single MZI per mesh: every path crosses 3 cells
         assert svd_architecture_stats(2) == {
-            "nodes": 4, "best_depth": 3, "worst_depth": 5, "programming_steps": 1,
+            "nodes": 4, "best_depth": 3, "worst_depth": 3, "programming_steps": 1,
         }
         stats20 = svd_architecture_stats(20)
         assert stats20["nodes"] == 400 and stats20["programming_steps"] == 190
+
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_identity_columns_hit_best_and_worst(self, n):
+        # a bar-state device: each column's loss is its port's path depth
+        device = build_svd_clements(np.eye(n), node_loss_model(1.0))
+        column_db = -10 * np.log10(np.sum(np.abs(evaluate_svd_clements(device)) ** 2, axis=0))
+        assert abs(column_db.min() - svd_insertion_loss(n, 1.0, "best")) < 1e-9
+        assert abs(column_db.max() - svd_insertion_loss(n, 1.0, "worst")) < 1e-9
+
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_random_columns_lie_between_best_and_worst(self, n):
+        stats = svd_architecture_stats(n)
+        for m in range(5):
+            device = build_svd_clements(target_matrix(3, n, m), LOSSLESS)
+            lossless = np.sum(np.abs(evaluate_svd_clements(device)) ** 2, axis=0)
+            lossy = evaluate_svd_clements(with_loss(device, node_loss_model(1.0)))
+            extra_db = 10 * np.log10(lossless / np.sum(np.abs(lossy) ** 2, axis=0))
+            assert np.all(extra_db >= stats["best_depth"] - 1e-9)
+            assert np.all(extra_db <= stats["worst_depth"] + 1e-9)
 
     def test_argument_validation(self):
         with pytest.raises(DomainError):

@@ -1,6 +1,7 @@
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,8 +9,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from crossmesh import LOSSLESS, DomainError, build_svd_clements, build_xbar, montecarlo
-from crossmesh.cli import run_experiment
+from crossmesh import (
+    LOSSLESS,
+    DomainError,
+    LossModel,
+    SweepConfig,
+    build_svd_clements,
+    build_xbar,
+    insertion_loss_sweep,
+    loss_fidelity_sweep,
+    montecarlo,
+    phase_fidelity_sweep,
+)
+from crossmesh.cli import _csv_text, run_experiment
 from crossmesh.clements import device_to_json as svd_device_to_json
 from crossmesh.crossbar import device_to_json as xbar_device_to_json
 from crossmesh.montecarlo import target_matrix
@@ -64,6 +76,43 @@ class TestConfigErrors:
         argv = ["fidelity-loss", "--n", "3", "--node-loss", "0", "--matrices", "1",
                 "--out", str(tmp_path / "out.csv")]
         assert run_experiment(argv + flags) == 1
+
+
+class TestFlagsNothingReads:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fidelity-phase", "--n", "3", "--sigma", "0", "--matrices", "1", "--trials", "1",
+             "--loss", "x"],
+            ["fig3", "--n", "3", "--node-loss", "0", "--seed", "5"],
+        ],
+        ids=["phase-loss", "fig3-seed"],
+    )
+    def test_is_rejected(self, tmp_path, capsys, argv):
+        out = tmp_path / "out.csv"
+        assert run_experiment(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [["--n", "1"], ["--n", "4", "--m", "0"]], ids=["n-1", "m-0"])
+def test_stats_size_error_exits_1(capsys, flags):
+    assert run_experiment(["stats"] + flags) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_outputs_follow_the_umask(tmp_path):
+    out, svg = tmp_path / "out.csv", tmp_path / "out.svg"
+    old = os.umask(0o022)
+    try:
+        assert run_experiment(["fig3", "--n", "3", "--node-loss", "0,1", "--out", str(out),
+                               "--svg", str(svg)]) == 0
+    finally:
+        os.umask(old)
+    for path in (out, svg, tmp_path / "out.csv.manifest.json"):
+        assert path.stat().st_mode & 0o777 == 0o644
 
 
 class TestNonFiniteGrids:
@@ -196,3 +245,96 @@ class TestParallelSweeps:
             "error: loss sweep failed at arch=svd-clements, n=4, matrix=2: injected failure\n"
         )
         assert not (tmp_path / "out.csv").exists()
+
+
+MANIFEST_KEYS = {"command", "config", "master_seed", "version", "duration_seconds", "outputs",
+                 "workers_used", "python", "numpy", "cpus_usable"}
+FIDELITY_HEADER = ["arch", "n", "{grid}", "fidelity_mean", "fidelity_std", "n_samples", "seed"]
+
+
+def report_rows(reports):
+    return [(r.architecture, r.n, r.sweep_value, r.fidelity_mean, r.fidelity_std, r.n_samples,
+             r.master_seed) for r in reports]
+
+
+def legend(svg: str) -> list[str]:
+    """Series labels of a chart, in drawing order."""
+    assert svg.count("<polyline ") == len(re.findall(r'<text x="[\d.]+" y="[\d.]+">', svg))
+    return re.findall(r'<text x="[\d.]+" y="[\d.]+">([^<]*)</text>', svg)
+
+
+class TestExperimentOutputs:
+    """What each experiment command writes: CSV rows, chart series and manifest."""
+
+    def run(self, tmp_path, argv):
+        out, svg = tmp_path / "out.csv", tmp_path / "out.svg"
+        assert run_experiment(argv + ["--out", str(out), "--svg", str(svg)]) == 0
+        manifest = json.loads((tmp_path / "out.csv.manifest.json").read_text())
+        assert manifest["outputs"] == [str(out), str(svg)]
+        return out.read_text(), svg.read_text(), manifest
+
+    def test_fig3(self, tmp_path):
+        csv, svg, manifest = self.run(tmp_path, ["fig3", "--n", "3,4", "--node-loss", "0:1:0.5"])
+        cfg = SweepConfig(n_values=(3, 4), il_node_grid=(0.0, 0.5, 1.0))
+        assert csv == _csv_text(["arch", "case", "n", "il_node_db", "il_total_db"],
+                                insertion_loss_sweep(cfg))
+        assert legend(svg) == ["xbar/balanced N=3", "xbar/balanced N=4",
+                               "svd-clements/best N=3", "svd-clements/best N=4",
+                               "svd-clements/worst N=3", "svd-clements/worst N=4"]
+        assert set(manifest) == MANIFEST_KEYS - {"master_seed"}  # closed form: no seed
+        assert manifest["command"] == "fig3"
+        assert manifest["workers_used"] == 1
+        assert manifest["config"] == {
+            "arch": ["xbar", "svd-clements"],
+            "n_values": [3, 4],
+            "il_node_grid": [0.0, 0.5, 1.0],
+            "loss": cfg.passive_losses.to_json(),
+        }
+
+    def test_fidelity_loss(self, tmp_path):
+        loss = LossModel(il_coup_db=0.1, il_xi_db=0.2)
+        loss_file = tmp_path / "loss.json"
+        loss_file.write_text(json.dumps(loss.to_json()))
+        csv, svg, manifest = self.run(tmp_path, [
+            "fidelity-loss", "--n", "3,4", "--node-loss", "0,0.5", "--matrices", "2",
+            "--seed", "5", "--loss", str(loss_file),
+        ])
+        cfg = SweepConfig(n_values=(3, 4), il_node_grid=(0.0, 0.5), n_matrices=2,
+                          passive_losses=loss, master_seed=5)
+        header = [c.format(grid="il_node_db") for c in FIDELITY_HEADER]
+        assert csv == _csv_text(header, report_rows(loss_fidelity_sweep(cfg)))
+        assert legend(svg) == ["xbar N=3", "xbar N=4", "svd-clements N=3", "svd-clements N=4"]
+        assert set(manifest) == MANIFEST_KEYS
+        assert (manifest["command"], manifest["master_seed"]) == ("fidelity-loss", 5)
+        assert manifest["workers_used"] == 1
+        assert manifest["config"] == {
+            "arch": ["xbar", "svd-clements"],
+            "n_values": [3, 4],
+            "il_node_grid": [0.0, 0.5],
+            "n_matrices": 2,
+            "loss": loss.to_json(),
+            "threads": 1,
+        }
+
+    def test_fidelity_phase(self, tmp_path):
+        csv, svg, manifest = self.run(tmp_path, [
+            "fidelity-phase", "--arch", "svd-clements,xbar", "--n", "3", "--sigma", "0:0.1:0.05",
+            "--matrices", "2", "--trials", "3", "--seed", "9",
+        ])
+        cfg = SweepConfig(architectures=("svd-clements", "xbar"), n_values=(3,),
+                          sigma_grid=(0.0, 0.05, 0.1), n_matrices=2, n_phase_trials=3,
+                          master_seed=9)
+        header = [c.format(grid="sigma_rad") for c in FIDELITY_HEADER]
+        assert csv == _csv_text(header, report_rows(phase_fidelity_sweep(cfg)))
+        assert legend(svg) == ["svd-clements N=3", "xbar N=3"]
+        assert set(manifest) == MANIFEST_KEYS
+        assert (manifest["command"], manifest["master_seed"]) == ("fidelity-phase", 9)
+        assert manifest["workers_used"] == 1
+        assert manifest["config"] == {
+            "arch": ["svd-clements", "xbar"],
+            "n_values": [3],
+            "sigma_grid": [0.0, 0.05, 0.1],
+            "n_matrices": 2,
+            "n_phase_trials": 3,
+            "threads": 1,
+        }

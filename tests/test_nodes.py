@@ -12,11 +12,10 @@ from crossmesh import (
     SILICON_PASSIVES,
     SweepConfig,
     apply_common_deviation,
+    apply_mesh,
     build_svd_clements,
     build_xbar,
     evaluate_svd_clements,
-    mesh_transfer,
-    mzi_matrix,
     node_loss_model,
     realized_matrix,
     transmission_matrix,
@@ -27,13 +26,20 @@ from crossmesh import (
 from crossmesh.crossbar import device_from_json as xbar_device_from_json
 from crossmesh.crossbar import device_to_json as xbar_device_to_json
 from crossmesh.montecarlo import target_matrix
+from crossmesh.nodes import mzi_entries
 from oracles import mzi_product
 
 
 def lossy_cell(theta, phi, loss):
     """One lossy cell as the 2-port mesh that holds it."""
     mesh = ClementsMesh(n=2, theta=np.array([theta]), phi=np.array([phi]), output_phases=np.zeros(2))
-    return mesh_transfer(mesh, node_field=loss.t_node)
+    return apply_mesh(np.eye(2), mesh, node_field=loss.t_node)
+
+
+def mzi_matrix(theta, phi):
+    """Lossless cell matrix from its entries."""
+    m11, m12, m21, m22 = mzi_entries(theta, phi)
+    return np.array([[m11, m12], [m21, m22]])
 
 
 class TestLossModel:
