@@ -34,10 +34,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .linalg import ensure_square, number_from_json, svd_factorize, unitarity_residual
+from .linalg import ensure_square, int_from_json, number_from_json, svd_factorize, unitarity_residual
 from .nodes import LossModel, mzi_entries, voa_transfer, voa_transfer_at
 
 _TWO_PI = 2.0 * math.pi
+_UNITARY_ATOL = 1e-8
 
 
 def _layers(n: int) -> list[tuple[int, int, int]]:
@@ -72,10 +73,6 @@ class ClementsMesh:
     theta: np.ndarray
     phi: np.ndarray
     output_phases: np.ndarray
-
-    @property
-    def depth(self) -> int:
-        return len(_layers(self.n))
 
 
 def _mesh(n: int, cells, output_phases, name: str = "mesh") -> ClementsMesh:
@@ -124,14 +121,14 @@ def _apply_left(work: np.ndarray, r: int, theta: float, phi: float) -> None:
     work[r + 1, :] = m21 * row_r + m22 * row_s
 
 
-def clements_decompose(u, *, atol: float = 1e-8) -> ClementsMesh:
+def clements_decompose(u) -> ClementsMesh:
     """Factor a unitary into a rectangular mesh of MZI cells.
 
     Parameters
     ----------
     u : array_like
-        Square matrix, unitary within ``atol`` (max entry deviation of
-        ``u^dagger u`` from the identity).
+        Square matrix, unitary within ``_UNITARY_ATOL`` (max entry
+        deviation of ``u^dagger u`` from the identity).
 
     Returns
     -------
@@ -142,9 +139,9 @@ def clements_decompose(u, *, atol: float = 1e-8) -> ClementsMesh:
     """
     u = ensure_square(u, name="u")
     residual = unitarity_residual(u)
-    if residual > atol:
+    if residual > _UNITARY_ATOL:
         raise DomainError(
-            f"input is not unitary within {atol:g}: residual {residual:.3e}"
+            f"input is not unitary within {_UNITARY_ATOL:g}: residual {residual:.3e}"
         )
     n = u.shape[0]
     work = u.astype(np.complex128, copy=True)
@@ -455,9 +452,9 @@ def device_from_json(obj: dict) -> ClementsDevice:
     arch = obj.get("arch") if isinstance(obj, dict) else None
     if arch != "svd-clements":
         raise DomainError(f"not an svd-clements device dump: arch={arch!r}")
-    n = obj.get("n")
-    if isinstance(n, bool) or not isinstance(n, int) or n < 2:
-        raise DomainError(f"svd-clements dump: n must be an integer >= 2, got {n!r}")
+    n = int_from_json(obj, "n", "svd-clements dump")
+    if n < 2:
+        raise DomainError(f"svd-clements dump: n must be >= 2, got {n}")
     steps = number_from_json(obj, "programming_steps", "svd-clements dump")
     if steps != n * (n - 1) // 2:
         raise DomainError(f"svd-clements dump: programming_steps must be {n * (n - 1) // 2}, got {steps}")

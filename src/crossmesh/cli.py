@@ -9,6 +9,10 @@ compile         program a matrix onto a device, dump device JSON
 eval            apply a dumped device to an input vector
 stats           architecture size/depth/programming-step numbers
 
+``compile --matrix`` takes the M x N operator A to apply (square for
+svd-clements); ``eval`` returns the device's output, proportional to A x up
+to losses.  ``--mode`` (crossbar couplers, default balanced) is xbar-only.
+
 The three experiments write their CSV (and SVG) atomically (temp file +
 rename, permissions from the umask) and then ``<csv>.manifest.json`` with
 the fields ``command``; ``config`` (architectures, sizes, the swept grid,
@@ -40,7 +44,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import __version__
+from . import __version__, montecarlo
 from .clements import (
     device_from_json as svd_device_from_json,
     device_to_json as svd_device_to_json,
@@ -66,7 +70,6 @@ from .montecarlo import (
     loss_fidelity_sweep,
     phase_fidelity_sweep,
     pool_size,
-    usable_cpus,
 )
 from .svgchart import line_chart
 
@@ -176,7 +179,7 @@ def _write_manifest(command: str, config: dict, outputs: list[str], started: flo
         workers_used=workers_used,
         python=platform.python_version(),
         numpy=np.__version__,
-        cpus_usable=usable_cpus(),
+        cpus_usable=montecarlo.usable_cpus(),
     )
     _atomic_write(outputs[0] + ".manifest.json", json.dumps(manifest, indent=2) + "\n")
 
@@ -266,11 +269,12 @@ def _cmd_compile(args) -> int:
     target = matrix_from_json(_load_json(args.matrix))
     loss = _load_loss(args.loss)
     if args.arch == ARCH_XBAR:
-        device = build_xbar(target, loss, args.mode)
-        dump = xbar_device_to_json(device)
+        # The crossbar's N x M weights are the transpose of the operator it applies.
+        dump = xbar_device_to_json(build_xbar(target.T, loss, args.mode or "balanced"))
+    elif args.mode is not None:
+        raise ConfigError("--mode applies to --arch xbar only")
     else:
-        device = build_svd_clements(target, loss)
-        dump = svd_device_to_json(device)
+        dump = svd_device_to_json(build_svd_clements(target, loss))
     _atomic_write(args.out, json.dumps(dump, indent=2) + "\n")
     return 0
 
@@ -362,9 +366,9 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("compile", help="program a matrix onto a device")
     p.add_argument("--arch", required=True, choices=[ARCH_XBAR, ARCH_SVD_CLEMENTS])
-    p.add_argument("--matrix", required=True, help="target matrix JSON")
-    p.add_argument("--mode", default="balanced", choices=["balanced", "uniform"],
-                   help="crossbar coupler design (ignored for svd-clements)")
+    p.add_argument("--matrix", required=True, help="JSON of the M x N operator to apply")
+    p.add_argument("--mode", default=None, choices=["balanced", "uniform"],
+                   help="crossbar coupler design (default balanced; xbar only)")
     p.add_argument("--out", required=True)
     add_loss(p)
     p.set_defaults(func=_cmd_compile)

@@ -28,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateDeviceError, DimensionError, DomainError
-from .linalg import ensure_matrix, number_from_json
+from .linalg import ensure_matrix, int_from_json
 from .nodes import LossModel
 
 
@@ -326,7 +326,7 @@ def device_from_json(obj: dict) -> XbarDevice:
     arch = obj.get("arch") if isinstance(obj, dict) else None
     if arch != "xbar":
         raise DomainError(f"not an xbar device dump: arch={arch!r}")
-    n, m, n_f = (int(number_from_json(obj, key, "xbar dump")) for key in ("n", "m", "n_f"))
+    n, m, n_f = (int_from_json(obj, key, "xbar dump") for key in ("n", "m", "n_f"))
     topology = build_topology(n, m)
     if topology.n_f != n_f:
         raise DomainError(f"inconsistent dump: n={n} implies n_f={topology.n_f}, dump says {n_f}")

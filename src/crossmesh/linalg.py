@@ -124,18 +124,28 @@ def random_target_matrix(n: int, seed: int) -> np.ndarray:
     return raw / np.max(np.abs(raw))
 
 
-def number_from_json(obj, key, what: str) -> float:
-    """``obj[key]`` as a float; DomainError unless it is a finite JSON number.
-
-    A missing key, or an ``obj`` that cannot be indexed, is an error too.
-    """
+def _json_item(obj, key):
+    """``obj[key]``, or None when the key is missing or ``obj`` cannot be indexed."""
     try:
-        value = obj[key]
+        return obj[key]
     except (KeyError, IndexError, TypeError):
-        value = None
+        return None
+
+
+def number_from_json(obj, key, what: str) -> float:
+    """``obj[key]`` as a float; DomainError unless it is a finite JSON number."""
+    value = _json_item(obj, key)
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
         raise DomainError(f"{what}: {key!r} must be a finite number, got {value!r}")
     return float(value)
+
+
+def int_from_json(obj, key, what: str) -> int:
+    """``obj[key]``; DomainError unless it is a JSON integer (not a bool, float or string)."""
+    value = _json_item(obj, key)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DomainError(f"{what}: {key!r} must be an integer, got {value!r}")
+    return value
 
 
 def matrix_to_json(a) -> dict:
@@ -151,9 +161,8 @@ def matrix_to_json(a) -> dict:
 
 def matrix_from_json(obj: dict) -> np.ndarray:
     """Parse the interchange form produced by :func:`matrix_to_json`."""
+    rows, cols = (int_from_json(obj, key, "matrix JSON") for key in ("rows", "cols"))
     try:
-        rows = int(obj["rows"])
-        cols = int(obj["cols"])
         re = np.asarray(obj["re"], dtype=np.float64)
         im = np.asarray(obj["im"], dtype=np.float64)
     except (KeyError, TypeError, ValueError) as exc:
@@ -181,6 +190,8 @@ def vector_from_json(obj: dict) -> np.ndarray:
         raise DomainError(f"malformed vector JSON: {exc}") from exc
     if re.ndim != 1 or re.shape != im.shape:
         raise DimensionError("vector JSON re/im must be equal-length 1-D arrays")
+    if "n" in obj and int_from_json(obj, "n", "vector JSON") != re.shape[0]:
+        raise DimensionError(f"vector JSON: 'n' is {obj['n']} but there are {re.shape[0]} entries")
     v = re + 1j * im
     if not np.isfinite(v).all():
         raise DomainError("vector contains non-finite entries")

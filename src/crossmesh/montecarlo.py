@@ -15,9 +15,14 @@ are evaluated per batch.  Both architectures evaluate the trials of one
 (matrix, sigma) point in batches capped by transfer-matrix entries
 (``_BATCH_ENTRIES``, ``_XBAR_BATCH_ENTRIES``) and sigma = 0 once.
 
-Parallelism: with more than one worker, a sweep runs every (architecture,
-n, matrix chunk) task in one process pool, sized to at most the task count
-and the usable CPUs, with the bundled OpenBLAS on one thread per worker.
+A task ``(cfg, arch, n, lo, hi)`` covers matrices lo..hi-1 of one point.
+``_per_matrix`` alone draws targets, builds devices and names a failed
+point (``SweepError``); a sweep only scores each device.  ``SweepConfig``
+rejects repeated architectures or sizes, so no point is computed twice.
+
+Parallelism: with more than one worker, a sweep runs all its tasks in one
+process pool, sized to at most the task count and the usable CPUs, with
+the bundled OpenBLAS on one thread per worker.
 """
 
 from __future__ import annotations
@@ -72,7 +77,7 @@ _XBAR_BATCH_ENTRIES = 1 << 12
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Shared experiment configuration; grids may be empty when unused."""
+    """Shared experiment configuration; ``n_values`` must name a size, grids may be empty when unused."""
 
     architectures: tuple[str, ...] = (ARCH_XBAR, ARCH_SVD_CLEMENTS)
     n_values: tuple[int, ...] = ()
@@ -93,9 +98,14 @@ class SweepConfig:
         for arch in self.architectures:
             if arch not in _ARCH_IDS:
                 raise ConfigError(f"unknown architecture {arch!r}")
+        if not self.n_values:
+            raise ConfigError("n_values must be non-empty")
         for n in self.n_values:
             if n < 2:
                 raise ConfigError(f"matrix dimensions must be >= 2, got {n}")
+        for name, values in (("architectures", self.architectures), ("n_values", self.n_values)):
+            if len(set(values)) != len(values):
+                raise ConfigError(f"{name} must not repeat, got {values}")
         if self.n_matrices < 1:
             raise ConfigError(f"n_matrices must be >= 1, got {self.n_matrices}")
         if self.n_phase_trials < 1:
@@ -126,14 +136,10 @@ class FidelityReport:
             raise DomainError(f"fidelity std must be >= 0: {self.fidelity_std}")
 
 
-def target_seed(master_seed: int, n: int, index: int) -> int:
-    """Seed of the index-th random target matrix at dimension n."""
-    ss = np.random.SeedSequence(master_seed, spawn_key=(_TAG_TARGET, n, index))
-    return int(ss.generate_state(1, np.uint64)[0])
-
-
 def target_matrix(master_seed: int, n: int, index: int) -> np.ndarray:
-    return random_target_matrix(n, target_seed(master_seed, n, index))
+    """The index-th seeded random target matrix at dimension n."""
+    ss = np.random.SeedSequence(master_seed, spawn_key=(_TAG_TARGET, n, index))
+    return random_target_matrix(n, int(ss.generate_state(1, np.uint64)[0]))
 
 
 def trial_rng(
@@ -145,14 +151,6 @@ def trial_rng(
         spawn_key=(_TAG_PHASE, _ARCH_IDS[arch], n, sweep_index, matrix_index, trial_index),
     )
     return np.random.default_rng(ss)
-
-
-def _mean_std(values) -> tuple[float, float]:
-    vals = list(values)
-    count = len(vals)
-    mean = math.fsum(vals) / count
-    var = math.fsum((v - mean) ** 2 for v in vals) / count
-    return mean, math.sqrt(var)
 
 
 def usable_cpus() -> int:
@@ -172,19 +170,17 @@ def _chunks(total: int, workers: int) -> list[tuple[int, int]]:
 def pool_size(cfg: SweepConfig, workers: int) -> int:
     """Worker processes a Monte-Carlo sweep of ``cfg`` starts; 1 means it runs serially.
 
-    Never more than the sweep's tasks (the matrix chunks of every
-    (architecture, n) point) or the usable CPUs.
+    Never more than the sweep's tasks or the usable CPUs.  ``_chunks`` cuts
+    each (architecture, n) point into at least min(matrices, workers)
+    chunks, so counting one task per matrix gives the same cap.
     """
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
-    workers = min(workers, usable_cpus())
-    tasks = len(cfg.architectures) * len(cfg.n_values) * len(_chunks(cfg.n_matrices, workers))
-    return min(workers, tasks)
+    points = len(cfg.architectures) * len(cfg.n_values)
+    return min(workers, usable_cpus(), points * cfg.n_matrices)
 
 
-def _run_sweep(
-    worker, cfg: SweepConfig, grid: tuple, workers: int
-) -> list[tuple[str, int, np.ndarray]]:
+def _run_sweep(worker, cfg: SweepConfig, workers: int) -> list[tuple[str, int, np.ndarray]]:
     """Run ``worker`` over every (point, chunk) task of a sweep in one pool.
 
     Returns ``(arch, n, values)`` per (architecture, n) point in config
@@ -193,7 +189,7 @@ def _run_sweep(
     size = pool_size(cfg, workers)
     bounds = _chunks(cfg.n_matrices, size)
     points = [(arch, n) for arch in cfg.architectures for n in cfg.n_values]
-    tasks = [(cfg.master_seed, arch, n) + grid + bound for arch, n in points for bound in bounds]
+    tasks = [(cfg, arch, n) + bound for arch, n in points for bound in bounds]
     if size == 1:
         parts = [worker(task) for task in tasks]
     else:
@@ -243,64 +239,67 @@ def _one_blas_thread():
         set_(before)
 
 
-def _loss_chunk(args) -> np.ndarray:
-    master_seed, arch, n, il_grid, passives, lo, hi = args
-    out = np.empty((hi - lo, len(il_grid)))
-    for row, m_idx in enumerate(range(lo, hi)):
+def _per_matrix(task, loss: LossModel, score, kind: str) -> np.ndarray:
+    """Rows ``score(device, evaluate, y, m_idx)`` of the task's matrices; devices get ``loss``."""
+    cfg, arch, n, lo, hi = task
+    rows = []
+    for m_idx in range(lo, hi):
         try:
-            y = target_matrix(master_seed, n, m_idx)
+            y = target_matrix(cfg.master_seed, n, m_idx)
             if arch == ARCH_SVD_CLEMENTS:
-                device, evaluate = build_svd_clements(y, LOSSLESS), evaluate_svd_clements
+                device, evaluate = build_svd_clements(y, loss), evaluate_svd_clements
             else:
-                # The balanced splitters depend on the passive losses only.
-                device = build_xbar(y.T, node_loss_model(il_grid[0], passives), "balanced")
-                evaluate = realized_matrix
-            for k, il in enumerate(il_grid):
-                lossy = with_loss(device, node_loss_model(il, passives))
-                out[row, k] = fidelity(evaluate(lossy), y)
+                # The crossbar's N x M weights are the transpose of the operator it applies.
+                device, evaluate = build_xbar(y.T, loss, "balanced"), realized_matrix
+            rows.append(score(device, evaluate, y, m_idx))
         except Exception as exc:
             raise SweepError(
-                f"loss sweep failed at arch={arch}, n={n}, matrix={m_idx}: {exc}"
+                f"{kind} sweep failed at arch={arch}, n={n}, matrix={m_idx}: {exc}"
             ) from exc
-    return out
+    return np.array(rows)
 
 
-def _phase_chunk(args) -> np.ndarray:
-    master_seed, arch, n, sigma_grid, n_trials, lo, hi = args
-    out = np.empty((hi - lo, len(sigma_grid), n_trials))
+def _loss_chunk(task) -> np.ndarray:
+    cfg = task[0]
+    models = [node_loss_model(il, cfg.passive_losses) for il in cfg.il_node_grid]
+
+    def score(device, evaluate, y, _m_idx):
+        return [fidelity(evaluate(with_loss(device, model)), y) for model in models]
+
+    # Phases come from the lossless factors and the balanced splitters from
+    # the passive losses only, so any of the models builds the device.
+    return _per_matrix(task, models[0], score, "loss")
+
+
+def _phase_chunk(task) -> np.ndarray:
+    cfg, arch, n = task[:3]
     entries = _BATCH_ENTRIES if arch == ARCH_SVD_CLEMENTS else _XBAR_BATCH_ENTRIES
     batch = max(1, entries // (n * n))
-    for row, m_idx in enumerate(range(lo, hi)):
-        try:
-            y = target_matrix(master_seed, n, m_idx)
-            if arch == ARCH_SVD_CLEMENTS:
-                device, evaluate = build_svd_clements(y, LOSSLESS), evaluate_svd_clements
-            else:
-                device, evaluate = build_xbar(y.T, LOSSLESS, "balanced"), realized_matrix
-            for s_idx, sigma in enumerate(sigma_grid):
-                if sigma == 0.0:
-                    # Every trial is the unperturbed device.
-                    out[row, s_idx] = fidelity(evaluate(device), y)
-                    continue
-                deviations = [
-                    _trial_deviation_pair(master_seed, arch, n, s_idx, m_idx, t_idx, sigma)
-                    for t_idx in range(n_trials)
-                ]
-                for first in range(0, n_trials, batch):
-                    part = deviations[first : first + batch]
-                    if arch == ARCH_SVD_CLEMENTS:
-                        transfers = evaluate_svd_clements(device, np.array(part).T)
-                    else:
-                        # A (K, 1, 1) nested list, not an array: bench/trace_run.py
-                        # tests each positional deviation with `== 0.0` and bool().
-                        dtheta = [[[dth]] for dth, _dph in part]
-                        transfers = realized_matrix(device, weights_with_common_deviation(device, dtheta))
-                    out[row, s_idx, first : first + batch] = fidelity(transfers, y)
-        except Exception as exc:
-            raise SweepError(
-                f"phase sweep failed at arch={arch}, n={n}, matrix={m_idx}: {exc}"
-            ) from exc
-    return out
+
+    def score(device, evaluate, y, m_idx):
+        out = np.empty((len(cfg.sigma_grid), cfg.n_phase_trials))
+        for s_idx, sigma in enumerate(cfg.sigma_grid):
+            if sigma == 0.0:
+                # Every trial is the unperturbed device.
+                out[s_idx] = fidelity(evaluate(device), y)
+                continue
+            deviations = [
+                _trial_deviation_pair(cfg.master_seed, arch, n, s_idx, m_idx, t_idx, sigma)
+                for t_idx in range(cfg.n_phase_trials)
+            ]
+            for first in range(0, cfg.n_phase_trials, batch):
+                part = deviations[first : first + batch]
+                if arch == ARCH_SVD_CLEMENTS:
+                    transfers = evaluate_svd_clements(device, np.array(part).T)
+                else:
+                    # A (K, 1, 1) nested list, not an array: bench/trace_run.py
+                    # tests each positional deviation with `== 0.0` and bool().
+                    dtheta = [[[dth]] for dth, _dph in part]
+                    transfers = realized_matrix(device, weights_with_common_deviation(device, dtheta))
+                out[s_idx, first : first + batch] = fidelity(transfers, y)
+        return out
+
+    return _per_matrix(task, LOSSLESS, score, "phase")
 
 
 def _trial_deviation_pair(
@@ -308,10 +307,20 @@ def _trial_deviation_pair(
     trial_index: int, sigma: float,
 ) -> tuple[float, float]:
     """The trial's two-element deviation set (d_theta, d_phi)."""
-    if sigma == 0.0:
-        return 0.0, 0.0
     rng = trial_rng(master_seed, arch, n, sweep_index, matrix_index, trial_index)
     return float(rng.normal(0.0, sigma)), float(rng.normal(0.0, sigma))
+
+
+def _reports(cfg: SweepConfig, chunk, grid: tuple, workers: int) -> list[FidelityReport]:
+    """Mean and std per (architecture, n, grid value k) of entry k of ``chunk``'s rows."""
+    reports = []
+    for arch, n, values in _run_sweep(chunk, cfg, workers):
+        for k, value in enumerate(grid):
+            samples = values[:, k].reshape(-1)
+            mean = math.fsum(samples) / samples.size
+            std = math.sqrt(math.fsum((v - mean) ** 2 for v in samples) / samples.size)
+            reports.append(FidelityReport(arch, n, value, mean, std, samples.size, cfg.master_seed))
+    return reports
 
 
 def loss_fidelity_sweep(cfg: SweepConfig, *, workers: int = 1) -> list[FidelityReport]:
@@ -323,16 +332,7 @@ def loss_fidelity_sweep(cfg: SweepConfig, *, workers: int = 1) -> list[FidelityR
     """
     if not cfg.il_node_grid:
         raise ConfigError("il_node_grid must be non-empty for a loss sweep")
-    if not cfg.n_values:
-        raise ConfigError("n_values must be non-empty")
-    reports = []
-    for arch, n, values in _run_sweep(
-        _loss_chunk, cfg, (cfg.il_node_grid, cfg.passive_losses), workers
-    ):
-        for k, il in enumerate(cfg.il_node_grid):
-            mean, std = _mean_std(values[:, k])
-            reports.append(FidelityReport(arch, n, il, mean, std, cfg.n_matrices, cfg.master_seed))
-    return reports
+    return _reports(cfg, _loss_chunk, cfg.il_node_grid, workers)
 
 
 def phase_fidelity_sweep(cfg: SweepConfig, *, workers: int = 1) -> list[FidelityReport]:
@@ -345,17 +345,7 @@ def phase_fidelity_sweep(cfg: SweepConfig, *, workers: int = 1) -> list[Fidelity
     """
     if not cfg.sigma_grid:
         raise ConfigError("sigma_grid must be non-empty for a phase sweep")
-    if not cfg.n_values:
-        raise ConfigError("n_values must be non-empty")
-    samples = cfg.n_matrices * cfg.n_phase_trials
-    reports = []
-    for arch, n, values in _run_sweep(
-        _phase_chunk, cfg, (cfg.sigma_grid, cfg.n_phase_trials), workers
-    ):
-        for s_idx, sigma in enumerate(cfg.sigma_grid):
-            mean, std = _mean_std(values[:, s_idx, :].reshape(-1))
-            reports.append(FidelityReport(arch, n, sigma, mean, std, samples, cfg.master_seed))
-    return reports
+    return _reports(cfg, _phase_chunk, cfg.sigma_grid, workers)
 
 
 def insertion_loss_sweep(cfg: SweepConfig) -> list[tuple[str, str, int, float, float]]:
@@ -367,8 +357,6 @@ def insertion_loss_sweep(cfg: SweepConfig) -> list[tuple[str, str, int, float, f
     """
     if not cfg.il_node_grid:
         raise ConfigError("il_node_grid must be non-empty for an insertion-loss sweep")
-    if not cfg.n_values:
-        raise ConfigError("n_values must be non-empty")
     rows = []
     for arch in cfg.architectures:
         if arch == ARCH_SVD_CLEMENTS:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 
+_WIDTH, _HEIGHT = 720, 480
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b",
             "#17becf", "#e377c2", "#7f7f7f", "#bcbd22")
 
@@ -41,8 +42,7 @@ def _fmt(v: float) -> str:
     return f"{v:g}"
 
 
-def line_chart(series, *, title: str, xlabel: str, ylabel: str,
-               width: int = 720, height: int = 480) -> str:
+def line_chart(series, *, title: str, xlabel: str, ylabel: str) -> str:
     """Render labelled (x, y) polyline series as an SVG document string.
 
     ``series`` is an iterable of (label, xs, ys) with equal-length numeric
@@ -63,7 +63,7 @@ def line_chart(series, *, title: str, xlabel: str, ylabel: str,
     y_lo, y_hi = y_lo - pad_y, y_hi + pad_y
 
     ml, mr, mt, mb = 64, 160, 40, 48
-    pw, ph = width - ml - mr, height - mt - mb
+    pw, ph = _WIDTH - ml - mr, _HEIGHT - mt - mb
 
     def sx(x: float) -> float:
         return ml + pw * (x - x_lo) / (x_hi - x_lo)
@@ -72,9 +72,9 @@ def line_chart(series, *, title: str, xlabel: str, ylabel: str,
         return mt + ph * (1.0 - (y - y_lo) / (y_hi - y_lo))
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}" font-family="sans-serif" font-size="12">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}" font-family="sans-serif" font-size="12">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
         f'<text x="{ml + pw / 2:.1f}" y="22" text-anchor="middle" font-size="15">{title}</text>',
         f'<rect x="{ml}" y="{mt}" width="{pw}" height="{ph}" fill="none" stroke="#333"/>',
     ]
@@ -87,7 +87,7 @@ def line_chart(series, *, title: str, xlabel: str, ylabel: str,
         parts.append(f'<line x1="{ml - 5}" y1="{py:.1f}" x2="{ml}" y2="{py:.1f}" stroke="#333"/>')
         parts.append(f'<line x1="{ml}" y1="{py:.1f}" x2="{ml + pw}" y2="{py:.1f}" stroke="#ddd"/>')
         parts.append(f'<text x="{ml - 8}" y="{py + 4:.1f}" text-anchor="end">{_fmt(ty)}</text>')
-    parts.append(f'<text x="{ml + pw / 2:.1f}" y="{height - 10}" text-anchor="middle">{xlabel}</text>')
+    parts.append(f'<text x="{ml + pw / 2:.1f}" y="{_HEIGHT - 10}" text-anchor="middle">{xlabel}</text>')
     parts.append(
         f'<text x="18" y="{mt + ph / 2:.1f}" text-anchor="middle" '
         f'transform="rotate(-90 18 {mt + ph / 2:.1f})">{ylabel}</text>'

@@ -18,12 +18,14 @@ from crossmesh import (
     build_xbar,
     insertion_loss_sweep,
     loss_fidelity_sweep,
+    matrix_to_json,
     montecarlo,
     phase_fidelity_sweep,
 )
 from crossmesh.cli import _csv_text, run_experiment
 from crossmesh.clements import device_to_json as svd_device_to_json
 from crossmesh.crossbar import device_to_json as xbar_device_to_json
+from crossmesh.linalg import vector_from_json, vector_to_json
 from crossmesh.montecarlo import target_matrix
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -61,8 +63,11 @@ class TestConfigErrors:
             ["--trials", "0"],
             ["--threads", "0"],
             ["--threads", "-3"],
+            ["--arch", "xbar,xbar"],
+            ["--n", "3,3"],
         ],
-        ids=["matrices-0", "n-1", "negative-sigma", "trials-0", "threads-0", "threads-negative"],
+        ids=["matrices-0", "n-1", "negative-sigma", "trials-0", "threads-0", "threads-negative",
+             "arch-repeated", "n-repeated"],
     )
     def test_phase_sweep_exits_1(self, tmp_path, flags):
         out = tmp_path / "out.csv"
@@ -71,7 +76,11 @@ class TestConfigErrors:
         assert run_experiment(argv + flags) == 1
         assert not out.exists()
 
-    @pytest.mark.parametrize("flags", [["--n", "1"], ["--threads", "0"]], ids=["n-1", "threads-0"])
+    @pytest.mark.parametrize(
+        "flags",
+        [["--n", "1"], ["--threads", "0"], ["--arch", "xbar,xbar"], ["--n", "3,3"]],
+        ids=["n-1", "threads-0", "arch-repeated", "n-repeated"],
+    )
     def test_loss_sweep_exits_1(self, tmp_path, flags):
         argv = ["fidelity-loss", "--n", "3", "--node-loss", "0", "--matrices", "1",
                 "--out", str(tmp_path / "out.csv")]
@@ -139,11 +148,11 @@ class TestNonFiniteGrids:
 
 
 class TestCorruptDumps:
-    def eval_dump(self, tmp_path, dump, n):
+    def eval_dump(self, tmp_path, dump, n, vector_json=None):
         device = tmp_path / "device.json"
         device.write_text(json.dumps(dump))
         vector = tmp_path / "x.json"
-        vector.write_text(json.dumps({"re": [1.0] * n, "im": [0.0] * n}))
+        vector.write_text(json.dumps(vector_json or {"re": [1.0] * n, "im": [0.0] * n}))
         return run_experiment(["eval", "--device", str(device), "--input", str(vector),
                                "--out", str(tmp_path / "y.json")])
 
@@ -168,6 +177,30 @@ class TestCorruptDumps:
         dump["sigma"] = dump["sigma"][:2]
         assert self.eval_dump(tmp_path, dump, 4) == 2
 
+    @pytest.mark.parametrize("n", [4.0, "4", True, None], ids=["float", "string", "bool", "missing"])
+    def test_svd_n_must_be_a_json_integer(self, tmp_path, capsys, n):
+        dump = self.svd_dump()
+        del dump["n"]
+        if n is not None:
+            dump["n"] = n
+        assert self.eval_dump(tmp_path, dump, 4) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "vector",
+        [{"n": 5, "re": [1.0] * 4, "im": [0.0] * 4}, {"n": 4.0, "re": [1.0] * 4, "im": [0.0] * 4}],
+        ids=["n-not-entry-count", "float-n"],
+    )
+    def test_bad_vector_file_is_a_one_line_error(self, tmp_path, capsys, vector):
+        assert self.eval_dump(tmp_path, self.svd_dump(), 4, vector) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_vector_file_may_give_its_length(self, tmp_path):
+        vector = {"n": 4, "re": [1.0] * 4, "im": [0.0] * 4}
+        assert self.eval_dump(tmp_path, self.svd_dump(), 4, vector) == 0
+
     def xbar_dump(self):
         return xbar_device_to_json(build_xbar(target_matrix(1, 4, 0), LOSSLESS, "balanced"))
 
@@ -178,8 +211,10 @@ class TestCorruptDumps:
 
     @pytest.mark.parametrize(
         "corrupt",
-        [lambda d: d.pop("t"), lambda d: d["loss"].update(il_coup_db="x")],
-        ids=["xbar-missing-t", "xbar-string-loss"],
+        [lambda d: d.pop("t"), lambda d: d["loss"].update(il_coup_db="x"),
+         lambda d: d.update(n=4.0), lambda d: d.update(m=4.5), lambda d: d.update(n_f="4")],
+        ids=["xbar-missing-t", "xbar-string-loss", "xbar-float-n", "xbar-fractional-m",
+             "xbar-string-n_f"],
     )
     def test_malformed_xbar_dump_is_a_one_line_error(self, tmp_path, capsys, corrupt):
         dump = self.xbar_dump()
@@ -190,6 +225,55 @@ class TestCorruptDumps:
 
     def test_non_object_dump_is_a_one_line_error(self, tmp_path, capsys):
         assert self.eval_dump(tmp_path, [1, 2], 4) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestCompileEval:
+    A = np.array([[1.0, 0.5j, 0.0], [0.2, -0.3, 0.9], [0.1j, 0.4, -0.6 + 0.2j]])
+    X = np.array([0.3, -0.5j, 0.8])
+
+    def compile(self, tmp_path, a, *flags):
+        matrix, loss = tmp_path / "a.json", tmp_path / "loss.json"
+        matrix.write_text(json.dumps(matrix_to_json(a)))
+        loss.write_text(json.dumps(LOSSLESS.to_json()))
+        return run_experiment(["compile", "--matrix", str(matrix), "--loss", str(loss),
+                               "--out", str(tmp_path / "device.json"), *flags])
+
+    def eval(self, tmp_path, x):
+        vector, out = tmp_path / "x.json", tmp_path / "y.json"
+        vector.write_text(json.dumps(vector_to_json(x)))
+        assert run_experiment(["eval", "--device", str(tmp_path / "device.json"),
+                               "--input", str(vector), "--out", str(out)]) == 0
+        return vector_from_json(json.loads(out.read_text()))
+
+    @pytest.mark.parametrize(
+        "arch, rows, cols",
+        [("xbar", 3, 3), ("svd-clements", 3, 3), ("xbar", 2, 3)],
+        ids=["xbar-3x3", "svd-clements-3x3", "xbar-2x3"],
+    )
+    def test_eval_applies_the_compiled_matrix(self, tmp_path, arch, rows, cols):
+        # A is not symmetric, so A x and A^T x differ.
+        a, x = self.A[:rows, :cols], self.X[:cols]
+        assert self.compile(tmp_path, a, "--arch", arch) == 0
+        y, expected = self.eval(tmp_path, x), a @ x
+        scale = np.vdot(expected, y) / np.vdot(expected, expected)
+        assert abs(scale) > 0.0
+        assert np.max(np.abs(y - scale * expected)) <= 1e-12 * np.max(np.abs(y))
+
+    def test_mode_is_rejected_for_svd_clements(self, tmp_path, capsys):
+        assert self.compile(tmp_path, self.A, "--arch", "svd-clements", "--mode", "uniform") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "device.json").exists()
+
+    @pytest.mark.parametrize("corrupt", [dict(rows="3"), dict(cols=3.9), dict(rows=True)],
+                             ids=["string-rows", "fractional-cols", "bool-rows"])
+    def test_matrix_sizes_must_be_json_integers(self, tmp_path, capsys, corrupt):
+        matrix = tmp_path / "bad.json"
+        matrix.write_text(json.dumps({**matrix_to_json(self.A), **corrupt}))
+        argv = ["compile", "--arch", "xbar", "--matrix", str(matrix), "--out", str(tmp_path / "d.json")]
+        assert run_experiment(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
@@ -226,6 +310,13 @@ class TestParallelSweeps:
             assert manifest["cpus_usable"] == 2
             csv[threads] = out.read_bytes()
         assert csv[1] == csv[2]
+
+    def test_manifest_counts_the_cpus_the_pool_was_sized_by(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(montecarlo, "usable_cpus", lambda: 3)
+        out = tmp_path / "out.csv"
+        assert run_experiment(self.LOSS + ["--threads", "3", "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "out.csv.manifest.json").read_text())
+        assert (manifest["workers_used"], manifest["cpus_usable"]) == (3, 3)
 
     def test_worker_failure_names_the_point(self, tmp_path, capsys, monkeypatch):
         # The patched builder reaches the workers through fork.

@@ -434,9 +434,13 @@ class TestDeviceJson:
             lambda d: d["loss"].update(il_coup_db="x"),
             lambda d: d.update(loss="lossless"),
             lambda d: d["weights"]["re"][1].__setitem__(2, 1.5),
+            lambda d: d.update(n=4.0),
+            lambda d: d.update(m=4.5),
+            lambda d: d.update(n_f=4.0),
         ],
         ids=["missing-t", "missing-n", "string-m", "weights-not-object", "null-weight",
-             "string-xi", "string-loss", "loss-not-object", "weight-above-one"],
+             "string-xi", "string-loss", "loss-not-object", "weight-above-one", "float-n",
+             "fractional-m", "float-n_f"],
     )
     def test_invalid_dump_rejected(self, corrupt):
         dump = device_to_json(build_xbar(target_matrix(59, 4, 0), LOSSLESS, "balanced"))

@@ -184,3 +184,12 @@ class TestMatrixJson:
             matrix_from_json(obj)
         with pytest.raises(DomainError):
             matrix_from_json({"rows": 1, "cols": 1})
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [dict(rows="2"), dict(cols=2.9), dict(rows=2.0), dict(cols=True), dict(rows=None)],
+        ids=["string-rows", "fractional-cols", "float-rows", "bool-cols", "null-rows"],
+    )
+    def test_sizes_must_be_json_integers(self, corrupt):
+        with pytest.raises(DomainError):
+            matrix_from_json({**matrix_to_json(np.eye(2)), **corrupt})

@@ -39,6 +39,12 @@ LOSS_CFG = SweepConfig(
 )
 
 
+def phase_task(seed, arch, n, sigmas, trials, lo, hi):
+    """The pool task ``(cfg, arch, n, lo, hi)`` for matrices lo..hi-1 of one phase point."""
+    cfg = SweepConfig(n_values=(n,), sigma_grid=sigmas, n_phase_trials=trials, master_seed=seed)
+    return cfg, arch, n, lo, hi
+
+
 def test_workers_do_not_change_reports(monkeypatch):
     # Five matrices per point: every (arch, n) point's chunks share one pool
     # and spread unevenly over 2 or 3 workers.
@@ -115,7 +121,7 @@ class TestOneBlasThreadPerWorker:
     def test_workers_run_one_blas_thread_and_parent_is_restored(self, blas):
         get, _set = blas
         before = get()
-        per_point = montecarlo._run_sweep(_report_blas_threads, self.CFG, (), workers=2)
+        per_point = montecarlo._run_sweep(_report_blas_threads, self.CFG, workers=2)
         assert [arch for arch, _n, _values in per_point] == [ARCH_XBAR, ARCH_SVD_CLEMENTS]
         for _arch, _n, values in per_point:
             assert values.tolist() == [[1]] * 4
@@ -127,7 +133,7 @@ class TestOneBlasThreadPerWorker:
         set_(2)
         try:
             with pytest.raises(ValueError, match="matrix 1 fails"):
-                montecarlo._run_sweep(_fail_on_matrix_1, self.CFG, (), workers=2)
+                montecarlo._run_sweep(_fail_on_matrix_1, self.CFG, workers=2)
             assert get() == 2
         finally:
             set_(before)
@@ -135,7 +141,7 @@ class TestOneBlasThreadPerWorker:
 
 def test_batched_trials_match_layer_product_oracle():
     seed, n, sigmas, trials = 5, 4, (0.0, 0.05, 0.2), 6
-    got = _phase_chunk((seed, ARCH_SVD_CLEMENTS, n, sigmas, trials, 0, 2))
+    got = _phase_chunk(phase_task(seed, ARCH_SVD_CLEMENTS, n, sigmas, trials, 0, 2))
     assert got.shape == (2, 3, 6)
     for m_idx in range(2):
         y = target_matrix(seed, n, m_idx)
@@ -155,7 +161,7 @@ def test_crossbar_trials_match_column_sum_oracle():
     # entry by entry, then read the realized matrix column by column off the
     # literal per-column sums.
     seed, n, sigmas, trials = 5, 4, (0.0, 0.05, 0.2), 6
-    got = _phase_chunk((seed, ARCH_XBAR, n, sigmas, trials, 0, 2))
+    got = _phase_chunk(phase_task(seed, ARCH_XBAR, n, sigmas, trials, 0, 2))
     assert got.shape == (2, 3, 6)
     for m_idx in range(2):
         y = target_matrix(seed, n, m_idx)
@@ -193,7 +199,7 @@ def test_batch_size_does_not_change_trials(n):
         ),
     }
     for arch, evaluate in evaluators.items():
-        full = _phase_chunk((seed, arch, n, sigmas, trials, 0, 1))[0]
+        full = _phase_chunk(phase_task(seed, arch, n, sigmas, trials, 0, 1))[0]
         for s_idx, sigma in enumerate(sigmas):
             deviations = np.array([
                 _trial_deviation_pair(seed, arch, n, s_idx, 0, t_idx, sigma)

@@ -262,7 +262,7 @@ class TestPerturbPhases:
 
     def test_negative_sigma(self):
         with pytest.raises(DomainError):
-            SweepConfig(sigma_grid=(-0.1,))
+            SweepConfig(n_values=(3,), sigma_grid=(-0.1,))
 
 
 def test_vectorized_normal_matches_scalar_sequence():
