@@ -5,7 +5,9 @@ Clements et al. (Optica 3, 1460, 2016) adapted to this library's cell
 convention: a unitary is eliminated to a diagonal by alternating column
 (right-inverse) and row (left) cell operations, and the left factors are
 then commuted through the residual phase screen so that all cells end up
-between the inputs and a single output phase screen.
+between the inputs and a single output phase screen.  The elimination
+order depends on n alone, so a ``(..., n, n)`` stack of unitaries is
+factored in one pass into meshes with those batch axes.
 
 Meshes are stored as arrays.  The rectangular layout follows from the port
 count n alone: the mesh has n layers (one when n = 2), and layer k
@@ -27,6 +29,7 @@ imbalance is the device's loss-induced infidelity mechanism.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -65,31 +68,14 @@ class ClementsMesh:
     reduced mod 2 pi.  Cell i of layer k (both 0-based) sits at index
     ``start_k + i``, where ``start_k`` counts the cells of the earlier
     layers, and couples ports ``(k % 2 + 2i, k % 2 + 2i + 1)``.  Leading
-    axes, if any, index a batch of meshes.  ``output_phases`` (length n)
-    is the phase screen after the last layer.
+    axes, if any, index a batch of meshes.  ``output_phases`` (``(..., n)``)
+    is the phase screen after the last layer, one per mesh or shared.
     """
 
     n: int
     theta: np.ndarray
     phi: np.ndarray
     output_phases: np.ndarray
-
-
-def _mesh(n: int, cells, output_phases, name: str = "mesh") -> ClementsMesh:
-    """Mesh from (1-based layer, row, theta, phi) cells given in any order.
-
-    DomainError unless the cells cover the n-port rectangular layout once
-    each.
-    """
-    layers, rows, theta, phi = zip(*sorted(cells))
-    if list(zip(layers, rows)) != _cells(n):
-        raise DomainError(f"{name} cells do not cover the {n}-port rectangular layout once each")
-    return ClementsMesh(
-        n=n,
-        theta=np.mod(theta, _TWO_PI),
-        phi=np.mod(phi, _TWO_PI),
-        output_phases=np.asarray(output_phases, dtype=np.float64),
-    )
 
 
 def _null_angles(keep: complex, zero: complex, offset: float) -> tuple[float, float]:
@@ -104,38 +90,49 @@ def _null_angles(keep: complex, zero: complex, offset: float) -> tuple[float, fl
     return 2.0 * math.atan2(abs(keep), abs(zero)), cmath.phase(zero) - cmath.phase(keep) + offset
 
 
-def _apply_right_inverse(work: np.ndarray, c: int, theta: float, phi: float) -> None:
-    # Right-multiply columns (c, c + 1) by M(theta, phi)^dagger.
-    m11, m12, m21, m22 = mzi_entries(theta, phi)
-    col_c = work[:, c].copy()
-    col_d = work[:, c + 1]
-    work[:, c] = col_c * m11.conjugate() + col_d * m12.conjugate()
-    work[:, c + 1] = col_c * m21.conjugate() + col_d * m22.conjugate()
+@functools.cache
+def _elimination(n: int) -> tuple[tuple, tuple, np.ndarray]:
+    """The n-port elimination steps, the row steps last first, and the step of each layer-major slot.
 
-
-def _apply_left(work: np.ndarray, r: int, theta: float, phi: float) -> None:
-    m11, m12, m21, m22 = mzi_entries(theta, phi)
-    row_r = work[r, :].copy()
-    row_s = work[r + 1, :]
-    work[r, :] = m11 * row_r + m12 * row_s
-    work[r + 1, :] = m21 * row_r + m22 * row_s
+    Step ``(column, r, c)`` nulls entry (r, c) by mixing columns (c, c + 1)
+    or rows (r - 1, r).  After the row steps are commuted through the phase
+    screen, each cell takes the earliest layer free on both its ports: the
+    rectangular layout.
+    """
+    steps = [
+        (True, n - 1 - j, i - 1 - j) if i % 2 else (False, n - i + j, j)
+        for i in range(1, n) for j in range(i)
+    ]
+    lefts = [s for s in reversed(range(len(steps))) if not steps[s][0]]
+    next_free, slots = [0] * n, {}
+    for s in [s for s, step in enumerate(steps) if step[0]] + lefts:
+        column, r, c = steps[s]
+        row = c if column else r - 1
+        layer = max(next_free[row], next_free[row + 1]) + 1
+        next_free[row] = next_free[row + 1] = layer
+        slots[layer, row] = s
+    order = np.array([slots[cell] for cell in _cells(n)], dtype=np.intp)
+    order.flags.writeable = False  # shared by every caller through the cache
+    return tuple(steps), tuple(lefts), order
 
 
 def clements_decompose(u) -> ClementsMesh:
-    """Factor a unitary into a rectangular mesh of MZI cells.
+    """Factor a unitary, or a stack ``(..., n, n)`` of them, into rectangular MZI meshes.
 
     Parameters
     ----------
     u : array_like
-        Square matrix, unitary within ``_UNITARY_ATOL`` (max entry
+        Square matrices, each unitary within ``_UNITARY_ATOL`` (max entry
         deviation of ``u^dagger u`` from the identity).
 
     Returns
     -------
     ClementsMesh
-        ``n(n-1)/2`` cells in layer-major order plus n output phases.  The
-        lossless mesh transfer reproduces ``u`` to close to machine
-        precision.
+        ``n(n-1)/2`` cells in layer-major order plus n output phases, after
+        the stack's batch axes.  The lossless mesh transfer reproduces each
+        matrix to close to machine precision.  Each step computes every
+        matrix's cell angles on Python scalars and updates all their rows or
+        columns elementwise, so each mesh is bit-identical to its matrix's alone.
     """
     u = ensure_square(u, name="u")
     residual = unitarity_residual(u)
@@ -143,70 +140,66 @@ def clements_decompose(u) -> ClementsMesh:
         raise DomainError(
             f"input is not unitary within {_UNITARY_ATOL:g}: residual {residual:.3e}"
         )
-    n = u.shape[0]
-    work = u.astype(np.complex128, copy=True)
-
-    rights: list[tuple[int, float, float]] = []
-    lefts: list[tuple[int, float, float]] = []
-    for i in range(1, n):
-        if i % 2 == 1:
-            for j in range(i):
-                r, c = n - 1 - j, i - 1 - j
-                theta, phi = _null_angles(work.item(r, c + 1), work.item(r, c), -math.pi)
-                _apply_right_inverse(work, c, theta, phi)
-                rights.append((c, theta, phi))
+    n = u.shape[-1]
+    work = u.reshape(-1, n, n).copy()
+    cols = work.swapaxes(1, 2)  # column j of every matrix, as a row
+    steps, lefts, order = _elimination(n)
+    recorded = np.empty((len(steps), len(work), 2))  # per step, each matrix's (theta, phi)
+    for step, (column, r, c) in enumerate(steps):
+        if column:
+            # Right-multiply columns (c, c + 1) by M(theta, phi)^dagger.
+            angles = [_null_angles(keep, zero, -math.pi) for zero, keep in work[:, r, c : c + 2].tolist()]
+            m = np.array([e.conjugate() for a in angles for e in mzi_entries(*a)]).reshape(-1, 4, 1)
+            pair = cols[:, c : c + 2]
+            cols[:, c : c + 2] = pair[:, :1] * m[:, 0::2] + pair[:, 1:] * m[:, 1::2]
         else:
-            for j in range(1, i + 1):
-                r, c = n - 1 + j - i, j - 1
-                theta, phi = _null_angles(work.item(r - 1, c), work.item(r, c), 0.0)
-                _apply_left(work, r - 1, theta, phi)
-                lefts.append((r - 1, theta, phi))
+            # Left-multiply rows (r - 1, r) by M(theta, phi).
+            angles = [_null_angles(keep, zero, 0.0) for keep, zero in work[:, r - 1 : r + 1, c].tolist()]
+            m = np.array([e for a in angles for e in mzi_entries(*a)]).reshape(-1, 4, 1)
+            pair = work[:, r - 1 : r + 1]
+            work[:, r - 1 : r + 1] = m[:, 0::2] * pair[:, :1] + m[:, 1::2] * pair[:, 1:]
+        recorded[step] = angles
 
-    diag = np.diag(work).copy()
-    off = work - np.diag(diag)
-    if n > 1 and np.max(np.abs(off)) > 1e-6:
+    diag = np.diagonal(work, axis1=1, axis2=2).copy()
+    work[:, range(n), range(n)] = 0.0
+    if np.max(np.abs(work)) > 1e-6:
         raise DomainError(
-            f"elimination failed to diagonalize (residual {np.max(np.abs(off)):.3e}); "
+            f"elimination failed to diagonalize (residual {np.max(np.abs(work)):.3e}); "
             "input is too far from unitary"
         )
 
-    # Commute each left factor through the phase screen:
+    # Commute each row-step cell through the phase screen, last first:
     # M(theta, phi)^dagger diag(e^{ia}, e^{ib})
     #   = diag(e^{ia'}, e^{ib'}) M(theta, a - b)
     # with a' = b - theta - phi + pi and b' = b - theta + pi.
     phases = np.angle(diag)
-    sequence = list(rights)
-    for row, theta, phi in reversed(lefts):
-        a, b = phases[row], phases[row + 1]
-        sequence.append((row, theta, a - b))
-        phases[row] = b - theta - phi + math.pi
-        phases[row + 1] = b - theta + math.pi
-    phases = np.mod(phases, _TWO_PI)
-
-    # Place each cell in the earliest layer free on both its ports; for
-    # this elimination order that is the rectangular layout.
-    next_free = [0] * n
-    cells = []
-    for row, theta, phi in sequence:
-        layer = max(next_free[row], next_free[row + 1]) + 1
-        next_free[row] = next_free[row + 1] = layer
-        cells.append((layer, row, theta, phi))
-    return _mesh(n, cells, phases)
+    for k, screen in enumerate(phases.tolist()):
+        th, ph = recorded[:, k].T.tolist()
+        for s in lefts:
+            row = steps[s][1] - 1
+            a, b = screen[row], screen[row + 1]
+            screen[row] = b - th[s] - ph[s] + math.pi
+            screen[row + 1] = b - th[s] + math.pi
+            ph[s] = a - b
+        recorded[:, k, 1], phases[k] = ph, screen
+    theta, phi = np.mod(recorded[order].T, _TWO_PI)
+    shape = u.shape[:-2] + (-1,)
+    return ClementsMesh(n, theta.reshape(shape), phi.reshape(shape), np.mod(phases, _TWO_PI).reshape(shape))
 
 
-def apply_mesh(y: np.ndarray, mesh: ClementsMesh, *, node_field: float = 1.0) -> np.ndarray:
+def apply_mesh(y: np.ndarray, mesh: ClementsMesh, *, node_field=1.0) -> np.ndarray:
     """Left-multiply ``y`` by the mesh transfer, cell losses included.
 
     ``y`` has shape ``(..., n, m)``; its leading axes broadcast against the
     batch axes of the mesh's phase arrays.  ``node_field`` is the per-cell
     scalar field factor (``T_node``); ports that skip a layer pass
-    unattenuated.
+    unattenuated; a ``(K, 1)`` array of them adds a leading axis of K.
     """
     y = np.asarray(y)
     if y.ndim < 2 or y.shape[-2] != mesh.n:
         raise DimensionError(f"operand of shape {y.shape} does not have the mesh's {mesh.n} rows")
-    out = np.empty(np.broadcast_shapes(y.shape[:-2], mesh.theta.shape[:-1]) + y.shape[-2:],
-                   dtype=np.complex128)
+    batch = np.broadcast_shapes(y.shape[:-2], mesh.theta.shape[:-1], np.shape(node_field)[:-1])
+    out = np.empty(batch + y.shape[-2:], dtype=np.complex128)
     out[...] = y
     for first, start, count in _layers(mesh.n):
         half = 0.5 * mesh.theta[..., start : start + count]
@@ -228,7 +221,7 @@ def apply_mesh(y: np.ndarray, mesh: ClementsMesh, *, node_field: float = 1.0) ->
         new_bot += m22 * bot
         out[..., bottoms, :] = new_bot
         out[..., tops, :] = new_top
-    return np.exp(1j * mesh.output_phases)[:, None] * out
+    return np.multiply(np.exp(1j * mesh.output_phases)[..., None], out, out=out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -254,9 +247,16 @@ class ClementsDevice:
     def programming_steps(self) -> int:
         return self.n * (self.n - 1) // 2
 
+    def __getitem__(self, index) -> ClementsDevice:
+        """Device ``index`` of a batch built from a stack of matrices."""
+        v, u = (replace(m, theta=m.theta[index], phi=m.phi[index], output_phases=m.output_phases[index])
+                for m in (self.v_dagger_mesh, self.u_mesh))
+        return replace(self, v_dagger_mesh=v, sigma_theta=self.sigma_theta[index],
+                       sigma_phi=self.sigma_phi[index], u_mesh=u)
+
 
 def build_svd_clements(d, loss: LossModel) -> ClementsDevice:
-    """Compile an arbitrary square matrix onto the SVD mesh architecture.
+    """Compile square matrices onto the SVD mesh architecture.
 
     The target is SVD-factorized, singular values are normalized by the
     largest one so every attenuator amplitude lies in [0, 1], and the two
@@ -266,40 +266,34 @@ def build_svd_clements(d, loss: LossModel) -> ClementsDevice:
     is computed, so the lossless device reproduces the target up to one
     positive scalar.
 
+    ``d`` is ``(..., n, n)``, the device's phase arrays carry its batch
+    axes, and ``device[k]`` is bit-identical to the device of ``d[k]``.
+
     Phases are always computed from the lossless factors; ``loss`` only
     scales the cells at evaluation time.
     """
-    d = ensure_square(d, name="d")
-    n = d.shape[0]
     factors = svd_factorize(d)
-    sigma_max = float(factors.sigma[0])
-    if sigma_max == 0.0:
+    sigma_max = factors.sigma[..., :1]
+    if np.any(sigma_max == 0.0):
         raise DomainError("cannot compile the zero matrix")
     amplitudes = factors.sigma / sigma_max
 
-    transfers = []
-    sigma_theta = []
-    for a in amplitudes:
-        transfer, theta = voa_transfer(float(a))
-        transfers.append(transfer)
-        sigma_theta.append(theta)
-
+    flat = amplitudes.ravel().tolist()
+    transfers, sigma_theta = zip(*map(voa_transfer, flat))
     # Fold the attenuators' inherent unit-modulus phases into u.
-    inherent = np.array([t / a if a > 0.0 else -1j for t, a in zip(transfers, amplitudes)])
-    u_adjusted = factors.u * inherent.conj()[None, :]
-
-    v_mesh = clements_decompose(factors.v_dagger)
-    u_mesh = clements_decompose(u_adjusted)
+    inherent = np.reshape([t / a if a > 0.0 else -1j for t, a in zip(transfers, flat)], amplitudes.shape)
+    m = clements_decompose(np.stack((factors.v_dagger, factors.u * inherent.conj()[..., None, :])))
+    v_mesh, u_mesh = (ClementsMesh(m.n, m.theta[k], m.phi[k], m.output_phases[k]) for k in (0, 1))
     return ClementsDevice(
         v_dagger_mesh=v_mesh,
-        sigma_theta=np.array(sigma_theta),
-        sigma_phi=np.zeros(n),
+        sigma_theta=np.reshape(sigma_theta, amplitudes.shape),
+        sigma_phi=np.zeros(amplitudes.shape),
         u_mesh=u_mesh,
         loss=loss,
     )
 
 
-def evaluate_svd_clements(device: ClementsDevice, deviations=None) -> np.ndarray:
+def evaluate_svd_clements(device: ClementsDevice, deviations=None, *, losses=None) -> np.ndarray:
     """Effective transfer matrix of the device, losses included.
 
     Propagates the uniform 1:N input split (scalar ``1/sqrt(N)``), the
@@ -309,17 +303,25 @@ def evaluate_svd_clements(device: ClementsDevice, deviations=None) -> np.ndarray
     sequences.  Trial k shifts every MZI cell, attenuators included, by
     ``(dtheta[k], dphi[k])`` exactly as ``apply_common_deviation`` does,
     and the K transfer matrices come back stacked as ``(K, n, n)``.
+
+    ``losses``, if given, is a sequence of K ``LossModel``s used in place
+    of ``device.loss``: the ``(K, n, n)`` stack equals K
+    ``with_loss(device, losses[k])`` evaluations bit for bit.
     """
     if deviations is not None:
         dtheta, dphi = (np.asarray(d, dtype=np.float64) for d in deviations)
         if dtheta.ndim != 1 or dtheta.shape != dphi.shape:
             raise DimensionError(f"deviations must be two equal-length 1-D sequences: {dtheta.shape}, {dphi.shape}")
         device = apply_common_deviation(device, dtheta[:, None], dphi[:, None])
-    n = device.n
-    t_field = device.loss.t_node
-    y = np.eye(n, dtype=np.complex128) / math.sqrt(n)
+    if losses is None:
+        t_field = device.loss.t_node
+        attenuators = voa_transfer_at(device.sigma_theta, device.loss)
+    else:
+        t_field = np.array([loss.t_node for loss in losses])[:, None]
+        attenuators = np.stack([voa_transfer_at(device.sigma_theta, loss) for loss in losses])
+    y = np.eye(device.n, dtype=np.complex128) / math.sqrt(device.n)
     y = apply_mesh(y, device.v_dagger_mesh, node_field=t_field)
-    y = voa_transfer_at(device.sigma_theta, device.loss)[..., None] * y
+    y = attenuators[..., None] * y
     return apply_mesh(y, device.u_mesh, node_field=t_field)
 
 
@@ -415,12 +417,16 @@ def _list(obj: dict, key: str, length: int) -> list:
 
 
 def _mesh_from_json(obj: dict, name: str, n: int) -> ClementsMesh:
+    """DomainError unless the (layer, row) cells, in any order, cover the n-port layout once each."""
     phases = _list(obj, f"{name}_output_phases", n)
-    cells = [
+    layers, rows, theta, phi = zip(*sorted(
         tuple(number_from_json(c, key, name) for key in ("layer", "row", "theta", "phi"))
         for c in _list(obj, name, n * (n - 1) // 2)
-    ]
-    return _mesh(n, cells, [number_from_json(phases, i, f"{name} output phases") for i in range(n)], name)
+    ))
+    if list(zip(layers, rows)) != _cells(n):
+        raise DomainError(f"{name} cells do not cover the {n}-port rectangular layout once each")
+    output = [number_from_json(phases, i, f"{name} output phases") for i in range(n)]
+    return ClementsMesh(n, np.mod(theta, _TWO_PI), np.mod(phi, _TWO_PI), np.array(output, dtype=np.float64))
 
 
 def device_to_json(device: ClementsDevice) -> dict:

@@ -350,8 +350,8 @@ def _build_parser() -> _Parser:
         p.add_argument("--matrices", type=int, default=500)
         p.add_argument("--seed", type=int, default=1234, help="master seed (default 1234)")
         p.add_argument("--threads", type=int, default=1,
-                       help="worker processes (one BLAS thread each), at most the usable "
-                            "CPUs; >= 1 (default 1)")
+                       help="worker processes, at most the usable CPUs; >= 1 (default 1); "
+                            "every sweep runs BLAS on one thread")
 
     def add_loss(p):
         p.add_argument("--loss", default=None, help="path to loss-model JSON")

@@ -321,12 +321,16 @@ def device_from_json(obj: dict) -> XbarDevice:
     """Load a ``device_to_json`` dump; DomainError unless it is a valid device.
 
     The weights must be an n x m array of magnitudes at most 1, ``xi`` must
-    have m entries and ``t`` m - 1, all finite.
+    have m entries and ``t`` m - 1, all finite; ``mode`` (default
+    balanced) must be balanced or uniform.
     """
     arch = obj.get("arch") if isinstance(obj, dict) else None
     if arch != "xbar":
         raise DomainError(f"not an xbar device dump: arch={arch!r}")
     n, m, n_f = (int_from_json(obj, key, "xbar dump") for key in ("n", "m", "n_f"))
+    mode = obj.get("mode", "balanced")
+    if mode not in ("balanced", "uniform"):
+        raise DomainError(f"xbar dump: mode must be 'balanced' or 'uniform', got {mode!r}")
     topology = build_topology(n, m)
     if topology.n_f != n_f:
         raise DomainError(f"inconsistent dump: n={n} implies n_f={topology.n_f}, dump says {n_f}")
@@ -352,5 +356,5 @@ def device_from_json(obj: dict) -> XbarDevice:
         xi=xi,
         t=t,
         loss=LossModel.from_json(obj.get("loss")),
-        balanced=(obj.get("mode", "balanced") == "balanced"),
+        balanced=(mode == "balanced"),
     )

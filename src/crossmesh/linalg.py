@@ -17,8 +17,8 @@ import numpy as np
 from .errors import DimensionError, DomainError
 
 
-def ensure_matrix(a, *, name: str = "matrix") -> np.ndarray:
-    """Coerce ``a`` to a 2-D complex128 array with finite entries.
+def ensure_matrix(a, *, name: str = "matrix", stack: bool = False) -> np.ndarray:
+    """Coerce ``a`` to a 2-D (with ``stack``, ``(..., rows, cols)``) complex128 array with finite entries.
 
     Raises
     ------
@@ -28,9 +28,9 @@ def ensure_matrix(a, *, name: str = "matrix") -> np.ndarray:
         If any entry is NaN or infinite.
     """
     arr = np.asarray(a, dtype=np.complex128)
-    if arr.ndim != 2:
+    if arr.ndim != 2 and not (stack and arr.ndim > 2):
         raise DimensionError(f"{name} must be 2-D, got ndim={arr.ndim}")
-    if arr.shape[0] < 1 or arr.shape[1] < 1:
+    if arr.size == 0:
         raise DimensionError(f"{name} must have at least one row and column, got {arr.shape}")
     if not np.isfinite(arr).all():
         raise DomainError(f"{name} contains non-finite entries")
@@ -38,17 +38,18 @@ def ensure_matrix(a, *, name: str = "matrix") -> np.ndarray:
 
 
 def ensure_square(a, *, name: str = "matrix") -> np.ndarray:
-    arr = ensure_matrix(a, name=name)
-    if arr.shape[0] != arr.shape[1]:
+    """A square matrix or a stack ``(..., n, n)`` of them, as ``ensure_matrix`` checks it."""
+    arr = ensure_matrix(a, name=name, stack=True)
+    if arr.shape[-2] != arr.shape[-1]:
         raise DimensionError(f"{name} must be square, got {arr.shape}")
     return arr
 
 
 def unitarity_residual(u) -> float:
-    """Max-entry deviation of ``u^dagger u`` from the identity."""
+    """Max-entry deviation of ``u^dagger u`` from the identity, over a stack ``(..., n, n)`` too."""
     u = ensure_square(u, name="u")
-    n = u.shape[0]
-    return float(np.max(np.abs(u.conj().T @ u - np.eye(n))))
+    n = u.shape[-1]
+    return max(float(np.max(np.abs(m.conj().T @ m - np.eye(n)))) for m in u.reshape(-1, n, n))
 
 
 @dataclass(frozen=True)
@@ -56,7 +57,7 @@ class SvdFactors:
     """Factors of ``d = u @ diag(sigma) @ v_dagger``.
 
     ``u`` and ``v_dagger`` are unitary and ``sigma`` holds the singular
-    values sorted in descending order.
+    values sorted in descending order, after any batch axes of ``d``.
     """
 
     u: np.ndarray
@@ -65,11 +66,11 @@ class SvdFactors:
 
 
 def svd_factorize(d) -> SvdFactors:
-    """Singular value decomposition of a square complex matrix.
+    """Singular value decomposition of a square complex matrix or a ``(..., n, n)`` stack.
 
-    The LAPACK driver is deterministic for a fixed input; singular values
-    come out in descending order, with degenerate values left in
-    first-occurrence order.
+    The LAPACK driver is deterministic for a fixed input, stacked or not;
+    singular values come out in descending order, with degenerate values
+    left in first-occurrence order.
     """
     d = ensure_square(d, name="d")
     u, sigma, v_dagger = np.linalg.svd(d)

@@ -11,18 +11,20 @@ by (n, matrix index) and shared by both architectures and all sweep points;
 phase trials are keyed by (architecture, n, sweep index, matrix index, trial
 index).  Aggregation uses ``math.fsum`` in fixed index order, so results are
 bit-identical for any worker count and regardless of how many phase trials
-are evaluated per batch.  Both architectures evaluate the trials of one
-(matrix, sigma) point in batches capped by transfer-matrix entries
-(``_BATCH_ENTRIES``, ``_XBAR_BATCH_ENTRIES``) and sigma = 0 once.
+are evaluated or devices built per batch.  Both architectures evaluate the
+trials of one (matrix, sigma) point in batches capped by transfer-matrix
+entries (``_BATCH_ENTRIES``, ``_XBAR_BATCH_ENTRIES``), sigma = 0 once, and
+an SVD device's IL values in one pass.
 
-A task ``(cfg, arch, n, lo, hi)`` covers matrices lo..hi-1 of one point.
-``_per_matrix`` alone draws targets, builds devices and names a failed
-point (``SweepError``); a sweep only scores each device.  ``SweepConfig``
-rejects repeated architectures or sizes, so no point is computed twice.
+A task ``(cfg, arch, n, lo, hi)`` covers matrices lo..hi-1 of one point,
+one task per worker.  ``_per_matrix`` alone draws targets, builds devices
+(SVD devices in stacks of ``_BATCH_ENTRIES // n^2`` meshes at most) and
+names a failed point (``SweepError``); a sweep only scores each device.
+``SweepConfig`` rejects repeated architectures or sizes.
 
-Parallelism: with more than one worker, a sweep runs all its tasks in one
-process pool, sized to at most the task count and the usable CPUs, with
-the bundled OpenBLAS on one thread per worker.
+Parallelism: every sweep runs the bundled OpenBLAS on one thread; with
+more than one worker, all its tasks run in one process pool, sized to at
+most the task count and the usable CPUs.
 """
 
 from __future__ import annotations
@@ -162,7 +164,7 @@ def usable_cpus() -> int:
 
 
 def _chunks(total: int, workers: int) -> list[tuple[int, int]]:
-    pieces = max(1, min(total, workers * 4))
+    pieces = max(1, min(total, workers))
     step = -(-total // pieces)
     return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
 
@@ -171,8 +173,8 @@ def pool_size(cfg: SweepConfig, workers: int) -> int:
     """Worker processes a Monte-Carlo sweep of ``cfg`` starts; 1 means it runs serially.
 
     Never more than the sweep's tasks or the usable CPUs.  ``_chunks`` cuts
-    each (architecture, n) point into at least min(matrices, workers)
-    chunks, so counting one task per matrix gives the same cap.
+    each (architecture, n) point into min(matrices, workers) chunks, so
+    counting one task per matrix gives the same cap.
     """
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
@@ -190,11 +192,12 @@ def _run_sweep(worker, cfg: SweepConfig, workers: int) -> list[tuple[str, int, n
     bounds = _chunks(cfg.n_matrices, size)
     points = [(arch, n) for arch in cfg.architectures for n in cfg.n_values]
     tasks = [(cfg, arch, n) + bound for arch, n in points for bound in bounds]
-    if size == 1:
-        parts = [worker(task) for task in tasks]
-    else:
-        with _one_blas_thread(), ProcessPoolExecutor(max_workers=size) as pool:
-            parts = list(pool.map(worker, tasks))
+    with _one_blas_thread():
+        if size == 1:
+            parts = [worker(task) for task in tasks]
+        else:
+            with ProcessPoolExecutor(max_workers=size) as pool:
+                parts = list(pool.map(worker, tasks))
     per_point = len(bounds)
     return [
         (arch, n, np.concatenate(parts[k * per_point : (k + 1) * per_point], axis=0))
@@ -220,17 +223,13 @@ def _openblas_threads():
 def _one_blas_thread():
     """Run the bundled OpenBLAS on one thread while the block runs.
 
-    Set in the parent before the pool forks: a forked worker inherits the
+    Set in the parent before a pool forks: a forked worker inherits the
     count, whereas setting it inside a worker leaves the helper threads it
     re-creates busy-waiting.  At n <= 64 a second BLAS thread only spins,
-    and processes are the unit of parallelism.  No-op for other BLAS
-    builds.
+    in a serial sweep as in a worker, and processes are the unit of
+    parallelism.  No-op for other BLAS builds.
     """
-    functions = _openblas_threads()
-    if functions is None:
-        yield
-        return
-    get, set_ = functions
+    get, set_ = _openblas_threads() or (lambda: None, lambda count: None)
     before = get()
     set_(1)
     try:
@@ -242,28 +241,43 @@ def _one_blas_thread():
 def _per_matrix(task, loss: LossModel, score, kind: str) -> np.ndarray:
     """Rows ``score(device, evaluate, y, m_idx)`` of the task's matrices; devices get ``loss``."""
     cfg, arch, n, lo, hi = task
+    svd = arch == ARCH_SVD_CLEMENTS
+    evaluate = evaluate_svd_clements if svd else realized_matrix
+    block = max(1, _BATCH_ENTRIES // (2 * n * n)) if svd else 1  # two meshes per SVD device
+
+    def build(indices) -> list:
+        targets = [target_matrix(cfg.master_seed, n, m_idx) for m_idx in indices]
+        if svd:
+            devices = build_svd_clements(np.stack(targets), loss)
+            return [(y, devices[k]) for k, y in enumerate(targets)]
+        # The crossbar's N x M weights are the transpose of the operator it applies.
+        return [(y, build_xbar(y.T, loss, "balanced")) for y in targets]
+
     rows = []
-    for m_idx in range(lo, hi):
+    for first in range(lo, hi, block):
+        indices = range(first, min(first + block, hi))
         try:
-            y = target_matrix(cfg.master_seed, n, m_idx)
-            if arch == ARCH_SVD_CLEMENTS:
-                device, evaluate = build_svd_clements(y, loss), evaluate_svd_clements
-            else:
-                # The crossbar's N x M weights are the transpose of the operator it applies.
-                device, evaluate = build_xbar(y.T, loss, "balanced"), realized_matrix
-            rows.append(score(device, evaluate, y, m_idx))
-        except Exception as exc:
-            raise SweepError(
-                f"{kind} sweep failed at arch={arch}, n={n}, matrix={m_idx}: {exc}"
-            ) from exc
+            built = build(indices)
+        except Exception:  # rebuilt one by one below, so the error names the first failing matrix
+            built = [None] * len(indices)
+        for m_idx, pair in zip(indices, built):
+            try:
+                y, device = pair or build([m_idx])[0]
+                rows.append(score(device, evaluate, y, m_idx))
+            except Exception as exc:
+                raise SweepError(
+                    f"{kind} sweep failed at arch={arch}, n={n}, matrix={m_idx}: {exc}"
+                ) from exc
     return np.array(rows)
 
 
 def _loss_chunk(task) -> np.ndarray:
-    cfg = task[0]
+    cfg, arch = task[:2]
     models = [node_loss_model(il, cfg.passive_losses) for il in cfg.il_node_grid]
 
     def score(device, evaluate, y, _m_idx):
+        if arch == ARCH_SVD_CLEMENTS:  # every IL value in one pass
+            return fidelity(evaluate(device, losses=models), y)
         return [fidelity(evaluate(with_loss(device, model)), y) for model in models]
 
     # Phases come from the lossless factors and the balanced splitters from

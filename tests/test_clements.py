@@ -98,6 +98,60 @@ class TestDecompose:
         assert "residual" in str(err.value)
 
 
+class TestStacks:
+    """Stacked compiles and loss-batched evaluations match single calls bit for bit."""
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 16])
+    @pytest.mark.parametrize("batch", [1, 3, 8])
+    def test_stacked_decompose_matches_single_calls(self, n, batch):
+        rng = np.random.default_rng(900 + n)
+        mats = [haar_unitary_qr(n, rng) for _ in range(batch)]
+        if batch > 1:
+            mats[1] = np.eye(n)
+        stacked = clements_decompose(np.stack(mats))
+        assert stacked.theta.shape == stacked.phi.shape == (batch, n * (n - 1) // 2)
+        assert stacked.output_phases.shape == (batch, n)
+        for k, u in enumerate(mats):
+            single = clements_decompose(u)
+            for name in ("theta", "phi", "output_phases"):
+                assert np.array_equal(getattr(stacked, name)[k], getattr(single, name)), (k, name)
+        # The stacked mesh evaluates as a batch too, output phase screens included.
+        assert np.max(np.abs(mesh_transfer(stacked) - np.stack(mats))) < 1e-9
+
+    def test_stacked_build_keeps_batch_axes(self):
+        targets = np.stack([[target_matrix(6, 5, 3 * i + j) for j in range(3)] for i in range(2)])
+        targets[1, 2] = np.eye(5)
+        stacked = build_svd_clements(targets, LOSSLESS)
+        assert stacked.sigma_theta.shape == (2, 3, 5)
+        assert stacked.u_mesh.theta.shape == (2, 3, 10)
+        for i in range(2):
+            for j in range(3):
+                single, got = build_svd_clements(targets[i, j], LOSSLESS), stacked[i, j]
+                for name in ("sigma_theta", "sigma_phi"):
+                    assert np.array_equal(getattr(got, name), getattr(single, name))
+                for mesh in ("v_dagger_mesh", "u_mesh"):
+                    for name in ("theta", "phi", "output_phases"):
+                        assert np.array_equal(getattr(getattr(got, mesh), name),
+                                              getattr(getattr(single, mesh), name)), (i, j, mesh, name)
+
+    def test_zero_matrix_in_a_stack_rejected(self):
+        with pytest.raises(DomainError, match="zero matrix"):
+            build_svd_clements(np.stack([np.eye(3), np.zeros((3, 3))]), LOSSLESS)
+
+    def test_non_unitary_matrix_in_a_stack_rejected(self):
+        with pytest.raises(DomainError, match="residual"):
+            clements_decompose(np.stack([np.eye(3), np.eye(3) * 1.5]))
+
+    @pytest.mark.parametrize("n", [2, 5, 16])
+    def test_loss_batch_matches_single_evaluations(self, n):
+        models = [node_loss_model(il) for il in (0.0, 0.35, 1.0, 2.5)]
+        device = build_svd_clements(target_matrix(8, n, 0), LOSSLESS)
+        batch = evaluate_svd_clements(device, losses=models)
+        assert batch.shape == (len(models), n, n)
+        for k, model in enumerate(models):
+            assert np.array_equal(batch[k], evaluate_svd_clements(with_loss(device, model)))
+
+
 class TestBuildEvaluate:
     def test_identity_compile(self):
         device = build_svd_clements(np.eye(4), LOSSLESS)

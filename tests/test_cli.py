@@ -212,9 +212,10 @@ class TestCorruptDumps:
     @pytest.mark.parametrize(
         "corrupt",
         [lambda d: d.pop("t"), lambda d: d["loss"].update(il_coup_db="x"),
-         lambda d: d.update(n=4.0), lambda d: d.update(m=4.5), lambda d: d.update(n_f="4")],
+         lambda d: d.update(n=4.0), lambda d: d.update(m=4.5), lambda d: d.update(n_f="4"),
+         lambda d: d.update(mode="bogus")],
         ids=["xbar-missing-t", "xbar-string-loss", "xbar-float-n", "xbar-fractional-m",
-             "xbar-string-n_f"],
+             "xbar-string-n_f", "xbar-unknown-mode"],
     )
     def test_malformed_xbar_dump_is_a_one_line_error(self, tmp_path, capsys, corrupt):
         dump = self.xbar_dump()
@@ -319,12 +320,13 @@ class TestParallelSweeps:
         assert (manifest["workers_used"], manifest["cpus_usable"]) == (3, 3)
 
     def test_worker_failure_names_the_point(self, tmp_path, capsys, monkeypatch):
-        # The patched builder reaches the workers through fork.
+        # The patched builder reaches the workers through fork.  It fails any
+        # stack that holds the bad target, as a stacked build would.
         bad = montecarlo.target_matrix(5, 4, 2)
         build = montecarlo.build_svd_clements
 
         def failing_build(y, loss):
-            if np.array_equal(y, bad):
+            if any(np.array_equal(m, bad) for m in np.reshape(y, (-1,) + np.shape(y)[-2:])):
                 raise DomainError("injected failure")
             return build(y, loss)
 
@@ -336,6 +338,24 @@ class TestParallelSweeps:
             "error: loss sweep failed at arch=svd-clements, n=4, matrix=2: injected failure\n"
         )
         assert not (tmp_path / "out.csv").exists()
+
+    def test_failed_stacked_build_names_the_matrix(self, tmp_path, capsys, monkeypatch):
+        # Matrices 0..2 are one build block; the zero target fails the stacked
+        # build, and the one-at-a-time rebuild names it.
+        draw = montecarlo.target_matrix
+        monkeypatch.setattr(
+            montecarlo, "target_matrix",
+            lambda seed, n, index: np.zeros((n, n)) if index == 2 else draw(seed, n, index),
+        )
+        out = tmp_path / "out.csv"
+        argv = ["fidelity-loss", "--arch", "svd-clements", "--n", "3", "--node-loss", "0",
+                "--matrices", "3", "--threads", "1", "--out", str(out)]
+        assert run_experiment(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: loss sweep failed at arch=svd-clements, n=3, matrix=2: "
+            "cannot compile the zero matrix\n"
+        )
+        assert not out.exists()
 
 
 MANIFEST_KEYS = {"command", "config", "master_seed", "version", "duration_seconds", "outputs",

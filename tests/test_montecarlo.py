@@ -58,6 +58,20 @@ def test_workers_do_not_change_reports(monkeypatch):
             assert sweep(cfg, workers=workers) == serial, workers
 
 
+@pytest.mark.parametrize("entries", [1, 2 * 3 * 3 * 2], ids=["one-matrix-blocks", "two-matrix-blocks"])
+def test_build_blocks_do_not_change_reports(monkeypatch, entries):
+    # Five matrices per point, chunked for 1, 2 or 3 workers, each chunk's
+    # SVD devices built in blocks of _BATCH_ENTRIES // (2 n^2) matrices (at
+    # least one): every split gives the reports of one block per chunk.
+    monkeypatch.setattr(montecarlo, "usable_cpus", lambda: 3)
+    cfg = replace(LOSS_CFG, n_matrices=5)
+    reference = loss_fidelity_sweep(cfg, workers=1)
+    monkeypatch.setattr(montecarlo, "_BATCH_ENTRIES", entries)
+    for workers, chunks in ((1, [(0, 5)]), (2, [(0, 3), (3, 5)]), (3, [(0, 2), (2, 4), (4, 5)])):
+        assert montecarlo._chunks(5, workers) == chunks
+        assert loss_fidelity_sweep(cfg, workers=workers) == reference, workers
+
+
 class _RecordingPool:
     """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
 
@@ -126,6 +140,21 @@ class TestOneBlasThreadPerWorker:
         for _arch, _n, values in per_point:
             assert values.tolist() == [[1]] * 4
         assert get() == before
+
+    def test_serial_sweep_runs_one_blas_thread_and_parent_is_restored(self, blas):
+        get, set_ = blas
+        before = get()
+        set_(2)
+        try:
+            per_point = montecarlo._run_sweep(_report_blas_threads, self.CFG, workers=1)
+            for _arch, _n, values in per_point:
+                assert values.tolist() == [[1]] * 4
+            assert get() == 2
+            with pytest.raises(ValueError, match="matrix 1 fails"):
+                montecarlo._run_sweep(_fail_on_matrix_1, self.CFG, workers=1)
+            assert get() == 2
+        finally:
+            set_(before)
 
     def test_parent_is_restored_when_a_worker_raises(self, blas):
         get, set_ = blas
