@@ -15,8 +15,11 @@ so the realized operator is ``P^T W^T`` for weight matrix W.  Choosing the
 coupler ratios so every p_c is identical makes the whole loss budget a
 global scalar (fidelity exactly 1); with identical couplers instead, the
 per-column imbalance is removed after the fact by the diagonal restoration
-matrix ``(P^T)^{-1}``.  Phase errors change the weights themselves, through
-``weights_with_common_deviation``.
+matrix ``(P^T)^{-1}``.  Phase errors change the weights themselves:
+``weights_with_common_deviation`` is the general per-cell route (the test
+oracle, and the one for independent per-cell errors), while
+``common_deviation_fidelity`` scores a deviation shared by every cell in
+closed form.
 """
 
 from __future__ import annotations
@@ -270,35 +273,61 @@ def restoration_matrix(device: XbarDevice) -> np.ndarray:
 def weights_with_common_deviation(device: XbarDevice, dtheta) -> np.ndarray:
     """Effective weights after the deviation d_theta on every cell's attenuator MZI.
 
-    ``dtheta`` is a scalar, an N x M array, or either with leading batch
-    axes, e.g. shape (K, 1, 1) for K trials of one shared deviation each;
-    the result has the broadcast shape, (K, N, M) there.  A scalar is one
-    shared deviation on every cell, the figure-experiment error model: it
-    detunes every amplitude through sin(theta/2) and adds the common
-    inherent phase d_theta/2, a global factor.  An array gives each cell
-    its own deviation (independent per-cell errors), which also makes the
-    inherent phase d_theta/2 differ from cell to cell.  Only d_theta
-    matters: a cell's d_phi lands on the unconnected arm of its attenuator
-    MZI and never reaches the through path, and the separate value phase
-    shifter is not an MZI cell.  An all-zero deviation returns an exact
-    copy of the weights, broadcast to that shape.  Each entry is the same
-    arithmetic on the device's cached ``cell_angles`` whatever the batch,
-    so a batch equals its trials computed one by one, bit for bit.
+    The general per-cell route: the test oracle of ``common_deviation_fidelity``
+    and the route for independent per-cell errors.  ``dtheta`` is a scalar,
+    an N x M array (one deviation per cell), or either with leading batch
+    axes, e.g. (K, 1, 1) for K trials of one shared deviation each; the
+    result has the broadcast shape.  A deviation detunes the amplitude
+    through sin(theta/2) and adds the inherent phase d_theta/2, a global
+    factor when shared.  A cell's d_phi lands on the unconnected arm of its
+    attenuator MZI and never reaches the through path.  An all-zero
+    deviation returns an exact copy of the weights, broadcast to that shape;
+    a batch equals its trials computed one by one, bit for bit.
     """
     dtheta = np.asarray(dtheta, dtype=np.float64)
     w = device.weights
     if not dtheta.any():
         return np.broadcast_to(w, np.broadcast_shapes(w.shape, dtheta.shape)).copy()
     amplitude_angle, phase = device.cell_angles
-    amplitude = np.sin((amplitude_angle + dtheta) / 2.0)
-    psi = phase + dtheta / 2.0
-    # amplitude * e^{i psi} from np.cos and np.sin, cheaper than np.exp(1j * psi).
-    # With numpy 2.4 on x86-64 both give the same values (signs of zero aside);
-    # TestPerturbedWeights compares them bit for bit.
-    out = np.empty_like(psi, dtype=np.complex128)
-    np.multiply(amplitude, np.cos(psi), out=out.real)
-    np.multiply(amplitude, np.sin(psi), out=out.imag)
-    return out
+    return np.sin((amplitude_angle + dtheta) / 2.0) * np.exp(1j * (phase + dtheta / 2.0))
+
+
+def common_deviation_fidelity(device: XbarDevice, y, dtheta) -> np.ndarray:
+    """Fidelity with ``y`` of the device under each shared deviation of ``dtheta``, in closed form.
+
+    Equals ``fidelity(realized_matrix(device, weights_with_common_deviation(device, d)), y)``
+    for each entry d.  With a = arcsin|w| (half of ``cell_angles``), phi the
+    value phase and delta = d/2, each perturbed weight is e^{i delta}
+    (c sin a + s cos a) e^{i phi}, c = cos delta, s = sin delta, so the
+    operator is e^{i delta} (c R_s + s R_c): R_s is the device's own, R_c
+    that of the weights cos a e^{i phi}.  The global phase drops out; with
+    g = vdot(y, R) and h = vdot(R, R),
+
+        F = |c g_s + s g_c|^2 / (|y|^2 (c^2 h_ss + 2cs Re h_sc + s^2 h_cc)),
+
+    five numbers per device and O(1) work per deviation, the same bits
+    however ``dtheta`` is sliced.  Raises as ``fidelity`` does; a
+    non-finite deviation is a DomainError.
+    """
+    y = ensure_matrix(y, name="y")
+    half = 0.5 * np.asarray(dtheta, dtype=np.float64)
+    amplitude_angle, phase = device.cell_angles
+    r_s = realized_matrix(device)  # its weights are sin a e^{i phi}
+    r_c = realized_matrix(device, np.cos(amplitude_angle / 2.0) * np.exp(1j * phase))
+    if r_s.shape != y.shape:
+        raise DimensionError(f"shape mismatch: {r_s.shape} vs {y.shape}")
+    if not np.isfinite(half).all():
+        raise DomainError("dtheta contains non-finite entries")
+    yy = float(np.vdot(y, y).real)
+    if yy == 0.0:
+        raise DomainError("y is the zero matrix")
+    g_s, g_c = np.vdot(y, r_s), np.vdot(y, r_c)
+    h_ss, h_sc, h_cc = (np.vdot(a, b).real for a, b in ((r_s, r_s), (r_s, r_c), (r_c, r_c)))
+    c, s = np.cos(half), np.sin(half)
+    den = c * c * h_ss + 2.0 * c * s * h_sc + s * s * h_cc
+    if np.any(den == 0.0):
+        raise DomainError("the deviated operator is the zero matrix")
+    return np.abs(c * g_s + s * g_c) ** 2 / (yy * den)
 
 
 def device_to_json(device: XbarDevice) -> dict:

@@ -11,10 +11,10 @@ by (n, matrix index) and shared by both architectures and all sweep points;
 phase trials are keyed by (architecture, n, sweep index, matrix index, trial
 index).  Aggregation uses ``math.fsum`` in fixed index order, so results are
 bit-identical for any worker count and regardless of how many phase trials
-are evaluated or devices built per batch.  Both architectures evaluate the
-trials of one (matrix, sigma) point in batches capped by transfer-matrix
-entries (``_BATCH_ENTRIES``, ``_XBAR_BATCH_ENTRIES``), sigma = 0 once, and
-an SVD device's IL values in one pass.
+are evaluated or devices built per batch.  Sigma = 0 is evaluated once per
+matrix.  The crossbar scores a (matrix, sigma) point's trials in closed form
+(``common_deviation_fidelity``), the SVD device in batches capped by
+transfer-matrix entries (``_BATCH_ENTRIES``), and its IL values in one pass.
 
 A task ``(cfg, arch, n, lo, hi)`` covers matrices lo..hi-1 of one point,
 one task per worker.  ``_per_matrix`` alone draws targets, builds devices
@@ -46,9 +46,10 @@ from .clements import (  # apply_common_deviation: bench/trace_run.py wraps it b
     svd_insertion_loss,
     with_loss,
 )
-from .crossbar import (
+from .crossbar import (  # weights_with_common_deviation: bench/trace_run.py wraps it by this module's name
     build_topology,
     build_xbar,
+    common_deviation_fidelity,
     realized_matrix,
     weights_with_common_deviation,
     xbar_insertion_loss,
@@ -64,17 +65,11 @@ _ARCH_IDS = {ARCH_XBAR: 1, ARCH_SVD_CLEMENTS: 2}
 _TAG_TARGET = 11
 _TAG_PHASE = 22
 
-# Most transfer-matrix entries (K n^2) evaluated in one batch of K phase
-# trials.  SVD device: at the CLI's default 100 trials and n = 64 this held
-# the peak RSS to 47 MB, against 78 MB with all trials in one batch, at no
-# loss of wall time (2-vCPU Xeon).  Crossbar: its trials are elementwise
-# work, so batch width does not change their speed.  On the phase-xbar
-# benchmark (n = 16 and 64, 30 trials; two 15 s runs per cap, same host) the
-# sweep wall time was 0.87-0.97 s for caps of 2^10 to 2^16 entries, while
-# the peak RSS was 37.8 MB at 2^10 and 2^12 (as with one trial at a time),
-# 38.7 MB at 2^14 and 42.3 MB at 2^16.
+# Most transfer-matrix entries (K n^2) evaluated in one batch of K SVD
+# phase trials.  At the CLI's default 100 trials and n = 64 this held the
+# peak RSS to 47 MB, against 78 MB with all trials in one batch, at no loss
+# of wall time (2-vCPU Xeon).
 _BATCH_ENTRIES = 1 << 16
-_XBAR_BATCH_ENTRIES = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -287,8 +282,7 @@ def _loss_chunk(task) -> np.ndarray:
 
 def _phase_chunk(task) -> np.ndarray:
     cfg, arch, n = task[:3]
-    entries = _BATCH_ENTRIES if arch == ARCH_SVD_CLEMENTS else _XBAR_BATCH_ENTRIES
-    batch = max(1, entries // (n * n))
+    batch = max(1, _BATCH_ENTRIES // (n * n))
 
     def score(device, evaluate, y, m_idx):
         out = np.empty((len(cfg.sigma_grid), cfg.n_phase_trials))
@@ -301,16 +295,12 @@ def _phase_chunk(task) -> np.ndarray:
                 _trial_deviation_pair(cfg.master_seed, arch, n, s_idx, m_idx, t_idx, sigma)
                 for t_idx in range(cfg.n_phase_trials)
             ]
+            if arch == ARCH_XBAR:
+                out[s_idx] = common_deviation_fidelity(device, y, [dth for dth, _dph in deviations])
+                continue
             for first in range(0, cfg.n_phase_trials, batch):
                 part = deviations[first : first + batch]
-                if arch == ARCH_SVD_CLEMENTS:
-                    transfers = evaluate_svd_clements(device, np.array(part).T)
-                else:
-                    # A (K, 1, 1) nested list, not an array: bench/trace_run.py
-                    # tests each positional deviation with `== 0.0` and bool().
-                    dtheta = [[[dth]] for dth, _dph in part]
-                    transfers = realized_matrix(device, weights_with_common_deviation(device, dtheta))
-                out[s_idx, first : first + batch] = fidelity(transfers, y)
+                out[s_idx, first : first + batch] = fidelity(evaluate_svd_clements(device, np.array(part).T), y)
         return out
 
     return _per_matrix(task, LOSSLESS, score, "phase")

@@ -28,9 +28,9 @@ per-column factors.
 
 A cell is nothing but its (theta, phi) pair: the meshes store those pairs
 as arrays (``clements.ClementsMesh``) and the crossbar derives them from its
-weights.  Phase errors enter through one shift function per architecture,
-``clements.apply_common_deviation`` and
-``crossbar.weights_with_common_deviation``.
+weights.  Phase errors enter through ``clements.apply_common_deviation`` and
+``crossbar.weights_with_common_deviation``; a deviation shared by every
+crossbar cell is scored in closed form (``crossbar.common_deviation_fidelity``).
 """
 
 from __future__ import annotations
@@ -155,8 +155,9 @@ def node_loss_model(il_node_db: float, passives: LossModel = SILICON_PASSIVES) -
 def mzi_entries(theta: float, phi: float) -> tuple[complex, complex, complex, complex]:
     """Entries (m11, m12, m21, m22) of the lossless cell M(theta, phi), as Python complex scalars."""
     half = 0.5 * theta
-    s, c = math.sin(half), math.cos(half)
-    common = 1j * complex(math.cos(half), math.sin(half))
+    # Exact at bar (cos(pi/2) is 6e-17), so a bar cell keeps zeros exactly zero.
+    s, c = (1.0, 0.0) if theta == math.pi else (math.sin(half), math.cos(half))
+    common = 1j * complex(c, s)
     ephi = complex(math.cos(phi), math.sin(phi))
     return common * ephi * s, common * c, common * ephi * c, -common * s
 

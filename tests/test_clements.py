@@ -48,6 +48,16 @@ class TestDecompose:
         assert np.max(np.abs(mesh_transfer(mesh) - np.eye(4))) < 1e-12
 
     @pytest.mark.parametrize("n", list(range(2, 17)))
+    def test_identity_mesh_is_exactly_bar(self, n):
+        # Every entry the elimination nulls is exactly zero, so every cell is
+        # an exact bar cell; an inexact one would let ~1e-16 leaks through.
+        mesh = clements_decompose(np.eye(n))
+        assert np.all(mesh.theta == math.pi)
+        # apply_mesh itself evaluates cos(pi/2) ~ 6e-17 on each bar layer,
+        # so its error grows with n (1.04e-15 at n = 15).
+        assert np.max(np.abs(mesh_transfer(mesh) - np.eye(n))) <= 2e-15
+
+    @pytest.mark.parametrize("n", list(range(2, 17)))
     def test_round_trip(self, n):
         rng = np.random.default_rng(1000 + n)
         for _ in range(8):

@@ -26,7 +26,7 @@ from crossmesh import (
     with_loss,
     xbar_insertion_loss,
 )
-from crossmesh.crossbar import XbarDevice, device_from_json, device_to_json
+from crossmesh.crossbar import XbarDevice, common_deviation_fidelity, device_from_json, device_to_json
 from crossmesh.montecarlo import target_matrix
 from oracles import column_transmissions, xbar_column_sums
 
@@ -382,6 +382,63 @@ class TestPerturbedWeights:
             w = weights_with_common_deviation(device, d)
             assert np.array_equal(batch[k], w)
             assert np.array_equal(realized[k], realized_matrix(device, w))
+
+
+class TestCommonDeviationFidelity:
+    DTHETA = np.array([0.0, 1e-3, -1e-3, 0.3, -0.3, math.pi, -math.pi])
+
+    @staticmethod
+    def per_trial(device, y, dtheta):
+        """The general route: perturbed weights, realized matrix, fidelity, one trial at a time."""
+        with np.errstate(invalid="ignore"):  # a non-finite deviation must reach fidelity's check
+            return np.array([
+                fidelity(realized_matrix(device, weights_with_common_deviation(device, d)), y)
+                for d in dtheta.tolist()
+            ])
+
+    @pytest.mark.parametrize("n", [2, 3, 16, 64])
+    @pytest.mark.parametrize("mode", ["balanced", "uniform"])
+    @pytest.mark.parametrize("loss", [LOSSLESS, node_loss_model(0.6)], ids=["lossless", "lossy"])
+    def test_matches_per_trial_route(self, n, mode, loss):
+        y = target_matrix(71, n, 0)
+        device = build_xbar(y.T, loss, mode)
+        # The programmed target and an unrelated one, so fidelities fall below 1.
+        for target in (y, target_matrix(71, n, 1)):
+            got = common_deviation_fidelity(device, target, self.DTHETA)
+            assert got.shape == self.DTHETA.shape
+            assert np.max(np.abs(got - self.per_trial(device, target, self.DTHETA))) <= 1e-14
+
+    def test_non_square_device(self):
+        # N = 5 inputs, M = 3 columns: the operator, and so y, is 3 x 5.
+        device = build_xbar(target_matrix(73, 5, 0)[:, :3], node_loss_model(0.4), "uniform")
+        y = target_matrix(73, 5, 1)[:3]
+        got = common_deviation_fidelity(device, y, self.DTHETA)
+        assert np.max(np.abs(got - self.per_trial(device, y, self.DTHETA))) <= 1e-14
+
+    def test_slices_give_the_same_bits(self):
+        y = target_matrix(79, 16, 0)
+        device = build_xbar(y.T, LOSSLESS, "balanced")
+        dtheta = np.random.default_rng(3).normal(0.0, 0.2, size=17)
+        whole = common_deviation_fidelity(device, y, dtheta).tolist()
+        for size in (1, 3):
+            parts = [common_deviation_fidelity(device, y, dtheta[k : k + size]) for k in range(0, 17, size)]
+            assert np.concatenate(parts).tolist() == whole
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_deviation_rejected(self, bad):
+        y = target_matrix(83, 4, 0)
+        device = build_xbar(y.T, LOSSLESS, "balanced")
+        with pytest.raises(DomainError):
+            common_deviation_fidelity(device, y, np.array([0.1, bad]))
+        with pytest.raises(DomainError):  # the per-trial route rejects it too
+            self.per_trial(device, y, np.array([bad]))
+
+    def test_bad_target_rejected(self):
+        device = build_xbar(target_matrix(83, 4, 0).T, LOSSLESS, "balanced")
+        with pytest.raises(DomainError, match="zero matrix"):
+            common_deviation_fidelity(device, np.zeros((4, 4)), np.array([0.1]))
+        with pytest.raises(DimensionError):
+            common_deviation_fidelity(device, np.ones((4, 3)), np.array([0.1]))
 
 
 class TestDeviceCache:

@@ -17,10 +17,9 @@ from crossmesh import (
     fidelity,
     loss_fidelity_sweep,
     phase_fidelity_sweep,
-    realized_matrix,
-    weights_with_common_deviation,
 )
 from crossmesh import montecarlo
+from crossmesh.crossbar import common_deviation_fidelity
 from crossmesh.montecarlo import _phase_chunk, _trial_deviation_pair, target_matrix
 from oracles import svd_device_layer_product, xbar_column_sums
 
@@ -215,19 +214,17 @@ def test_crossbar_trials_match_column_sum_oracle():
 def test_batch_size_does_not_change_trials(n):
     # The sweep evaluates sigma = 0 once and the other trials in batches of
     # up to _BATCH_ENTRIES // n^2 (16 at n = 64, so 17 trials split there)
-    # for the SVD device and _XBAR_BATCH_ENTRIES // n^2 (1 at n = 64) for
-    # the crossbar; batches of 1 and of 3 trials, each scored alone, give
-    # the same bits.
+    # for the SVD device, and all trials of a point in one closed-form call
+    # for the crossbar; batches of 1 and of 3 trials, each scored alone,
+    # give the same bits.
     seed, sigmas, trials = 3, (0.0, 0.1), 17
     y = target_matrix(seed, n, 0)
     svd, xbar = build_svd_clements(y, LOSSLESS), build_xbar(y.T, LOSSLESS, "balanced")
-    evaluators = {
-        ARCH_SVD_CLEMENTS: lambda deviations: evaluate_svd_clements(svd, deviations.T),
-        ARCH_XBAR: lambda deviations: realized_matrix(
-            xbar, weights_with_common_deviation(xbar, deviations[:, 0, None, None])
-        ),
+    scorers = {
+        ARCH_SVD_CLEMENTS: lambda deviations: [fidelity(t, y) for t in evaluate_svd_clements(svd, deviations.T)],
+        ARCH_XBAR: lambda deviations: common_deviation_fidelity(xbar, y, deviations[:, 0]).tolist(),
     }
-    for arch, evaluate in evaluators.items():
+    for arch, score in scorers.items():
         full = _phase_chunk(phase_task(seed, arch, n, sigmas, trials, 0, 1))[0]
         for s_idx, sigma in enumerate(sigmas):
             deviations = np.array([
@@ -236,9 +233,9 @@ def test_batch_size_does_not_change_trials(n):
             ])
             for size in (1, 3):
                 got = [
-                    fidelity(t, y)
+                    f
                     for first in range(0, trials, size)
-                    for t in evaluate(deviations[first : first + size])
+                    for f in score(deviations[first : first + size])
                 ]
                 assert got == full[s_idx].tolist(), arch
 
