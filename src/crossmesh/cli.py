@@ -102,10 +102,10 @@ def parse_value_list(text: str) -> tuple[float, ...]:
     start, stop, step = values
     if step <= 0:
         raise ConfigError(f"range step must be positive, got {step}")
-    count = int(math.floor((stop - start) / step + 0.5)) + 1
-    if count < 1:
-        raise ConfigError(f"empty range {text!r}")
-    return tuple(start + k * step for k in range(count))
+    span = (stop - start) / step  # infinite if the range overflows
+    if not -0.5 <= span < math.inf:
+        raise ConfigError(f"range {text!r} is empty or has no finite number of points")
+    return tuple(start + k * step for k in range(int(math.floor(span + 0.5)) + 1))
 
 
 def parse_int_list(text: str) -> tuple[int, ...]:

@@ -18,15 +18,14 @@ per-column imbalance is removed after the fact by the diagonal restoration
 matrix ``(P^T)^{-1}``.  Phase errors change the weights themselves:
 ``weights_with_common_deviation`` is the general per-cell route (the test
 oracle, and the one for independent per-cell errors), while
-``common_deviation_fidelity`` scores a deviation shared by every cell in
-closed form.
+``common_deviation_fidelity`` scores any array of deviations shared by
+every cell in closed form, deriving P and the cell angles once per call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -136,13 +135,7 @@ def passive_loss(c: int, topology: XbarTopology, loss: LossModel) -> float:
 
 @dataclass(frozen=True, eq=False)
 class XbarDevice:
-    """A programmed crossbar: weights, coupler ratios, and loss model.
-
-    What every evaluation needs and only the device determines is computed
-    on first use and kept, read-only: the column factors ``p``
-    (``transmission_matrix``) and ``cell_angles``.  ``dataclasses.replace``
-    (and so ``with_loss``) makes a new device, which computes its own.
-    """
+    """A programmed crossbar: weights, coupler ratios and loss model, and nothing derived from them."""
 
     topology: XbarTopology
     weights: np.ndarray
@@ -151,20 +144,10 @@ class XbarDevice:
     loss: LossModel
     balanced: bool
 
-    @cached_property
-    def p(self) -> np.ndarray:
-        return _read_only(transmission_matrix(self))
 
-    @cached_property
-    def cell_angles(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each cell's attenuator angle ``2 arcsin|w|`` and value phase ``angle(w)``."""
-        w = self.weights
-        return _read_only(2.0 * np.arcsin(np.clip(np.abs(w), 0.0, 1.0))), _read_only(np.angle(w))
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
+def _cell_angles(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each cell's attenuator angle ``2 arcsin|w|`` and value phase ``angle(w)``."""
+    return 2.0 * np.arcsin(np.clip(np.abs(w), 0.0, 1.0)), np.angle(w)
 
 
 def transmission_matrix(device: XbarDevice) -> np.ndarray:
@@ -213,7 +196,7 @@ def realized_matrix(device: XbarDevice, weights: np.ndarray | None = None) -> np
     is then the (..., M, N) stack of operators.
     """
     w = device.weights if weights is None else weights
-    return device.p[:, None] * np.swapaxes(w, -1, -2)
+    return transmission_matrix(device)[:, None] * np.swapaxes(w, -1, -2)
 
 
 def evaluate_xbar(device: XbarDevice, x) -> np.ndarray:
@@ -264,7 +247,7 @@ def xbar_insertion_loss(
 
 def restoration_matrix(device: XbarDevice) -> np.ndarray:
     """Diagonal output correction (P^T)^{-1} that restores fidelity to 1."""
-    p = device.p
+    p = transmission_matrix(device)
     if np.any(p <= 0.0):
         raise DegenerateDeviceError("restoration impossible: some column has p_c = 0")
     return np.diag(1.0 / p)
@@ -288,7 +271,7 @@ def weights_with_common_deviation(device: XbarDevice, dtheta) -> np.ndarray:
     w = device.weights
     if not dtheta.any():
         return np.broadcast_to(w, np.broadcast_shapes(w.shape, dtheta.shape)).copy()
-    amplitude_angle, phase = device.cell_angles
+    amplitude_angle, phase = _cell_angles(w)
     return np.sin((amplitude_angle + dtheta) / 2.0) * np.exp(1j * (phase + dtheta / 2.0))
 
 
@@ -296,7 +279,7 @@ def common_deviation_fidelity(device: XbarDevice, y, dtheta) -> np.ndarray:
     """Fidelity with ``y`` of the device under each shared deviation of ``dtheta``, in closed form.
 
     Equals ``fidelity(realized_matrix(device, weights_with_common_deviation(device, d)), y)``
-    for each entry d.  With a = arcsin|w| (half of ``cell_angles``), phi the
+    for each entry d.  With a = arcsin|w| (half the attenuator angle), phi the
     value phase and delta = d/2, each perturbed weight is e^{i delta}
     (c sin a + s cos a) e^{i phi}, c = cos delta, s = sin delta, so the
     operator is e^{i delta} (c R_s + s R_c): R_s is the device's own, R_c
@@ -311,9 +294,9 @@ def common_deviation_fidelity(device: XbarDevice, y, dtheta) -> np.ndarray:
     """
     y = ensure_matrix(y, name="y")
     half = 0.5 * np.asarray(dtheta, dtype=np.float64)
-    amplitude_angle, phase = device.cell_angles
-    r_s = realized_matrix(device)  # its weights are sin a e^{i phi}
-    r_c = realized_matrix(device, np.cos(amplitude_angle / 2.0) * np.exp(1j * phase))
+    amplitude_angle, phase = _cell_angles(device.weights)
+    cos_weights = np.cos(amplitude_angle / 2.0) * np.exp(1j * phase)
+    r_s, r_c = realized_matrix(device, np.stack((device.weights, cos_weights)))
     if r_s.shape != y.shape:
         raise DimensionError(f"shape mismatch: {r_s.shape} vs {y.shape}")
     if not np.isfinite(half).all():

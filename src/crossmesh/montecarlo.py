@@ -11,10 +11,11 @@ by (n, matrix index) and shared by both architectures and all sweep points;
 phase trials are keyed by (architecture, n, sweep index, matrix index, trial
 index).  Aggregation uses ``math.fsum`` in fixed index order, so results are
 bit-identical for any worker count and regardless of how many phase trials
-are evaluated or devices built per batch.  Sigma = 0 is evaluated once per
-matrix.  The crossbar scores a (matrix, sigma) point's trials in closed form
-(``common_deviation_fidelity``), the SVD device in batches capped by
-transfer-matrix entries (``_BATCH_ENTRIES``), and its IL values in one pass.
+are evaluated or devices built per batch.  A matrix's phase trials form one
+(sigma, trial, (d_theta, d_phi)) array, left zero (and undrawn) at sigma = 0.
+The crossbar scores it in one closed-form call; the SVD device in batches of
+``_BATCH_ENTRIES // n^2`` trials that may span sigma values, plus one
+unperturbed evaluation if the grid holds a 0, and its IL values in one pass.
 
 A task ``(cfg, arch, n, lo, hi)`` covers matrices lo..hi-1 of one point,
 one task per worker.  ``_per_matrix`` alone draws targets, builds devices
@@ -234,10 +235,9 @@ def _one_blas_thread():
 
 
 def _per_matrix(task, loss: LossModel, score, kind: str) -> np.ndarray:
-    """Rows ``score(device, evaluate, y, m_idx)`` of the task's matrices; devices get ``loss``."""
+    """Rows ``score(device, y, m_idx)`` of the task's matrices; devices get ``loss``."""
     cfg, arch, n, lo, hi = task
     svd = arch == ARCH_SVD_CLEMENTS
-    evaluate = evaluate_svd_clements if svd else realized_matrix
     block = max(1, _BATCH_ENTRIES // (2 * n * n)) if svd else 1  # two meshes per SVD device
 
     def build(indices) -> list:
@@ -258,7 +258,7 @@ def _per_matrix(task, loss: LossModel, score, kind: str) -> np.ndarray:
         for m_idx, pair in zip(indices, built):
             try:
                 y, device = pair or build([m_idx])[0]
-                rows.append(score(device, evaluate, y, m_idx))
+                rows.append(score(device, y, m_idx))
             except Exception as exc:
                 raise SweepError(
                     f"{kind} sweep failed at arch={arch}, n={n}, matrix={m_idx}: {exc}"
@@ -270,10 +270,10 @@ def _loss_chunk(task) -> np.ndarray:
     cfg, arch = task[:2]
     models = [node_loss_model(il, cfg.passive_losses) for il in cfg.il_node_grid]
 
-    def score(device, evaluate, y, _m_idx):
+    def score(device, y, _m_idx):
         if arch == ARCH_SVD_CLEMENTS:  # every IL value in one pass
-            return fidelity(evaluate(device, losses=models), y)
-        return [fidelity(evaluate(with_loss(device, model)), y) for model in models]
+            return fidelity(evaluate_svd_clements(device, losses=models), y)
+        return [fidelity(realized_matrix(with_loss(device, model)), y) for model in models]
 
     # Phases come from the lossless factors and the balanced splitters from
     # the passive losses only, so any of the models builds the device.
@@ -283,24 +283,26 @@ def _loss_chunk(task) -> np.ndarray:
 def _phase_chunk(task) -> np.ndarray:
     cfg, arch, n = task[:3]
     batch = max(1, _BATCH_ENTRIES // (n * n))
+    perturbed = np.array(cfg.sigma_grid) != 0.0
 
-    def score(device, evaluate, y, m_idx):
-        out = np.empty((len(cfg.sigma_grid), cfg.n_phase_trials))
+    def score(device, y, m_idx):
+        deviations = np.zeros((len(cfg.sigma_grid), cfg.n_phase_trials, 2))
         for s_idx, sigma in enumerate(cfg.sigma_grid):
-            if sigma == 0.0:
-                # Every trial is the unperturbed device.
-                out[s_idx] = fidelity(evaluate(device), y)
-                continue
-            deviations = [
-                _trial_deviation_pair(cfg.master_seed, arch, n, s_idx, m_idx, t_idx, sigma)
-                for t_idx in range(cfg.n_phase_trials)
-            ]
-            if arch == ARCH_XBAR:
-                out[s_idx] = common_deviation_fidelity(device, y, [dth for dth, _dph in deviations])
-                continue
-            for first in range(0, cfg.n_phase_trials, batch):
-                part = deviations[first : first + batch]
-                out[s_idx, first : first + batch] = fidelity(evaluate_svd_clements(device, np.array(part).T), y)
+            if sigma != 0.0:
+                deviations[s_idx] = [
+                    _trial_deviation_pair(cfg.master_seed, arch, n, s_idx, m_idx, t_idx, sigma)
+                    for t_idx in range(cfg.n_phase_trials)
+                ]
+        if arch == ARCH_XBAR:
+            return common_deviation_fidelity(device, y, deviations[..., 0])
+        out = np.empty(deviations.shape[:2])
+        if not perturbed.all():  # every sigma = 0 trial is the unperturbed device
+            out[~perturbed] = fidelity(evaluate_svd_clements(device), y)
+        trials = deviations[perturbed].reshape(-1, 2)
+        scored = []
+        for first in range(0, len(trials), batch):  # batches may span sigma rows
+            scored.extend(fidelity(evaluate_svd_clements(device, trials[first : first + batch].T), y))
+        out[perturbed] = np.reshape(scored, (-1, cfg.n_phase_trials))
         return out
 
     return _per_matrix(task, LOSSLESS, score, "phase")

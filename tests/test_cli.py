@@ -65,15 +65,18 @@ class TestConfigErrors:
             ["--threads", "-3"],
             ["--arch", "xbar,xbar"],
             ["--n", "3,3"],
+            ["--sigma", "0:1e300:1e-300"],
         ],
         ids=["matrices-0", "n-1", "negative-sigma", "trials-0", "threads-0", "threads-negative",
-             "arch-repeated", "n-repeated"],
+             "arch-repeated", "n-repeated", "sigma-range-overflow"],
     )
-    def test_phase_sweep_exits_1(self, tmp_path, flags):
+    def test_phase_sweep_exits_1(self, tmp_path, capsys, flags):
         out = tmp_path / "out.csv"
         argv = ["fidelity-phase", "--n", "3", "--sigma", "0", "--matrices", "1",
                 "--trials", "1", "--out", str(out)]
         assert run_experiment(argv + flags) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
 
     @pytest.mark.parametrize(

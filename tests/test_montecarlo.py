@@ -17,6 +17,7 @@ from crossmesh import (
     fidelity,
     loss_fidelity_sweep,
     phase_fidelity_sweep,
+    realized_matrix,
 )
 from crossmesh import montecarlo
 from crossmesh.crossbar import common_deviation_fidelity
@@ -212,11 +213,11 @@ def test_crossbar_trials_match_column_sum_oracle():
 
 @pytest.mark.parametrize("n", [4, 7, 64])
 def test_batch_size_does_not_change_trials(n):
-    # The sweep evaluates sigma = 0 once and the other trials in batches of
-    # up to _BATCH_ENTRIES // n^2 (16 at n = 64, so 17 trials split there)
-    # for the SVD device, and all trials of a point in one closed-form call
-    # for the crossbar; batches of 1 and of 3 trials, each scored alone,
-    # give the same bits.
+    # The sweep scores all of a matrix's crossbar trials, sigma = 0 included,
+    # in one closed-form call; the SVD device evaluates sigma = 0 once and
+    # the other trials in batches of up to _BATCH_ENTRIES // n^2 (16 at
+    # n = 64, so the 17 trials at sigma = 0.1 split there).  Batches of 1
+    # and of 3 trials, each scored alone, give the same bits.
     seed, sigmas, trials = 3, (0.0, 0.1), 17
     y = target_matrix(seed, n, 0)
     svd, xbar = build_svd_clements(y, LOSSLESS), build_xbar(y.T, LOSSLESS, "balanced")
@@ -238,6 +239,61 @@ def test_batch_size_does_not_change_trials(n):
                     for f in score(deviations[first : first + size])
                 ]
                 assert got == full[s_idx].tolist(), arch
+
+
+def test_svd_batches_spanning_sigma_rows_do_not_change_trials(monkeypatch):
+    # Batches of 3 trials cut across the two perturbed rows (5 trials each);
+    # every trial still equals the unbatched run and the one-trial route.
+    seed, n, sigmas, trials = 13, 4, (0.05, 0.0, 0.2), 5
+    task = phase_task(seed, ARCH_SVD_CLEMENTS, n, sigmas, trials, 0, 2)
+    reference = _phase_chunk(task)
+    monkeypatch.setattr(montecarlo, "_BATCH_ENTRIES", 3 * n * n)
+    got = _phase_chunk(task)
+    assert got.tolist() == reference.tolist()
+    for m_idx in range(2):
+        y = target_matrix(seed, n, m_idx)
+        device = build_svd_clements(y, LOSSLESS)
+        for s_idx, sigma in enumerate(sigmas):
+            for t_idx in range(trials):
+                if sigma == 0.0:
+                    expected = fidelity(evaluate_svd_clements(device), y)
+                else:
+                    dth, dph = _trial_deviation_pair(
+                        seed, ARCH_SVD_CLEMENTS, n, s_idx, m_idx, t_idx, sigma
+                    )
+                    expected = fidelity(evaluate_svd_clements(device, ([dth], [dph]))[0], y)
+                assert got[m_idx, s_idx, t_idx] == expected
+
+
+def test_crossbar_scores_each_matrix_in_one_call(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args[2].shape)
+        return common_deviation_fidelity(*args)
+
+    monkeypatch.setattr(montecarlo, "common_deviation_fidelity", counted)
+    seed, n, sigmas, trials = 13, 4, (0.05, 0.0, 0.2), 5
+    got = _phase_chunk(phase_task(seed, ARCH_XBAR, n, sigmas, trials, 0, 3))
+    assert calls == [(3, 5)] * 3
+    for m_idx in range(3):
+        y = target_matrix(seed, n, m_idx)
+        unperturbed = fidelity(realized_matrix(build_xbar(y.T, LOSSLESS, "balanced")), y)
+        assert got[m_idx, 1].tolist() == [unperturbed] * trials
+
+
+@pytest.mark.parametrize("sigmas, unperturbed_calls", [((0.05, 0.2), 0), ((0.05, 0.0, 0.0), 2)])
+def test_unperturbed_svd_evaluated_once_per_matrix_if_grid_has_zero(monkeypatch, sigmas, unperturbed_calls):
+    seen = []
+
+    def recorded(device, deviations=None, **kwargs):
+        seen.append(deviations is None)
+        return evaluate_svd_clements(device, deviations, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "evaluate_svd_clements", recorded)
+    _phase_chunk(phase_task(13, ARCH_SVD_CLEMENTS, 4, sigmas, 5, 0, 2))
+    assert sum(seen) == unperturbed_calls
+    assert len(seen) > unperturbed_calls
 
 
 @pytest.mark.parametrize("grid", ["sigma_grid", "il_node_grid"])
