@@ -37,7 +37,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .linalg import ensure_square, int_from_json, number_from_json, svd_factorize, unitarity_residual
+from .linalg import array_from_json, ensure_square, int_from_json, number_from_json, svd_factorize, unitarity_residual
 from .nodes import LossModel, mzi_entries, voa_transfer, voa_transfer_at
 
 _TWO_PI = 2.0 * math.pi
@@ -418,15 +418,14 @@ def _list(obj: dict, key: str, length: int) -> list:
 
 def _mesh_from_json(obj: dict, name: str, n: int) -> ClementsMesh:
     """DomainError unless the (layer, row) cells, in any order, cover the n-port layout once each."""
-    phases = _list(obj, f"{name}_output_phases", n)
     layers, rows, theta, phi = zip(*sorted(
         tuple(number_from_json(c, key, name) for key in ("layer", "row", "theta", "phi"))
         for c in _list(obj, name, n * (n - 1) // 2)
     ))
     if list(zip(layers, rows)) != _cells(n):
         raise DomainError(f"{name} cells do not cover the {n}-port rectangular layout once each")
-    output = [number_from_json(phases, i, f"{name} output phases") for i in range(n)]
-    return ClementsMesh(n, np.mod(theta, _TWO_PI), np.mod(phi, _TWO_PI), np.array(output, dtype=np.float64))
+    output = array_from_json(obj, f"{name}_output_phases", (n,), "svd-clements dump")
+    return ClementsMesh(n, np.mod(theta, _TWO_PI), np.mod(phi, _TWO_PI), output)
 
 
 def device_to_json(device: ClementsDevice) -> dict:

@@ -23,10 +23,13 @@ when the sweep ran in this process); ``python``; ``numpy``; and
 ``cpus_usable``.  Re-running with the same arguments reproduces the CSV
 byte for byte.
 
-Exit codes: 0 success; 1 a bad flag, value, grid or configuration, a
-malformed loss file, malformed JSON input, or a dump naming an unknown
-architecture; 2 a numerical failure or a dump that does not describe a
-valid device (a failed sweep point names itself); 3 an I/O failure.
+Every number in a JSON input must be a JSON number (int or float, never a
+bool, string or null), finite, in lists of the declared shape.  Exit
+codes: 0 success; 1 a bad flag, value, grid or configuration, a loss file
+that breaks that rule or names an unknown loss, JSON that does not parse,
+or a dump naming an unknown architecture; 2 a numerical failure, or a
+matrix, vector or dump that breaks the rule or does not describe a valid
+device (a failed sweep point names itself); 3 an I/O failure.
 """
 
 from __future__ import annotations

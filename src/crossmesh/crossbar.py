@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDeviceError, DimensionError, DomainError
-from .linalg import ensure_matrix, int_from_json
+from .linalg import array_from_json, ensure_matrix, int_from_json
 from .nodes import LossModel
 
 
@@ -333,8 +333,9 @@ def device_from_json(obj: dict) -> XbarDevice:
     """Load a ``device_to_json`` dump; DomainError unless it is a valid device.
 
     The weights must be an n x m array of magnitudes at most 1, ``xi`` must
-    have m entries and ``t`` m - 1, all finite; ``mode`` (default
-    balanced) must be balanced or uniform.
+    have m entries and ``t`` m - 1, each a lossless splitter in [0, 1] with
+    xi_c^2 + t_c^2 = 1 to 1e-12 (t = 0, so xi = 1, on the last column);
+    ``mode`` (default balanced) must be balanced or uniform.
     """
     arch = obj.get("arch") if isinstance(obj, dict) else None
     if arch != "xbar":
@@ -346,22 +347,14 @@ def device_from_json(obj: dict) -> XbarDevice:
     topology = build_topology(n, m)
     if topology.n_f != n_f:
         raise DomainError(f"inconsistent dump: n={n} implies n_f={topology.n_f}, dump says {n_f}")
-    try:
-        re, im, xi, t = (
-            np.asarray(v, dtype=np.float64)
-            for v in (obj["weights"]["re"], obj["weights"]["im"], obj["xi"], obj["t"])
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DomainError(f"malformed xbar dump: {exc!r}") from exc
-    if re.shape != (n, m) or im.shape != (n, m):
-        raise DimensionError(f"weights must be {n} x {m}, got {re.shape} and {im.shape}")
-    if xi.shape != (m,) or t.shape != (m - 1,):
-        raise DimensionError(
-            f"xi must have {m} entries and t {m - 1}, got shapes {xi.shape} and {t.shape}"
-        )
+    re, im = (array_from_json(obj.get("weights"), key, (n, m), "xbar dump weights") for key in ("re", "im"))
+    xi, t = (array_from_json(obj, key, (size,), "xbar dump") for key, size in (("xi", m), ("t", m - 1)))
     weights = re + 1j * im
-    if not all(np.isfinite(a).all() for a in (weights, xi, t)) or np.max(np.abs(weights)) > 1.0 + 1e-12:
-        raise DomainError("xbar dump: weights, xi and t must be finite and no weight may exceed magnitude 1")
+    if np.max(np.abs(weights)) > 1.0 + 1e-12:
+        raise DomainError("xbar dump: no weight may exceed magnitude 1")
+    # The last column's virtual coupler passes everything on: t = 0, so xi = 1.
+    if np.any(np.abs(np.concatenate((xi, t)) - 0.5) > 0.5) or np.any(np.abs(xi**2 + np.append(t, 0.0) ** 2 - 1) > 1e-12):
+        raise DomainError("xbar dump: couplers must be lossless splitters: xi, t in [0, 1], xi^2 + t^2 = 1")
     return XbarDevice(
         topology=topology,
         weights=weights,

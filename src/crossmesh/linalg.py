@@ -4,12 +4,15 @@ Matrices are plain ``numpy.ndarray`` objects with dtype complex128.  The
 helpers here enforce the contracts the rest of the library relies on:
 finite entries, an SVD wrapper with a deterministic ordering convention,
 the Frobenius fidelity measure, the seeded random-matrix ensemble used by
-the Monte-Carlo experiments, and checked parsing of JSON numbers.
+the Monte-Carlo experiments, and ``array_from_json``, which reads every
+real number of a JSON input: a JSON number (int or float, never bool,
+string or null), finite, in lists of the declared shape.
 """
 
 from __future__ import annotations
 
-import math
+import reprlib
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,12 +136,31 @@ def _json_item(obj, key):
         return None
 
 
+def array_from_json(obj, key, shape: tuple, what: str) -> np.ndarray:
+    """``obj[key]``, nested JSON lists of ``shape`` (None: any length), as a float64 array.
+
+    ``shape=()`` reads one number.  DimensionError if a list has the wrong
+    length; DomainError if anything but a list, or a finite int or float
+    (never a bool), stands where one is due.
+    """
+    value = _json_item(obj, key)
+    items = [value]
+    for size in shape:
+        if not all(isinstance(v, list) for v in items):
+            raise DomainError(f"{what}: {key!r} must be a {len(shape)}-D array of numbers")
+        lengths = {len(v) for v in items} | ({size} - {None})
+        if len(lengths) > 1:
+            raise DimensionError(f"{what}: {key!r} must have shape {shape}, found lengths {sorted(lengths)}")
+        items = [x for v in items for x in v]
+    for v in items:
+        if isinstance(v, bool) or not isinstance(v, (int, float)) or not abs(v) <= sys.float_info.max:
+            raise DomainError(f"{what}: {key!r} must hold finite numbers only, got {reprlib.repr(v)}")
+    return np.array(value, dtype=np.float64)
+
+
 def number_from_json(obj, key, what: str) -> float:
     """``obj[key]`` as a float; DomainError unless it is a finite JSON number."""
-    value = _json_item(obj, key)
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise DomainError(f"{what}: {key!r} must be a finite number, got {value!r}")
-    return float(value)
+    return float(array_from_json(obj, key, (), what))
 
 
 def int_from_json(obj, key, what: str) -> int:
@@ -163,16 +185,7 @@ def matrix_to_json(a) -> dict:
 def matrix_from_json(obj: dict) -> np.ndarray:
     """Parse the interchange form produced by :func:`matrix_to_json`."""
     rows, cols = (int_from_json(obj, key, "matrix JSON") for key in ("rows", "cols"))
-    try:
-        re = np.asarray(obj["re"], dtype=np.float64)
-        im = np.asarray(obj["im"], dtype=np.float64)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DomainError(f"malformed matrix JSON: {exc}") from exc
-    if re.shape != (rows, cols) or im.shape != (rows, cols):
-        raise DimensionError(
-            f"matrix JSON shape mismatch: declared {(rows, cols)}, "
-            f"re {re.shape}, im {im.shape}"
-        )
+    re, im = (array_from_json(obj, key, (rows, cols), "matrix JSON") for key in ("re", "im"))
     return ensure_matrix(re + 1j * im)
 
 
@@ -184,16 +197,7 @@ def vector_to_json(v) -> dict:
 
 
 def vector_from_json(obj: dict) -> np.ndarray:
-    try:
-        re = np.asarray(obj["re"], dtype=np.float64)
-        im = np.asarray(obj["im"], dtype=np.float64)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DomainError(f"malformed vector JSON: {exc}") from exc
-    if re.ndim != 1 or re.shape != im.shape:
-        raise DimensionError("vector JSON re/im must be equal-length 1-D arrays")
-    if "n" in obj and int_from_json(obj, "n", "vector JSON") != re.shape[0]:
-        raise DimensionError(f"vector JSON: 'n' is {obj['n']} but there are {re.shape[0]} entries")
-    v = re + 1j * im
-    if not np.isfinite(v).all():
-        raise DomainError("vector contains non-finite entries")
-    return v
+    """Parse :func:`vector_to_json` output; ``n``, when given, must be the entry count."""
+    n = int_from_json(obj, "n", "vector JSON") if isinstance(obj, dict) and "n" in obj else None
+    re = array_from_json(obj, "re", (n,), "vector JSON")
+    return re + 1j * array_from_json(obj, "im", re.shape, "vector JSON")

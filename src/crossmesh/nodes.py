@@ -111,13 +111,13 @@ class LossModel:
     def from_json(cls, obj: dict) -> "LossModel":
         """Parse ``to_json`` output; a missing loss is 0 dB.
 
-        DomainError unless ``obj`` is a JSON object whose losses are finite
-        numbers >= 0.
+        DomainError unless ``obj`` is a JSON object whose keys are loss names
+        and whose losses are finite numbers >= 0.
         """
-        if not isinstance(obj, dict):
-            raise DomainError(f"loss model must be a JSON object, got {obj!r}")
-        given = [f.name for f in fields(cls) if f.name in obj]
-        return cls(**{name: number_from_json(obj, name, "loss model") for name in given})
+        names = [f.name for f in fields(cls)]
+        if not isinstance(obj, dict) or not set(obj) <= set(names):
+            raise DomainError(f"loss model must be a JSON object with keys from {names}, got {obj!r}")
+        return cls(**{name: number_from_json(obj, name, "loss model") for name in obj})
 
 
 #: All components ideal.

@@ -387,31 +387,32 @@ class TestDeviceJson:
         assert np.array_equal(evaluate_svd_clements(again), evaluate_svd_clements(device))
 
     @pytest.mark.parametrize(
-        "corrupt",
+        "corrupt, error",
         [
-            lambda d: d.update(u=d["u"][:2]),
-            lambda d: d["u"][0].update(row=7),
-            lambda d: d["u"][1].update(layer=d["u"][0]["layer"], row=d["u"][0]["row"]),
-            lambda d: d.update(sigma=d["sigma"][:3]),
-            lambda d: d.update(v_dagger_output_phases=d["v_dagger_output_phases"][:3]),
-            lambda d: d["v_dagger"][0].pop("theta"),
-            lambda d: d["v_dagger"][0].update(phi="0.5"),
-            lambda d: d["sigma"][0].update(theta=float("nan")),
-            lambda d: d.pop("loss"),
-            lambda d: d["loss"].update(il_coup_db="x"),
-            lambda d: d.update(n=1),
-            lambda d: d.pop("programming_steps"),
-            lambda d: d.update(programming_steps="6"),
-            lambda d: d.update(programming_steps=7),
-            lambda d: d.update(loss=[0.1]),
+            (lambda d: d.update(u=d["u"][:2]), DomainError),
+            (lambda d: d["u"][0].update(row=7), DomainError),
+            (lambda d: d["u"][1].update(layer=d["u"][0]["layer"], row=d["u"][0]["row"]), DomainError),
+            (lambda d: d.update(sigma=d["sigma"][:3]), DomainError),
+            (lambda d: d.update(v_dagger_output_phases=d["v_dagger_output_phases"][:3]), DimensionError),
+            (lambda d: d["v_dagger"][0].pop("theta"), DomainError),
+            (lambda d: d["v_dagger"][0].update(phi="0.5"), DomainError),
+            (lambda d: d["sigma"][0].update(theta=float("nan")), DomainError),
+            (lambda d: d.pop("loss"), DomainError),
+            (lambda d: d["loss"].update(il_coup_db="x"), DomainError),
+            (lambda d: d.update(n=1), DomainError),
+            (lambda d: d.pop("programming_steps"), DomainError),
+            (lambda d: d.update(programming_steps="6"), DomainError),
+            (lambda d: d.update(programming_steps=7), DomainError),
+            (lambda d: d.update(loss=[0.1]), DomainError),
         ],
         ids=["truncated-u", "row-off-layout", "cell-twice", "truncated-sigma",
              "truncated-phases", "missing-theta", "string-phi", "nan-sigma",
              "missing-loss", "bad-loss", "n-too-small", "missing-steps",
              "string-steps", "wrong-steps", "loss-not-object"],
     )
-    def test_invalid_dump_rejected(self, corrupt):
+    def test_invalid_dump_rejected(self, corrupt, error):
+        # A number list of the wrong length is a shape error, as in every JSON input.
         dump = device_to_json(build_svd_clements(target_matrix(2, 4, 1), LOSSLESS))
         corrupt(dump)
-        with pytest.raises(DomainError):
+        with pytest.raises(error):
             device_from_json(dump)

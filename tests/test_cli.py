@@ -216,9 +216,9 @@ class TestCorruptDumps:
         "corrupt",
         [lambda d: d.pop("t"), lambda d: d["loss"].update(il_coup_db="x"),
          lambda d: d.update(n=4.0), lambda d: d.update(m=4.5), lambda d: d.update(n_f="4"),
-         lambda d: d.update(mode="bogus")],
+         lambda d: d.update(mode="bogus"), lambda d: d.update(xi=[5.0, 1.0, 1.0, 1.0], t=[-3.0, 0.0, 0.0])],
         ids=["xbar-missing-t", "xbar-string-loss", "xbar-float-n", "xbar-fractional-m",
-             "xbar-string-n_f", "xbar-unknown-mode"],
+             "xbar-string-n_f", "xbar-unknown-mode", "xbar-amplifying-couplers"],
     )
     def test_malformed_xbar_dump_is_a_one_line_error(self, tmp_path, capsys, corrupt):
         dump = self.xbar_dump()
@@ -291,6 +291,75 @@ def test_bad_loss_file_is_a_config_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not (tmp_path / "out.csv").exists()
+
+
+def test_loss_file_with_an_unknown_key_is_a_config_error(tmp_path, capsys):
+    # "il_coup" is a typo for "il_coup_db"; read leniently it would run lossless.
+    loss = tmp_path / "loss.json"
+    loss.write_text(json.dumps({"il_coup": 3.0}))
+    argv = ["fidelity-loss", "--n", "3", "--node-loss", "0", "--matrices", "1",
+            "--loss", str(loss), "--out", str(tmp_path / "out.csv")]
+    assert run_experiment(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "'il_coup':" in err
+    assert not (tmp_path / "out.csv").exists()
+
+
+class TestJsonNumbers:
+    """Every JSON input takes JSON numbers only: finite ints and floats, never strings, booleans or null.
+
+    A bad number in a matrix, vector or device dump exits 2; in a loss file,
+    1.  Either way the command prints one error line and writes nothing.
+    """
+
+    A = np.array([[1.0, 0.5], [0.25, -0.75]])
+
+    def write(self, tmp_path, edit=lambda objs: None):
+        """Write a valid file of each input, after ``edit``; return their paths by name."""
+        objs = {
+            "matrix": matrix_to_json(self.A),
+            "vector": vector_to_json(np.array([0.25 + 0.5j, 0.0])),  # 1 in re[1] stays in range
+            "xbar": xbar_device_to_json(build_xbar(self.A, LOSSLESS, "balanced")),
+            "svd": svd_device_to_json(build_svd_clements(self.A, LOSSLESS)),
+            "loss": LOSSLESS.to_json(),
+        }
+        edit(objs)
+        paths = {name: tmp_path / f"{name}.json" for name in objs}
+        for name, obj in objs.items():
+            paths[name].write_text(json.dumps(obj))
+        return paths
+
+    # (input, where its bad number goes, command, exit code)
+    CASES = {
+        "matrix-file": ("matrix", lambda o, bad: o["re"][0].__setitem__(1, bad),
+                        ["compile", "--arch", "xbar", "--matrix", "{matrix}"], 2),
+        "vector-file": ("vector", lambda o, bad: o["re"].__setitem__(1, bad),
+                        ["eval", "--device", "{xbar}", "--input", "{vector}"], 2),
+        "xbar-dump": ("xbar", lambda o, bad: o["weights"]["re"][1].__setitem__(0, bad),
+                      ["eval", "--device", "{xbar}", "--input", "{vector}"], 2),
+        "svd-dump": ("svd", lambda o, bad: o["u_output_phases"].__setitem__(0, bad),
+                     ["eval", "--device", "{svd}", "--input", "{vector}"], 2),
+        "loss-file": ("loss", lambda o, bad: o.__setitem__("il_coup_db", bad),
+                      ["compile", "--arch", "svd-clements", "--matrix", "{matrix}", "--loss", "{loss}"], 1),
+    }
+
+    @pytest.mark.parametrize("bad", ["1", True, None, int("9" * 400)], ids=["string", "bool", "null", "huge-int"])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_bad_number_is_a_one_line_error(self, tmp_path, capsys, case, bad):
+        name, corrupt, argv, code = self.CASES[case]
+        paths = self.write(tmp_path, lambda objs: corrupt(objs[name], bad))
+        out = tmp_path / "out.json"
+        argv = [a.format(**paths) for a in argv] + ["--out", str(out)]
+        assert run_experiment(argv) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_each_command_runs_on_valid_files(self, tmp_path):
+        paths = self.write(tmp_path)
+        for name, _, argv, _ in self.CASES.values():
+            argv = [a.format(**paths) for a in argv] + ["--out", str(tmp_path / "out.json")]
+            assert run_experiment(argv) == 0, name
 
 
 class TestParallelSweeps:

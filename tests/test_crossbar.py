@@ -490,13 +490,44 @@ class TestDeviceJson:
             lambda d: d.update(n=4.0),
             lambda d: d.update(m=4.5),
             lambda d: d.update(n_f=4.0),
+            lambda d: d["weights"]["re"][0].__setitem__(1, "0.5"),
+            lambda d: d["t"].__setitem__(0, True),
+            lambda d: d["xi"].__setitem__(0, 10**400),
+            lambda d: d.update(xi=[[x] for x in d["xi"]]),
         ],
         ids=["missing-t", "missing-n", "string-m", "weights-not-object", "null-weight",
              "string-xi", "string-loss", "loss-not-object", "weight-above-one", "float-n",
-             "fractional-m", "float-n_f"],
+             "fractional-m", "float-n_f", "string-weight", "bool-t", "huge-int-xi", "nested-xi"],
     )
     def test_invalid_dump_rejected(self, corrupt):
         dump = device_to_json(build_xbar(target_matrix(59, 4, 0), LOSSLESS, "balanced"))
         corrupt(dump)
         with pytest.raises(DomainError):
             device_from_json(dump)
+
+    @pytest.mark.parametrize(
+        "xi, t",
+        [([5.0, 1.0], [-3.0]), ([-0.6, 1.0], [0.8]), ([0.5, 1.0], [0.5]), ([0.6, 0.9], [0.8]),
+         ([0.6, 1.0], [0.8 + 1e-11])],
+        ids=["amplifying", "negative-xi", "lossy", "last-xi-below-one", "sum-off-by-1e-11"],
+    )
+    def test_couplers_must_be_lossless_splitters(self, xi, t):
+        dump = device_to_json(build_xbar(np.array([[1.0, 0.5], [0.25, -0.75]]), LOSSLESS, "uniform"))
+        device_from_json({**dump, "xi": [0.6, 1.0], "t": [0.8]})  # a 36:64 splitter is fine
+        with pytest.raises(DomainError):
+            device_from_json({**dump, "xi": xi, "t": t})
+
+    @pytest.mark.parametrize("mode", ["balanced", "uniform"])
+    @pytest.mark.parametrize(
+        "loss", [LOSSLESS, SILICON_PASSIVES, LossModel(il_coup_db=0.5, il_xi_db=1.0, il_x_db=0.5)],
+        ids=["lossless", "silicon", "lossy"],
+    )
+    def test_every_compiled_dump_loads(self, mode, loss):
+        # What `compile` writes, for square and rectangular weights at n = 2..64.
+        # JSON text keeps every float (repr round-trips), so the dict stands for it.
+        rng = np.random.default_rng(3)
+        for n in range(2, 65):
+            for m in sorted({1, 2, n, 2 * n - 1}):
+                device = build_xbar(rng.uniform(-1.0, 1.0, (n, m)), loss, mode)
+                again = device_from_json(device_to_json(device))
+                assert np.array_equal(again.xi, device.xi) and np.array_equal(again.t, device.t)

@@ -11,7 +11,10 @@ from crossmesh import (
     svd_factorize,
     unitarity_residual,
 )
+from crossmesh.linalg import array_from_json, number_from_json, vector_from_json
 from oracles import jacobi_svd
+
+HUGE = int("9" * 400)
 
 
 def reconstruct(f):
@@ -193,3 +196,66 @@ class TestMatrixJson:
     def test_sizes_must_be_json_integers(self, corrupt):
         with pytest.raises(DomainError):
             matrix_from_json({**matrix_to_json(np.eye(2)), **corrupt})
+
+    @pytest.mark.parametrize("bad", ["1", True, None, HUGE], ids=["string", "bool", "null", "huge-int"])
+    def test_entries_must_be_finite_numbers(self, bad):
+        obj = matrix_to_json(np.eye(2))
+        obj["re"][0][1] = bad
+        with pytest.raises(DomainError):
+            matrix_from_json(obj)
+
+
+class TestArrayFromJson:
+    def test_floats_read_bit_for_bit(self):
+        x = np.random.default_rng(2).standard_normal((3, 4)) * 10.0 ** np.arange(-150, 150, 25).reshape(3, 4)
+        got = array_from_json({"x": x.tolist()}, "x", (3, 4), "test")
+        assert got.dtype == np.float64 and np.array_equal(got, x)
+
+    def test_ints_and_the_largest_finite_values_are_numbers(self):
+        assert number_from_json({"x": 3}, "x", "test") == 3.0
+        assert number_from_json({"x": -(10**308)}, "x", "test") == -1e308
+        assert array_from_json({"x": [1.7976931348623157e308, 0]}, "x", (2,), "test")[0] == np.finfo(float).max
+
+    @pytest.mark.parametrize(
+        "value", ["1", True, False, None, HUGE, -HUGE, float("nan"), float("inf"), {"re": 1.0}, [1.0]],
+        ids=["string", "true", "false", "null", "huge-int", "huge-negative-int", "nan", "inf", "object", "list"],
+    )
+    def test_anything_but_a_finite_number_is_a_domain_error(self, value):
+        with pytest.raises(DomainError):
+            number_from_json({"x": value}, "x", "test")
+        with pytest.raises(DomainError):
+            array_from_json({"x": [[0.0, 1.0], [2.0, value]]}, "x", (2, 2), "test")
+
+    @pytest.mark.parametrize(
+        "value, shape",
+        [([1.0, 2.0], (3,)), ([[1.0], [2.0, 3.0]], (2, 2)), ([[1.0, 2.0]], (2, 2)), ([[1.0], [2.0, 3.0]], (2, None))],
+        ids=["short", "ragged", "missing-row", "ragged-free-axis"],
+    )
+    def test_a_wrong_length_is_a_dimension_error(self, value, shape):
+        with pytest.raises(DimensionError):
+            array_from_json({"x": value}, "x", shape, "test")
+
+    @pytest.mark.parametrize("obj", [{}, {"x": 1.0}, {"x": "12"}, [1.0], None],
+                             ids=["missing", "number-for-list", "string-for-list", "not-an-object", "null"])
+    def test_a_missing_list_is_a_domain_error(self, obj):
+        with pytest.raises(DomainError):
+            array_from_json(obj, "x", (2,), "test")
+
+    def test_a_free_axis_takes_any_length(self):
+        assert array_from_json({"x": [[1, 2, 3], [4, 5, 6]]}, "x", (2, None), "test").shape == (2, 3)
+        assert array_from_json({"x": []}, "x", (None,), "test").shape == (0,)
+
+
+class TestVectorJson:
+    @pytest.mark.parametrize("corrupt", [dict(re=[1.0, "0"]), dict(im=[True, 0.0]), dict(re=[HUGE, 0.0])],
+                             ids=["string", "bool", "huge-int"])
+    def test_entries_must_be_finite_numbers(self, corrupt):
+        with pytest.raises(DomainError):
+            vector_from_json({"re": [1.0, 0.0], "im": [0.0, 0.0], **corrupt})
+
+    def test_lengths_must_agree(self):
+        with pytest.raises(DimensionError):
+            vector_from_json({"re": [1.0, 0.0], "im": [0.0]})
+        with pytest.raises(DimensionError):
+            vector_from_json({"n": 3, "re": [1.0, 0.0], "im": [0.0, 0.0]})
+        assert np.array_equal(vector_from_json({"re": [1, 0], "im": [0, -2]}), [1, -2j])

@@ -64,6 +64,12 @@ class TestLossModel:
         assert LossModel.from_json(loss.to_json()) == loss
         assert LossModel.from_json({}) == LOSSLESS
 
+    @pytest.mark.parametrize("obj", [{"il_coup": 3.0}, {"il_coup_db": 0.1, "comment": "x"}],
+                             ids=["typo", "extra-key"])
+    def test_unknown_keys_rejected(self, obj):
+        with pytest.raises(DomainError, match="keys from"):
+            LossModel.from_json(obj)
+
 
 class TestNodeLossModel:
     def test_standard_split(self):
