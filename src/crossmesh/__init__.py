@@ -5,7 +5,15 @@ array that maps each matrix entry onto its own weight cell, and the
 rectangular-mesh SVD architecture built from cascaded 2x2 MZI cells.  Both
 come with realistic component-loss and phase-error models, closed-form
 insertion-loss expressions, and seeded Monte-Carlo fidelity experiments.
+
+Importing the package sets ``OPENBLAS_NUM_THREADS`` to 1 unless it is
+already set, before numpy loads: every sweep runs BLAS on one thread, so
+OpenBLAS need not start a thread pool.  A value the user set is kept.
 """
+
+import os
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .errors import (
     ConfigError,

@@ -419,7 +419,8 @@ def _list(obj: dict, key: str, length: int) -> list:
 def _mesh_from_json(obj: dict, name: str, n: int) -> ClementsMesh:
     """DomainError unless the (layer, row) cells, in any order, cover the n-port layout once each."""
     layers, rows, theta, phi = zip(*sorted(
-        tuple(number_from_json(c, key, name) for key in ("layer", "row", "theta", "phi"))
+        (int_from_json(c, "layer", name), int_from_json(c, "row", name),
+         number_from_json(c, "theta", name), number_from_json(c, "phi", name))
         for c in _list(obj, name, n * (n - 1) // 2)
     ))
     if list(zip(layers, rows)) != _cells(n):
@@ -460,7 +461,7 @@ def device_from_json(obj: dict) -> ClementsDevice:
     n = int_from_json(obj, "n", "svd-clements dump")
     if n < 2:
         raise DomainError(f"svd-clements dump: n must be >= 2, got {n}")
-    steps = number_from_json(obj, "programming_steps", "svd-clements dump")
+    steps = int_from_json(obj, "programming_steps", "svd-clements dump")
     if steps != n * (n - 1) // 2:
         raise DomainError(f"svd-clements dump: programming_steps must be {n * (n - 1) // 2}, got {steps}")
     sigma = _list(obj, "sigma", n)

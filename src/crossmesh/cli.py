@@ -26,10 +26,11 @@ byte for byte.
 Every number in a JSON input must be a JSON number (int or float, never a
 bool, string or null), finite, in lists of the declared shape.  Exit
 codes: 0 success; 1 a bad flag, value, grid or configuration, a loss file
-that breaks that rule or names an unknown loss, JSON that does not parse,
-or a dump naming an unknown architecture; 2 a numerical failure, or a
-matrix, vector or dump that breaks the rule or does not describe a valid
-device (a failed sweep point names itself); 3 an I/O failure.
+that breaks that rule or names an unknown loss, JSON that does not parse
+or nests too deeply to parse, or a dump naming an unknown architecture; 2
+a numerical failure, or a matrix, vector or dump that breaks the rule or
+does not describe a valid device (a failed sweep point names itself); 3 an
+I/O failure.
 """
 
 from __future__ import annotations
@@ -147,7 +148,10 @@ def _csv_text(header, rows) -> str:
 
 def _load_json(path: str) -> dict:
     with open(path, "r") as handle:
-        return json.load(handle)
+        try:
+            return json.load(handle)
+        except RecursionError:
+            raise ConfigError(f"malformed JSON input: {path} nests too deeply") from None
 
 
 def _load_loss(path: str | None) -> LossModel:
@@ -354,7 +358,8 @@ def _build_parser() -> _Parser:
         p.add_argument("--seed", type=int, default=1234, help="master seed (default 1234)")
         p.add_argument("--threads", type=int, default=1,
                        help="worker processes, at most the usable CPUs; >= 1 (default 1); "
-                            "every sweep runs BLAS on one thread")
+                            "every sweep runs BLAS on one thread (OPENBLAS_NUM_THREADS "
+                            "defaults to 1)")
 
     def add_loss(p):
         p.add_argument("--loss", default=None, help="path to loss-model JSON")

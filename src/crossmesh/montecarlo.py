@@ -9,7 +9,18 @@ Determinism contract: every random quantity is derived from the master seed
 through ``numpy.random.SeedSequence`` spawn keys.  Target matrices are keyed
 by (n, matrix index) and shared by both architectures and all sweep points;
 phase trials are keyed by (architecture, n, sweep index, matrix index, trial
-index).  Aggregation uses ``math.fsum`` in fixed index order, so results are
+index).  ``trial_rng`` is the reference stream of one phase trial, whose
+deviations are the first two normals it draws, scaled by sigma;
+``_phase_deviations`` draws all of a matrix's trials in one pass, bit for
+bit the same.  SeedSequence mixes the uint32 words of its entropy and
+spawn key into a pool of four words by uint32 hashes alone.  The seed's
+words (padded to four) and the key words (tag, architecture, n) are the
+same for every trial of a point, so they are mixed as Python ints once per
+matrix, and the last three key words (sigma, matrix and trial index, one
+word each) as uint32 arrays over the matrix's trials.  SeedSequence's
+``generate_state(4, uint64)`` and PCG64's two 128-bit seeding steps then
+give each trial's state, and one reused generator draws from each.
+Aggregation uses ``math.fsum`` in fixed index order, so results are
 bit-identical for any worker count and regardless of how many phase trials
 are evaluated or devices built per batch.  A matrix's phase trials form one
 (sigma, trial, (d_theta, d_phi)) array, left zero (and undrawn) at sigma = 0.
@@ -23,9 +34,11 @@ one task per worker.  ``_per_matrix`` alone draws targets, builds devices
 names a failed point (``SweepError``); a sweep only scores each device.
 ``SweepConfig`` rejects repeated architectures or sizes.
 
-Parallelism: every sweep runs the bundled OpenBLAS on one thread; with
-more than one worker, all its tasks run in one process pool, sized to at
-most the task count and the usable CPUs.
+Parallelism: every sweep runs the bundled OpenBLAS on one thread (the
+package defaults ``OPENBLAS_NUM_THREADS`` to 1, and ``_one_blas_thread``
+pins a pool started before that); with more than one worker, all its
+tasks run in one process pool, sized to at most the task count and the
+usable CPUs.
 """
 
 from __future__ import annotations
@@ -67,10 +80,21 @@ _TAG_TARGET = 11
 _TAG_PHASE = 22
 
 # Most transfer-matrix entries (K n^2) evaluated in one batch of K SVD
-# phase trials.  At the CLI's default 100 trials and n = 64 this held the
-# peak RSS to 47 MB, against 78 MB with all trials in one batch, at no loss
-# of wall time (2-vCPU Xeon).
-_BATCH_ENTRIES = 1 << 16
+# phase trials: at most 13 trials at n = 64.  A fresh process evaluates a
+# first batch of 14 or more n = 64 trials 30-45 ms slower than one of 13
+# or fewer, while warm batches cost the same per trial (2-vCPU Xeon).  At
+# the CLI's default 100 trials, batches of 16 held the peak RSS to 47 MB,
+# against 78 MB with all trials in one batch.
+_BATCH_ENTRIES = 13 * 64 * 64
+
+# numpy's SeedSequence hash constants (pool of four uint32 words) and the
+# PCG64 multiplier, with which _phase_deviations reproduces trial_rng.
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 @dataclass(frozen=True)
@@ -108,6 +132,9 @@ class SweepConfig:
             raise ConfigError(f"n_matrices must be >= 1, got {self.n_matrices}")
         if self.n_phase_trials < 1:
             raise ConfigError(f"n_phase_trials must be >= 1, got {self.n_phase_trials}")
+        for name in ("n_matrices", "n_phase_trials"):  # an index is one uint32 seed word
+            if getattr(self, name) > _MASK32:
+                raise ConfigError(f"{name} must be < 2**32, got {getattr(self, name)}")
         for name in ("il_node_grid", "sigma_grid"):
             if not all(math.isfinite(v) and v >= 0.0 for v in getattr(self, name)):
                 raise ConfigError(f"{name} values must be finite and >= 0")
@@ -149,6 +176,84 @@ def trial_rng(
         spawn_key=(_TAG_PHASE, _ARCH_IDS[arch], n, sweep_index, matrix_index, trial_index),
     )
     return np.random.default_rng(ss)
+
+
+def _words(value: int) -> list[int]:
+    """SeedSequence's uint32 words of a non-negative int, least significant first."""
+    words = [value & _MASK32]
+    while value > _MASK32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+def _hash(value, const: int, mult: int):
+    """One SeedSequence hash of ``value`` (int or uint32 array), and the next constant."""
+    const_next = const * mult & _MASK32
+    value = (value ^ const) * const_next & _MASK32
+    return value ^ value >> 16, const_next
+
+
+def _mix(x, y):
+    """SeedSequence's mix of pool word ``x`` with hashed word ``y`` (ints or uint32 arrays)."""
+    r = ((_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32)) & _MASK32
+    return r ^ r >> 16
+
+
+def _seed_pool(words: list) -> list:
+    """SeedSequence's pool after mixing ``words`` (at least four; later ones may be arrays)."""
+    const, pool = _INIT_A, []
+    for word in words[:4]:
+        hashed, const = _hash(word, const, _MULT_A)
+        pool.append(hashed)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                hashed, const = _hash(pool[src], const, _MULT_A)
+                pool[dst] = _mix(pool[dst], hashed)
+    for word in words[4:]:
+        for dst in range(4):
+            hashed, const = _hash(word, const, _MULT_A)
+            pool[dst] = _mix(pool[dst], hashed)
+    return pool
+
+
+def _phase_deviations(cfg: SweepConfig, arch: str, n: int, m_idx: int) -> np.ndarray:
+    """Matrix ``m_idx``'s (sigma, trial, (d_theta, d_phi)) deviations, left zero at sigma = 0.
+
+    Entry (s, t) is what ``trial_rng(cfg.master_seed, arch, n, s, m_idx,
+    t)`` gives for ``normal(0, sigma_s)`` twice, bit for bit.
+    """
+    sigmas = np.array(cfg.sigma_grid)
+    rows = np.flatnonzero(sigmas)
+    trials = cfg.n_phase_trials
+    deviations = np.zeros((len(sigmas), trials, 2))
+    if rows.size == 0:
+        return deviations
+    s_idx = np.repeat(rows, trials).astype(np.uint32)
+    t_idx = np.tile(np.arange(trials, dtype=np.uint32), rows.size)
+    entropy = _words(cfg.master_seed)
+    entropy += [0] * (4 - len(entropy))  # SeedSequence pads the seed when a spawn key follows
+    pool = _seed_pool(entropy + [_TAG_PHASE, _ARCH_IDS[arch]] + _words(n) + [s_idx, m_idx, t_idx])
+    const, words = _INIT_B, []
+    for k in range(8):  # generate_state(4, np.uint64), as uint32 words low half first
+        hashed, const = _hash(pool[k % 4], const, _MULT_B)
+        words.append(hashed.astype(np.uint64))
+    halves = [(words[k] | words[k + 1] << np.uint64(32)).tolist() for k in range(0, 8, 2)]
+    bitgen = np.random.PCG64(0)
+    gen = np.random.Generator(bitgen)
+    normals = []
+    for seed_hi, seed_lo, inc_hi, inc_lo in zip(*halves):
+        inc = (inc_hi << 65 | inc_lo << 1 | 1) & _MASK128
+        state = ((inc + (seed_hi << 64 | seed_lo)) * _PCG64_MULT + inc) & _MASK128
+        bitgen.state = {
+            "bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": 0, "uinteger": 0,
+        }
+        normals.append(gen.standard_normal(2))
+    # normal(0, sigma) returns 0.0 + sigma * z
+    deviations[rows] = 0.0 + sigmas[rows, None, None] * np.reshape(normals, (rows.size, trials, 2))
+    return deviations
 
 
 def usable_cpus() -> int:
@@ -286,13 +391,7 @@ def _phase_chunk(task) -> np.ndarray:
     perturbed = np.array(cfg.sigma_grid) != 0.0
 
     def score(device, y, m_idx):
-        deviations = np.zeros((len(cfg.sigma_grid), cfg.n_phase_trials, 2))
-        for s_idx, sigma in enumerate(cfg.sigma_grid):
-            if sigma != 0.0:
-                deviations[s_idx] = [
-                    _trial_deviation_pair(cfg.master_seed, arch, n, s_idx, m_idx, t_idx, sigma)
-                    for t_idx in range(cfg.n_phase_trials)
-                ]
+        deviations = _phase_deviations(cfg, arch, n, m_idx)
         if arch == ARCH_XBAR:
             return common_deviation_fidelity(device, y, deviations[..., 0])
         out = np.empty(deviations.shape[:2])
@@ -306,15 +405,6 @@ def _phase_chunk(task) -> np.ndarray:
         return out
 
     return _per_matrix(task, LOSSLESS, score, "phase")
-
-
-def _trial_deviation_pair(
-    master_seed: int, arch: str, n: int, sweep_index: int, matrix_index: int,
-    trial_index: int, sigma: float,
-) -> tuple[float, float]:
-    """The trial's two-element deviation set (d_theta, d_phi)."""
-    rng = trial_rng(master_seed, arch, n, sweep_index, matrix_index, trial_index)
-    return float(rng.normal(0.0, sigma)), float(rng.normal(0.0, sigma))
 
 
 def _reports(cfg: SweepConfig, chunk, grid: tuple, workers: int) -> list[FidelityReport]:

@@ -3,10 +3,13 @@
 Everything here is deliberately written along a different route than the
 code under test: the SVD uses one-sided Jacobi rotations instead of LAPACK,
 mesh propagation multiplies explicit dense layer matrices instead of
-two-row updates, and the crossbar output is a literal per-column sum.
+two-row updates, the crossbar output is a literal per-column sum, and a
+phase trial's deviations come from its own ``trial_rng`` stream.
 """
 
 import numpy as np
+
+from crossmesh.montecarlo import trial_rng
 
 
 def jacobi_svd(a, tol=1e-14, max_sweeps=60):
@@ -158,3 +161,9 @@ def column_transmissions(device):
         if c < top.m:
             t_prod *= device.t[c - 1]
     return p
+
+
+def trial_deviation_pair(master_seed, arch, n, sweep_index, matrix_index, trial_index, sigma):
+    """One phase trial's (d_theta, d_phi), drawn from its own seeded stream."""
+    rng = trial_rng(master_seed, arch, n, sweep_index, matrix_index, trial_index)
+    return float(rng.normal(0.0, sigma)), float(rng.normal(0.0, sigma))

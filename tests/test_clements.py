@@ -404,11 +404,15 @@ class TestDeviceJson:
             (lambda d: d.update(programming_steps="6"), DomainError),
             (lambda d: d.update(programming_steps=7), DomainError),
             (lambda d: d.update(loss=[0.1]), DomainError),
+            (lambda d: d["u"][0].update(row=float(d["u"][0]["row"])), DomainError),
+            (lambda d: d["v_dagger"][0].update(layer=float(d["v_dagger"][0]["layer"])), DomainError),
+            (lambda d: d.update(programming_steps=6.0), DomainError),
         ],
         ids=["truncated-u", "row-off-layout", "cell-twice", "truncated-sigma",
              "truncated-phases", "missing-theta", "string-phi", "nan-sigma",
              "missing-loss", "bad-loss", "n-too-small", "missing-steps",
-             "string-steps", "wrong-steps", "loss-not-object"],
+             "string-steps", "wrong-steps", "loss-not-object", "float-row",
+             "float-layer", "float-steps"],
     )
     def test_invalid_dump_rejected(self, corrupt, error):
         # A number list of the wrong length is a shape error, as in every JSON input.

@@ -233,6 +233,16 @@ class TestCorruptDumps:
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_deeply_nested_json_is_a_one_line_error(tmp_path, capsys):
+    matrix = tmp_path / "deep.json"
+    matrix.write_text("[" * 100000)
+    out = tmp_path / "device.json"
+    assert run_experiment(["compile", "--arch", "xbar", "--matrix", str(matrix), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 class TestCompileEval:
     A = np.array([[1.0, 0.5j, 0.0], [0.2, -0.3, 0.9], [0.1j, 0.4, -0.6 + 0.2j]])
     X = np.array([0.3, -0.5j, 0.8])

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,8 +25,8 @@ from crossmesh import (
 )
 from crossmesh import montecarlo
 from crossmesh.crossbar import common_deviation_fidelity
-from crossmesh.montecarlo import _phase_chunk, _trial_deviation_pair, target_matrix
-from oracles import svd_device_layer_product, xbar_column_sums
+from crossmesh.montecarlo import _phase_chunk, _phase_deviations, target_matrix
+from oracles import svd_device_layer_product, trial_deviation_pair, xbar_column_sums
 
 PHASE_CFG = SweepConfig(
     n_values=(3, 4),
@@ -177,7 +181,7 @@ def test_batched_trials_match_layer_product_oracle():
         device = build_svd_clements(y, LOSSLESS)
         for s_idx, sigma in enumerate(sigmas):
             for t_idx in range(trials):
-                dth, dph = _trial_deviation_pair(
+                dth, dph = trial_deviation_pair(
                     seed, ARCH_SVD_CLEMENTS, n, s_idx, m_idx, t_idx, sigma
                 )
                 shaken = apply_common_deviation(device, dth, dph)
@@ -197,7 +201,7 @@ def test_crossbar_trials_match_column_sum_oracle():
         device = build_xbar(y.T, LOSSLESS, "balanced")
         for s_idx, sigma in enumerate(sigmas):
             for t_idx in range(trials):
-                dth, _ = _trial_deviation_pair(seed, ARCH_XBAR, n, s_idx, m_idx, t_idx, sigma)
+                dth, _ = trial_deviation_pair(seed, ARCH_XBAR, n, s_idx, m_idx, t_idx, sigma)
                 w = np.array([
                     [math.sin(math.asin(min(1.0, abs(v))) + dth / 2.0)
                      * complex(math.cos(np.angle(v) + dth / 2.0), math.sin(np.angle(v) + dth / 2.0))
@@ -215,7 +219,7 @@ def test_crossbar_trials_match_column_sum_oracle():
 def test_batch_size_does_not_change_trials(n):
     # The sweep scores all of a matrix's crossbar trials, sigma = 0 included,
     # in one closed-form call; the SVD device evaluates sigma = 0 once and
-    # the other trials in batches of up to _BATCH_ENTRIES // n^2 (16 at
+    # the other trials in batches of up to _BATCH_ENTRIES // n^2 (13 at
     # n = 64, so the 17 trials at sigma = 0.1 split there).  Batches of 1
     # and of 3 trials, each scored alone, give the same bits.
     seed, sigmas, trials = 3, (0.0, 0.1), 17
@@ -229,7 +233,7 @@ def test_batch_size_does_not_change_trials(n):
         full = _phase_chunk(phase_task(seed, arch, n, sigmas, trials, 0, 1))[0]
         for s_idx, sigma in enumerate(sigmas):
             deviations = np.array([
-                _trial_deviation_pair(seed, arch, n, s_idx, 0, t_idx, sigma)
+                trial_deviation_pair(seed, arch, n, s_idx, 0, t_idx, sigma)
                 for t_idx in range(trials)
             ])
             for size in (1, 3):
@@ -239,6 +243,68 @@ def test_batch_size_does_not_change_trials(n):
                     for f in score(deviations[first : first + size])
                 ]
                 assert got == full[s_idx].tolist(), arch
+
+
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 3, 2**130],
+                         ids=["zero", "one-word", "two-words", "three-words", "five-words"])
+def test_phase_deviations_match_trial_rng_bit_for_bit(seed):
+    # Seeds of one to five uint32 words (five: more than the pool's four,
+    # so none is padded), sizes of one and two words, the largest matrix
+    # index, grids that start, end or repeat with 0, and a sigma so small
+    # that sigma * z underflows to a signed zero.
+    grids = [(0.0, 0.05, 0.0, 0.2, 0.0), (0.3, 0.0, 0.0, 5e-324), (0.0, 0.0), (0.1,)]
+    for arch in (ARCH_XBAR, ARCH_SVD_CLEMENTS):
+        for n in (2, 64, 2**32 - 1, 2**32, 2**33):
+            for m_idx in (0, 2**32 - 1):
+                for grid in grids:
+                    cfg = SweepConfig(n_values=(n,), sigma_grid=grid, n_phase_trials=3, master_seed=seed)
+                    expected = np.zeros((len(grid), 3, 2))
+                    for s_idx, sigma in enumerate(grid):
+                        if sigma != 0.0:
+                            expected[s_idx] = [
+                                trial_deviation_pair(seed, arch, n, s_idx, m_idx, t_idx, sigma)
+                                for t_idx in range(3)
+                            ]
+                    got = _phase_deviations(cfg, arch, n, m_idx)
+                    assert got.tobytes() == expected.tobytes(), (arch, n, m_idx, grid)
+
+
+def test_no_sweep_draws_from_trial_rng(monkeypatch):
+    reference = phase_fidelity_sweep(PHASE_CFG)
+
+    def refuse(*args):
+        raise AssertionError("trial_rng called")
+
+    monkeypatch.setattr(montecarlo, "trial_rng", refuse)
+    assert phase_fidelity_sweep(PHASE_CFG) == reference
+
+
+@pytest.mark.parametrize("field", ["n_matrices", "n_phase_trials"])
+def test_indices_must_fit_one_seed_word(field):
+    SweepConfig(n_values=(3,), **{field: 2**32 - 1})
+    with pytest.raises(ConfigError, match=field):
+        SweepConfig(n_values=(3,), **{field: 2**32})
+
+
+@pytest.mark.parametrize("preset", [None, "3"], ids=["unset", "user-set"])
+def test_import_defaults_openblas_to_one_thread(preset):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    code = (
+        "import os, crossmesh\n"
+        "from crossmesh.montecarlo import _openblas_threads\n"
+        "threads = _openblas_threads()\n"
+        "print(os.environ['OPENBLAS_NUM_THREADS'], threads[0]() if threads else 'none')\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    variable, threads = done.stdout.split()
+    assert variable == (preset or "1")
+    if preset is None:
+        assert threads in ("1", "none")
 
 
 def test_svd_batches_spanning_sigma_rows_do_not_change_trials(monkeypatch):
@@ -258,7 +324,7 @@ def test_svd_batches_spanning_sigma_rows_do_not_change_trials(monkeypatch):
                 if sigma == 0.0:
                     expected = fidelity(evaluate_svd_clements(device), y)
                 else:
-                    dth, dph = _trial_deviation_pair(
+                    dth, dph = trial_deviation_pair(
                         seed, ARCH_SVD_CLEMENTS, n, s_idx, m_idx, t_idx, sigma
                     )
                     expected = fidelity(evaluate_svd_clements(device, ([dth], [dph]))[0], y)
