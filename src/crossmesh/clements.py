@@ -19,11 +19,12 @@ on a strided slice of the ports.  The phase arrays may carry leading
 batch axes; a batch of meshes sharing the layout evaluates in one pass.
 
 The full device cascades a mesh for ``v_dagger``, one attenuator cell per
-port for the singular values, and a mesh for ``u``: n^2 cells in all, which
-``apply_common_deviation`` shifts as one array.  With lossy cells every
-cell contributes the scalar field factor ``T_node``, so signal paths that
-traverse different numbers of cells pick up unequal attenuation; that
-imbalance is the device's loss-induced infidelity mechanism.
+port for the singular values, and a mesh for ``u``: n^2 cells in all, stored
+end to end as one ``theta`` and one ``phi`` array; a batch of phase trials
+is a batch of devices.  With lossy cells every cell contributes the scalar
+field factor ``T_node``, so signal paths that traverse different numbers of
+cells pick up unequal attenuation; that imbalance is the device's
+loss-induced infidelity mechanism.
 """
 
 from __future__ import annotations
@@ -228,31 +229,41 @@ def apply_mesh(y: np.ndarray, mesh: ClementsMesh, *, node_field=1.0) -> np.ndarr
 class ClementsDevice:
     """A programmed SVD device: v_dagger mesh, attenuator column, u mesh.
 
-    ``sigma_theta`` and ``sigma_phi`` hold the attenuator cells' phases by
-    port, reduced mod 2 pi, with the same optional batch axes as the
-    meshes.  An attenuator's phi shifter sits on its unconnected arm.
+    ``theta`` and ``phi`` (``(..., n^2)``, reduced mod 2 pi) hold the n^2
+    cells laid end to end: v_dagger cells in layer-major order, the
+    attenuators by port, then u cells in layer-major order.
+    ``output_phases`` (``(..., 2, n)``) holds the v_dagger and u meshes'
+    phase screens.  Leading axes, if any, index a batch of devices.  An
+    attenuator's phi shifter sits on its unconnected arm.
     """
 
-    v_dagger_mesh: ClementsMesh
-    sigma_theta: np.ndarray
-    sigma_phi: np.ndarray
-    u_mesh: ClementsMesh
+    n: int
+    theta: np.ndarray
+    phi: np.ndarray
+    output_phases: np.ndarray
     loss: LossModel
-
-    @property
-    def n(self) -> int:
-        return self.v_dagger_mesh.n
 
     @property
     def programming_steps(self) -> int:
         return self.n * (self.n - 1) // 2
 
+    def parts(self) -> tuple[ClementsMesh, np.ndarray, np.ndarray, ClementsMesh]:
+        """Views ``(v_dagger_mesh, sigma_theta, sigma_phi, u_mesh)`` of the cells."""
+        a, b = self.n * (self.n - 1) // 2, self.n * (self.n + 1) // 2  # v_dagger cells end at a, attenuators at b
+        v = ClementsMesh(self.n, self.theta[..., :a], self.phi[..., :a], self.output_phases[..., 0, :])
+        u = ClementsMesh(self.n, self.theta[..., b:], self.phi[..., b:], self.output_phases[..., 1, :])
+        return v, self.theta[..., a:b], self.phi[..., a:b], u
+
     def __getitem__(self, index) -> ClementsDevice:
         """Device ``index`` of a batch built from a stack of matrices."""
-        v, u = (replace(m, theta=m.theta[index], phi=m.phi[index], output_phases=m.output_phases[index])
-                for m in (self.v_dagger_mesh, self.u_mesh))
-        return replace(self, v_dagger_mesh=v, sigma_theta=self.sigma_theta[index],
-                       sigma_phi=self.sigma_phi[index], u_mesh=u)
+        return replace(self, theta=self.theta[index], phi=self.phi[index], output_phases=self.output_phases[index])
+
+
+def _device(v: ClementsMesh, sigma_theta, sigma_phi, u: ClementsMesh, loss: LossModel) -> ClementsDevice:
+    """The device of these meshes and attenuator phases: the inverse of ``ClementsDevice.parts``."""
+    theta = np.concatenate((v.theta, sigma_theta, u.theta), axis=-1)
+    phi = np.concatenate((v.phi, sigma_phi, u.phi), axis=-1)
+    return ClementsDevice(v.n, theta, phi, np.stack((v.output_phases, u.output_phases), axis=-2), loss)
 
 
 def build_svd_clements(d, loss: LossModel) -> ClementsDevice:
@@ -284,77 +295,50 @@ def build_svd_clements(d, loss: LossModel) -> ClementsDevice:
     inherent = np.reshape([t / a if a > 0.0 else -1j for t, a in zip(transfers, flat)], amplitudes.shape)
     m = clements_decompose(np.stack((factors.v_dagger, factors.u * inherent.conj()[..., None, :])))
     v_mesh, u_mesh = (ClementsMesh(m.n, m.theta[k], m.phi[k], m.output_phases[k]) for k in (0, 1))
-    return ClementsDevice(
-        v_dagger_mesh=v_mesh,
-        sigma_theta=np.reshape(sigma_theta, amplitudes.shape),
-        sigma_phi=np.zeros(amplitudes.shape),
-        u_mesh=u_mesh,
-        loss=loss,
-    )
+    return _device(v_mesh, np.reshape(sigma_theta, amplitudes.shape), np.zeros(amplitudes.shape), u_mesh, loss)
 
 
-def evaluate_svd_clements(device: ClementsDevice, deviations=None, *, losses=None) -> np.ndarray:
+def evaluate_svd_clements(device: ClementsDevice, *, losses=None) -> np.ndarray:
     """Effective transfer matrix of the device, losses included.
 
     Propagates the uniform 1:N input split (scalar ``1/sqrt(N)``), the
-    v_dagger mesh, the attenuator column, and the u mesh.
-
-    ``deviations``, if given, is a pair ``(dtheta, dphi)`` of length-K
-    sequences.  Trial k shifts every MZI cell, attenuators included, by
-    ``(dtheta[k], dphi[k])`` exactly as ``apply_common_deviation`` does,
-    and the K transfer matrices come back stacked as ``(K, n, n)``.
+    v_dagger mesh, the attenuator column, and the u mesh.  A batch of
+    devices gives the stack of their transfer matrices.
 
     ``losses``, if given, is a sequence of K ``LossModel``s used in place
-    of ``device.loss``: the ``(K, n, n)`` stack equals K
-    ``with_loss(device, losses[k])`` evaluations bit for bit.
+    of ``device.loss`` of a single device: the ``(K, n, n)`` stack equals
+    K ``with_loss(device, losses[k])`` evaluations bit for bit.
     """
-    if deviations is not None:
-        dtheta, dphi = (np.asarray(d, dtype=np.float64) for d in deviations)
-        if dtheta.ndim != 1 or dtheta.shape != dphi.shape:
-            raise DimensionError(f"deviations must be two equal-length 1-D sequences: {dtheta.shape}, {dphi.shape}")
-        device = apply_common_deviation(device, dtheta[:, None], dphi[:, None])
+    v, sigma_theta, _sigma_phi, u = device.parts()
     if losses is None:
         t_field = device.loss.t_node
-        attenuators = voa_transfer_at(device.sigma_theta, device.loss)
+        attenuators = voa_transfer_at(sigma_theta, device.loss)
+    elif device.theta.ndim > 1:
+        raise DimensionError(f"losses= takes a single device, not a batch of shape {device.theta.shape[:-1]}")
     else:
         t_field = np.array([loss.t_node for loss in losses])[:, None]
-        attenuators = np.stack([voa_transfer_at(device.sigma_theta, loss) for loss in losses])
+        attenuators = np.stack([voa_transfer_at(sigma_theta, loss) for loss in losses])
     y = np.eye(device.n, dtype=np.complex128) / math.sqrt(device.n)
-    y = apply_mesh(y, device.v_dagger_mesh, node_field=t_field)
+    y = apply_mesh(y, v, node_field=t_field)
     y = attenuators[..., None] * y
-    return apply_mesh(y, device.u_mesh, node_field=t_field)
+    return apply_mesh(y, u, node_field=t_field)
 
 
 def apply_common_deviation(device: ClementsDevice, dtheta, dphi) -> ClementsDevice:
     """The device with (dtheta, dphi) added to every MZI cell, reduced mod 2 pi.
 
-    The deviations broadcast against the device's n^2 cells laid end to
-    end: v_dagger cells in layer-major order, the attenuator column by
-    port, then u cells in layer-major order.  A scalar pair is one shared
-    deviation on every cell, the figure-experiment error model.  Arrays of
-    length n^2 give each cell its own deviation (independent per-cell
-    errors); the draw order is the caller's, e.g. columns 0 and 1 of
-    ``rng.normal(0, sigma, (n * n, 2))`` give each cell, in the order
-    above, a theta draw and then a phi draw.  A leading axis indexes a
-    batch of devices, as ``evaluate_svd_clements`` uses it.  Output phase
-    screens are plain shifters, not MZI cells, and stay untouched.  A
-    scalar zero pair returns ``device`` itself.
+    The deviations broadcast against ``device.theta`` and ``device.phi``.
+    A scalar pair is one shared deviation on every cell, the
+    figure-experiment error model.  Arrays of length n^2 give each cell,
+    in the device's cell order, its own deviation (independent per-cell
+    errors), e.g. columns 0 and 1 of ``rng.normal(0, sigma, (n * n, 2))``.
+    Leading axes make a batch of devices: ``(K, 1)`` columns are K
+    shared-deviation trials.  Output phase screens are plain shifters, not
+    MZI cells, and stay untouched.  A scalar zero pair returns ``device``.
     """
     if np.ndim(dtheta) == np.ndim(dphi) == 0 and dtheta == 0.0 and dphi == 0.0:
         return device
-    v, u = device.v_dagger_mesh, device.u_mesh
-    theta = np.concatenate((v.theta, device.sigma_theta, u.theta), axis=-1) + dtheta
-    phi = np.concatenate((v.phi, device.sigma_phi, u.phi), axis=-1) + dphi
-    theta, phi = np.mod(theta, _TWO_PI), np.mod(phi, _TWO_PI)
-    a = v.theta.shape[-1]
-    b = a + device.sigma_theta.shape[-1]
-    return replace(
-        device,
-        v_dagger_mesh=replace(v, theta=theta[..., :a], phi=phi[..., :a]),
-        sigma_theta=theta[..., a:b],
-        sigma_phi=phi[..., a:b],
-        u_mesh=replace(u, theta=theta[..., b:], phi=phi[..., b:]),
-    )
+    return replace(device, theta=np.mod(device.theta + dtheta, _TWO_PI), phi=np.mod(device.phi + dphi, _TWO_PI))
 
 
 def with_loss(device, loss: LossModel):
@@ -430,8 +414,9 @@ def _mesh_from_json(obj: dict, name: str, n: int) -> ClementsMesh:
 
 
 def device_to_json(device: ClementsDevice) -> dict:
-    v_nodes, v_phases = _mesh_to_json(device.v_dagger_mesh)
-    u_nodes, u_phases = _mesh_to_json(device.u_mesh)
+    v, sigma_theta, sigma_phi, u = device.parts()
+    v_nodes, v_phases = _mesh_to_json(v)
+    u_nodes, u_phases = _mesh_to_json(u)
     return {
         "arch": "svd-clements",
         "n": device.n,
@@ -439,7 +424,7 @@ def device_to_json(device: ClementsDevice) -> dict:
         "v_dagger_output_phases": v_phases,
         "sigma": [
             {"theta": theta, "phi": phi}
-            for theta, phi in zip(device.sigma_theta.tolist(), device.sigma_phi.tolist())
+            for theta, phi in zip(sigma_theta.tolist(), sigma_phi.tolist())
         ],
         "u": u_nodes,
         "u_output_phases": u_phases,
@@ -465,10 +450,10 @@ def device_from_json(obj: dict) -> ClementsDevice:
     if steps != n * (n - 1) // 2:
         raise DomainError(f"svd-clements dump: programming_steps must be {n * (n - 1) // 2}, got {steps}")
     sigma = _list(obj, "sigma", n)
-    return ClementsDevice(
-        v_dagger_mesh=_mesh_from_json(obj, "v_dagger", n),
-        sigma_theta=np.mod([number_from_json(c, "theta", "sigma") for c in sigma], _TWO_PI),
-        sigma_phi=np.mod([number_from_json(c, "phi", "sigma") for c in sigma], _TWO_PI),
-        u_mesh=_mesh_from_json(obj, "u", n),
-        loss=LossModel.from_json(obj.get("loss")),
+    return _device(
+        _mesh_from_json(obj, "v_dagger", n),
+        np.mod([number_from_json(c, "theta", "sigma") for c in sigma], _TWO_PI),
+        np.mod([number_from_json(c, "phi", "sigma") for c in sigma], _TWO_PI),
+        _mesh_from_json(obj, "u", n),
+        LossModel.from_json(obj.get("loss")),
     )

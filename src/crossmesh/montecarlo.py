@@ -46,6 +46,7 @@ from __future__ import annotations
 import ctypes
 import glob
 import math
+import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
@@ -53,7 +54,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .clements import (  # apply_common_deviation: bench/trace_run.py wraps it by this module's name
+from .clements import (
     apply_common_deviation,
     build_svd_clements,
     evaluate_svd_clements,
@@ -97,6 +98,16 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
+def _integer(name: str, value, low: int, high: float = math.inf) -> int:
+    """``value`` as a Python int in [low, high]; ConfigError for bools, floats and anything else."""
+    try:
+        if not isinstance(value, bool) and low <= operator.index(value) <= high:
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise ConfigError(f"{name} must be an integer in [{low}, {high}], got {value!r}")
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """Shared experiment configuration; ``n_values`` must name a size, grids may be empty when unused."""
@@ -112,7 +123,10 @@ class SweepConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "architectures", tuple(self.architectures))
-        object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
+        object.__setattr__(self, "n_values", tuple(_integer("n_values", n, 2) for n in self.n_values))
+        # A matrix or trial index is one uint32 seed word.
+        for name, low, high in (("n_matrices", 1, _MASK32), ("n_phase_trials", 1, _MASK32), ("master_seed", 0, math.inf)):
+            object.__setattr__(self, name, _integer(name, getattr(self, name), low, high))
         object.__setattr__(self, "il_node_grid", tuple(float(v) for v in self.il_node_grid))
         object.__setattr__(self, "sigma_grid", tuple(float(v) for v in self.sigma_grid))
         if not self.architectures:
@@ -122,24 +136,12 @@ class SweepConfig:
                 raise ConfigError(f"unknown architecture {arch!r}")
         if not self.n_values:
             raise ConfigError("n_values must be non-empty")
-        for n in self.n_values:
-            if n < 2:
-                raise ConfigError(f"matrix dimensions must be >= 2, got {n}")
         for name, values in (("architectures", self.architectures), ("n_values", self.n_values)):
             if len(set(values)) != len(values):
                 raise ConfigError(f"{name} must not repeat, got {values}")
-        if self.n_matrices < 1:
-            raise ConfigError(f"n_matrices must be >= 1, got {self.n_matrices}")
-        if self.n_phase_trials < 1:
-            raise ConfigError(f"n_phase_trials must be >= 1, got {self.n_phase_trials}")
-        for name in ("n_matrices", "n_phase_trials"):  # an index is one uint32 seed word
-            if getattr(self, name) > _MASK32:
-                raise ConfigError(f"{name} must be < 2**32, got {getattr(self, name)}")
         for name in ("il_node_grid", "sigma_grid"):
             if not all(math.isfinite(v) and v >= 0.0 for v in getattr(self, name)):
                 raise ConfigError(f"{name} values must be finite and >= 0")
-        if self.master_seed < 0:
-            raise ConfigError("master_seed must be a non-negative integer")
 
 
 @dataclass(frozen=True)
@@ -400,7 +402,10 @@ def _phase_chunk(task) -> np.ndarray:
         trials = deviations[perturbed].reshape(-1, 2)
         scored = []
         for first in range(0, len(trials), batch):  # batches may span sigma rows
-            scored.extend(fidelity(evaluate_svd_clements(device, trials[first : first + batch].T), y))
+            chunk = trials[first : first + batch]
+            # By keyword: bench/trace_run.py's tracer takes bool(d == 0.0) of positional deviations.
+            shaken = apply_common_deviation(device, dtheta=chunk[:, :1], dphi=chunk[:, 1:])
+            scored.extend(fidelity(evaluate_svd_clements(shaken), y))
         out[perturbed] = np.reshape(scored, (-1, cfg.n_phase_trials))
         return out
 

@@ -105,15 +105,16 @@ def mesh_layer_product(mesh, node_field=1.0):
 
 def svd_device_layer_product(device):
     """Full lossy device transfer built from dense layer matrices."""
-    n = device.v_dagger_mesh.n
+    n = device.n
+    v_dagger_mesh, sigma_theta, sigma_phi, u_mesh = device.parts()
     t_field = device.loss.t_node
-    result = mesh_layer_product(device.v_dagger_mesh, t_field) / np.sqrt(n)
+    result = mesh_layer_product(v_dagger_mesh, t_field) / np.sqrt(n)
     column = np.zeros((n, n), dtype=np.complex128)
-    for r, (theta, phi) in enumerate(zip(device.sigma_theta, device.sigma_phi)):
+    for r, (theta, phi) in enumerate(zip(sigma_theta, sigma_phi)):
         cell = t_field * mzi_product(theta, phi)
         column[r, r] = cell[1, 1]
     result = column @ result
-    return mesh_layer_product(device.u_mesh, t_field) @ result
+    return mesh_layer_product(u_mesh, t_field) @ result
 
 
 def xbar_column_sums(device, x):

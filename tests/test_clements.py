@@ -132,17 +132,17 @@ class TestStacks:
         targets = np.stack([[target_matrix(6, 5, 3 * i + j) for j in range(3)] for i in range(2)])
         targets[1, 2] = np.eye(5)
         stacked = build_svd_clements(targets, LOSSLESS)
-        assert stacked.sigma_theta.shape == (2, 3, 5)
-        assert stacked.u_mesh.theta.shape == (2, 3, 10)
+        _v, sigma_theta, _sigma_phi, u = stacked.parts()
+        assert sigma_theta.shape == (2, 3, 5)
+        assert u.theta.shape == (2, 3, 10)
+        assert stacked.theta.shape == stacked.phi.shape == (2, 3, 25)
+        assert stacked.output_phases.shape == (2, 3, 2, 5)
         for i in range(2):
             for j in range(3):
                 single, got = build_svd_clements(targets[i, j], LOSSLESS), stacked[i, j]
-                for name in ("sigma_theta", "sigma_phi"):
-                    assert np.array_equal(getattr(got, name), getattr(single, name))
-                for mesh in ("v_dagger_mesh", "u_mesh"):
-                    for name in ("theta", "phi", "output_phases"):
-                        assert np.array_equal(getattr(getattr(got, mesh), name),
-                                              getattr(getattr(single, mesh), name)), (i, j, mesh, name)
+                # the n^2 cells and both meshes' output phase screens
+                for name in ("theta", "phi", "output_phases"):
+                    assert np.array_equal(getattr(got, name), getattr(single, name)), (i, j, name)
 
     def test_zero_matrix_in_a_stack_rejected(self):
         with pytest.raises(DomainError, match="zero matrix"):
@@ -172,7 +172,7 @@ class TestBuildEvaluate:
 
     def test_diagonal_target_amplitudes(self):
         device = build_svd_clements(np.diag([1.0, 0.5]), LOSSLESS)
-        amps = np.sin(device.sigma_theta / 2.0)
+        amps = np.sin(device.parts()[1] / 2.0)
         assert abs(amps[0] - 1.0) < 1e-12
         assert abs(amps[1] - 0.5) < 1e-12
         y = evaluate_svd_clements(device)
@@ -187,8 +187,9 @@ class TestBuildEvaluate:
 
     def test_device_counts(self):
         device = build_svd_clements(target_matrix(4, 6, 0), LOSSLESS)
-        cells = device.v_dagger_mesh.theta.size + device.sigma_theta.size + device.u_mesh.theta.size
-        assert cells == 36
+        v, sigma_theta, _sigma_phi, u = device.parts()
+        cells = v.theta.size + sigma_theta.size + u.theta.size
+        assert cells == device.theta.size == device.phi.size == 36
         assert device.programming_steps == 15
 
     def test_zero_matrix_rejected(self):
@@ -272,10 +273,7 @@ class TestPerturbation:
 
         def cells(d):
             # v_dagger cells layer-major, attenuators by port, u cells layer-major
-            return zip(
-                np.concatenate((d.v_dagger_mesh.theta, d.sigma_theta, d.u_mesh.theta)),
-                np.concatenate((d.v_dagger_mesh.phi, d.sigma_phi, d.u_mesh.phi)),
-            )
+            return zip(d.theta, d.phi)
 
         assert len(list(cells(shaken))) == 16  # N^2 cells, two draws each
         for (theta, phi), (new_theta, new_phi) in zip(cells(device), cells(shaken)):
@@ -287,13 +285,11 @@ class TestPerturbation:
     def test_common_deviation_shifts_every_cell(self):
         device = build_svd_clements(target_matrix(0, 5, 1), LOSSLESS)
         shaken = apply_common_deviation(device, 0.3, -0.2)
-        for before, after in (
-            (device.v_dagger_mesh, shaken.v_dagger_mesh), (device.u_mesh, shaken.u_mesh),
-        ):
-            assert np.all(np.abs(after.theta - (before.theta + 0.3) % (2 * math.pi)) < 1e-12)
-            assert np.all(np.abs(after.phi - (before.phi - 0.2) % (2 * math.pi)) < 1e-12)
-        assert np.all(np.abs(shaken.sigma_theta - (device.sigma_theta + 0.3) % (2 * math.pi)) < 1e-12)
-        assert np.array_equal(device.v_dagger_mesh.output_phases, shaken.v_dagger_mesh.output_phases)
+        # all n^2 cells: both meshes and the attenuator column
+        assert np.all(np.abs(shaken.theta - (device.theta + 0.3) % (2 * math.pi)) < 1e-12)
+        assert np.all(np.abs(shaken.phi - (device.phi - 0.2) % (2 * math.pi)) < 1e-12)
+        # both output phase screens
+        assert np.array_equal(device.output_phases, shaken.output_phases)
         assert fidelity(evaluate_svd_clements(shaken), evaluate_svd_clements(device)) < 1.0
 
     def test_batched_deviations_match_single_trials(self):
@@ -301,13 +297,30 @@ class TestPerturbation:
         device = build_svd_clements(target_matrix(0, 6, 2), node_loss_model(0.3))
         rng = np.random.default_rng(4)
         dtheta, dphi = rng.normal(0.0, 0.1, 5), rng.normal(0.0, 0.1, 5)
-        batch = evaluate_svd_clements(device, (dtheta, dphi))
+        batch = evaluate_svd_clements(apply_common_deviation(device, dtheta[:, None], dphi[:, None]))
         assert batch.shape == (5, 6, 6)
         for k in range(5):
             single = evaluate_svd_clements(apply_common_deviation(device, dtheta[k], dphi[k]))
             assert np.array_equal(batch[k], single)
+
+    @pytest.mark.parametrize("n", [2, 5, 8])
+    def test_batch_of_per_cell_draws_matches_single_trials(self, n):
+        # K trials of independent per-cell errors evaluate as one batch of devices
+        device = build_svd_clements(target_matrix(1, n, 4), node_loss_model(0.3))
+        dtheta, dphi = np.random.default_rng(n).normal(0.0, 0.1, (2, 4, n * n))
+        batch = evaluate_svd_clements(apply_common_deviation(device, dtheta, dphi))
+        assert batch.shape == (4, n, n)
+        for k in range(4):
+            single = apply_common_deviation(device, dtheta[k], dphi[k])
+            assert np.array_equal(batch[k], evaluate_svd_clements(single))
+            assert np.max(np.abs(batch[k] - svd_device_layer_product(single))) < 1e-12
+
+    def test_losses_refuse_a_batch_of_devices(self):
+        # (loss k, trial k) pairs would mix the two batch axes, so a batch is refused
+        device = build_svd_clements(target_matrix(0, 4, 0), LOSSLESS)
+        batch = apply_common_deviation(device, np.array([[0.1], [0.2]]), np.zeros((2, 1)))
         with pytest.raises(DimensionError):
-            evaluate_svd_clements(device, (dtheta, dphi[:4]))
+            evaluate_svd_clements(batch, losses=[node_loss_model(0.0), node_loss_model(1.0)])
 
 
 class TestClosedForms:

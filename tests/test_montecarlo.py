@@ -226,7 +226,10 @@ def test_batch_size_does_not_change_trials(n):
     y = target_matrix(seed, n, 0)
     svd, xbar = build_svd_clements(y, LOSSLESS), build_xbar(y.T, LOSSLESS, "balanced")
     scorers = {
-        ARCH_SVD_CLEMENTS: lambda deviations: [fidelity(t, y) for t in evaluate_svd_clements(svd, deviations.T)],
+        ARCH_SVD_CLEMENTS: lambda deviations: [
+            fidelity(t, y)
+            for t in evaluate_svd_clements(apply_common_deviation(svd, deviations[:, :1], deviations[:, 1:]))
+        ],
         ARCH_XBAR: lambda deviations: common_deviation_fidelity(xbar, y, deviations[:, 0]).tolist(),
     }
     for arch, score in scorers.items():
@@ -286,6 +289,23 @@ def test_indices_must_fit_one_seed_word(field):
         SweepConfig(n_values=(3,), **{field: 2**32})
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"n_values": (2.7,)}, {"n_values": (True,)}, {"n_values": (np.bool_(True),)}, {"n_values": ("3",)},
+    {"master_seed": True}, {"master_seed": 1.5}, {"master_seed": np.float64(2.0)},
+    {"n_matrices": 1.5}, {"n_matrices": False}, {"n_phase_trials": 2.5}, {"n_phase_trials": None},
+])
+def test_integer_fields_refuse_non_integers(kwargs):
+    with pytest.raises(ConfigError, match=next(iter(kwargs))):
+        SweepConfig(**{"n_values": (3,), **kwargs})
+
+
+def test_integer_fields_take_numpy_ints_as_python_ints():
+    cfg = SweepConfig(n_values=(np.int64(3),), n_matrices=np.uint32(4), n_phase_trials=np.int8(5),
+                      master_seed=np.uint64(2**64 - 1))
+    assert (cfg.n_values, cfg.n_matrices, cfg.n_phase_trials, cfg.master_seed) == ((3,), 4, 5, 2**64 - 1)
+    assert all(type(v) is int for v in (*cfg.n_values, cfg.n_matrices, cfg.n_phase_trials, cfg.master_seed))
+
+
 @pytest.mark.parametrize("preset", [None, "3"], ids=["unset", "user-set"])
 def test_import_defaults_openblas_to_one_thread(preset):
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
@@ -327,7 +347,8 @@ def test_svd_batches_spanning_sigma_rows_do_not_change_trials(monkeypatch):
                     dth, dph = trial_deviation_pair(
                         seed, ARCH_SVD_CLEMENTS, n, s_idx, m_idx, t_idx, sigma
                     )
-                    expected = fidelity(evaluate_svd_clements(device, ([dth], [dph]))[0], y)
+                    one = apply_common_deviation(device, np.full((1, 1), dth), np.full((1, 1), dph))
+                    expected = fidelity(evaluate_svd_clements(one)[0], y)
                 assert got[m_idx, s_idx, t_idx] == expected
 
 
@@ -352,9 +373,9 @@ def test_crossbar_scores_each_matrix_in_one_call(monkeypatch):
 def test_unperturbed_svd_evaluated_once_per_matrix_if_grid_has_zero(monkeypatch, sigmas, unperturbed_calls):
     seen = []
 
-    def recorded(device, deviations=None, **kwargs):
-        seen.append(deviations is None)
-        return evaluate_svd_clements(device, deviations, **kwargs)
+    def recorded(device, **kwargs):
+        seen.append(device.theta.ndim == 1)  # a single device, not a batch of trials
+        return evaluate_svd_clements(device, **kwargs)
 
     monkeypatch.setattr(montecarlo, "evaluate_svd_clements", recorded)
     _phase_chunk(phase_task(13, ARCH_SVD_CLEMENTS, 4, sigmas, 5, 0, 2))

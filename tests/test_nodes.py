@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,6 +22,7 @@ from crossmesh import (
     voa_transfer_at,
     with_loss,
 )
+from crossmesh.clements import _device
 from crossmesh.crossbar import device_from_json as xbar_device_from_json
 from crossmesh.crossbar import device_to_json as xbar_device_to_json
 from crossmesh.montecarlo import target_matrix
@@ -171,7 +171,8 @@ class TestVoaTransfer:
         assert abs(voa_transfer_at(1.1) - mzi_matrix(1.1, 2.2)[1, 1]) < 1e-15
         # the attenuator column's phi shifters leave the device transfer unchanged
         device = build_svd_clements(target_matrix(3, 4, 0), node_loss_model(0.4))
-        shifted = replace(device, sigma_phi=np.array([2.2, 0.3, 5.0, 1.0]))
+        v, sigma_theta, _sigma_phi, u = device.parts()
+        shifted = _device(v, sigma_theta, np.array([2.2, 0.3, 5.0, 1.0]), u, device.loss)
         assert np.array_equal(evaluate_svd_clements(shifted), evaluate_svd_clements(device))
 
     def test_array_of_angles(self):
@@ -228,10 +229,7 @@ class TestPerturbPhases:
         return build_svd_clements(target_matrix(1, 2, 0), LOSSLESS)  # 4 cells
 
     def phases(self, device):
-        return (
-            np.concatenate((device.v_dagger_mesh.theta, device.sigma_theta, device.u_mesh.theta), axis=-1),
-            np.concatenate((device.v_dagger_mesh.phi, device.sigma_phi, device.u_mesh.phi), axis=-1),
-        )
+        return device.theta, device.phi
 
     def test_sigma_zero_is_identity(self):
         device = self.device()
