@@ -175,13 +175,13 @@ def _series(points) -> list[tuple[str, list, list]]:
 
 def _write_manifest(command: str, config: dict, outputs: list[str], started: float, *,
                     workers_used: int, master_seed: int | None) -> None:
-    """Write the provenance record next to the first output."""
+    """Write the provenance record next to the first output; ``started`` is a ``time.monotonic()`` reading."""
     manifest = {"command": command, "config": config}
     if master_seed is not None:
         manifest["master_seed"] = master_seed
     manifest.update(
         version=__version__,
-        duration_seconds=time.time() - started,
+        duration_seconds=time.monotonic() - started,
         outputs=outputs,
         workers_used=workers_used,
         python=platform.python_version(),
@@ -245,7 +245,7 @@ _CONFIG_FLAGS = (("matrices", "n_matrices"), ("trials", "n_phase_trials"), ("see
 
 
 def _cmd_sweep(args) -> int:
-    started = time.time()
+    started = time.monotonic()
     experiment = _EXPERIMENTS[args.command]
     flags = vars(args)
     workers = flags.get("threads", 1)
@@ -358,6 +358,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--seed", type=int, default=1234, help="master seed (default 1234)")
         p.add_argument("--threads", type=int, default=1,
                        help="worker processes, at most the usable CPUs; >= 1 (default 1); "
+                            "the pool is imported only for > 1, numpy.random loaded before it forks; "
                             "every sweep runs BLAS on one thread (OPENBLAS_NUM_THREADS "
                             "defaults to 1)")
 

@@ -38,7 +38,8 @@ Parallelism: every sweep runs the bundled OpenBLAS on one thread (the
 package defaults ``OPENBLAS_NUM_THREADS`` to 1, and ``_one_blas_thread``
 pins a pool started before that); with more than one worker, all its
 tasks run in one process pool, sized to at most the task count and the
-usable CPUs.
+usable CPUs.  Only then is the pool imported, and the parent loads
+``numpy.random`` before the fork so workers inherit it (moot under forkserver).
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ import glob
 import math
 import operator
 import os
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -299,6 +299,8 @@ def _run_sweep(worker, cfg: SweepConfig, workers: int) -> list[tuple[str, int, n
         if size == 1:
             parts = [worker(task) for task in tasks]
         else:
+            from concurrent.futures import ProcessPoolExecutor  # serial runs never load the pool stack
+            import numpy.random  # noqa: F401  imported before the fork, so no worker imports it again
             with ProcessPoolExecutor(max_workers=size) as pool:
                 parts = list(pool.map(worker, tasks))
     per_point = len(bounds)

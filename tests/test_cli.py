@@ -4,6 +4,7 @@ import platform
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,7 @@ from crossmesh import (
     montecarlo,
     phase_fidelity_sweep,
 )
+from crossmesh import cli
 from crossmesh.cli import _csv_text, run_experiment
 from crossmesh.clements import device_to_json as svd_device_to_json
 from crossmesh.crossbar import device_to_json as xbar_device_to_json
@@ -438,6 +440,22 @@ class TestParallelSweeps:
             "cannot compile the zero matrix\n"
         )
         assert not out.exists()
+
+
+def test_duration_survives_a_wall_clock_step(tmp_path, monkeypatch):
+    # The wall clock steps back an hour mid-sweep, as NTP or a resumed VM may step it.
+    sweep = cli.phase_fidelity_sweep
+
+    def stepped_sweep(cfg, *, workers):
+        reports = sweep(cfg, workers=workers)
+        wall = time.time
+        monkeypatch.setattr(time, "time", lambda: wall() - 3600.0)
+        return reports
+
+    monkeypatch.setattr(cli, "phase_fidelity_sweep", stepped_sweep)
+    assert run_experiment(TestParallelSweeps.PHASE + ["--out", str(tmp_path / "out.csv")]) == 0
+    manifest = json.loads((tmp_path / "out.csv.manifest.json").read_text())
+    assert 0.0 <= manifest["duration_seconds"] < 600.0
 
 
 MANIFEST_KEYS = {"command", "config", "master_seed", "version", "duration_seconds", "outputs",

@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import os
 import subprocess
@@ -100,7 +101,8 @@ class _RecordingPool:
     ids=["capped-by-tasks", "capped-by-cpus", "as-asked", "one-cpu-serial", "one-worker-serial"],
 )
 def test_pool_never_exceeds_tasks_or_cpus(monkeypatch, workers, cpus, n_matrices, expected):
-    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", _RecordingPool)
+    # _run_sweep looks the pool class up here when, and only when, it starts a pool.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(montecarlo, "usable_cpus", lambda: cpus)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     cfg = SweepConfig(
@@ -306,25 +308,63 @@ def test_integer_fields_take_numpy_ints_as_python_ints():
     assert all(type(v) is int for v in (*cfg.n_values, cfg.n_matrices, cfg.n_phase_trials, cfg.master_seed))
 
 
+def run_fresh(code: str, env=None, cwd=None) -> str:
+    """Stdout of ``code`` in a fresh interpreter with ``env`` (default ours) and this checkout's src."""
+    env = dict(os.environ if env is None else env)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    done = subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd, capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
 @pytest.mark.parametrize("preset", [None, "3"], ids=["unset", "user-set"])
 def test_import_defaults_openblas_to_one_thread(preset):
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     if preset is not None:
         env["OPENBLAS_NUM_THREADS"] = preset
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
     code = (
         "import os, crossmesh\n"
         "from crossmesh.montecarlo import _openblas_threads\n"
         "threads = _openblas_threads()\n"
         "print(os.environ['OPENBLAS_NUM_THREADS'], threads[0]() if threads else 'none')\n"
     )
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
-    assert done.returncode == 0, done.stderr
-    variable, threads = done.stdout.split()
+    variable, threads = run_fresh(code, env).split()
     assert variable == (preset or "1")
     if preset is None:
         assert threads in ("1", "none")
+
+
+def tiny_phase_sweep(threads: int) -> list[str]:
+    return ["fidelity-phase", "--arch", "xbar,svd-clements", "--n", "3", "--sigma", "0,0.1", "--matrices", "2",
+            "--trials", "2", "--out", "out.csv", "--threads", str(threads)]
+
+
+def test_serial_runs_leave_the_pool_stack_unloaded(tmp_path):
+    code = (
+        "import sys\n"
+        "from crossmesh.cli import run_experiment\n"
+        "assert run_experiment(['stats', '--n', '2']) == 0\n"
+        f"assert run_experiment({tiny_phase_sweep(1)!r}) == 0\n"
+        "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))\n"
+    )
+    assert run_fresh(code, cwd=tmp_path).splitlines()[-1] == "[]"
+
+
+@pytest.mark.skipif(montecarlo.usable_cpus() < 2, reason="a pool needs two usable CPUs")
+def test_parent_loads_numpy_random_before_the_pool_forks(tmp_path):
+    code = (
+        "import sys, concurrent.futures\n"
+        "pool = concurrent.futures.ProcessPoolExecutor\n"
+        "def recording_pool(*args, **kwargs):\n"
+        "    print('numpy.random' in sys.modules)\n"
+        "    return pool(*args, **kwargs)\n"
+        "concurrent.futures.ProcessPoolExecutor = recording_pool\n"
+        "from crossmesh.cli import run_experiment\n"
+        f"assert run_experiment({tiny_phase_sweep(2)!r}) == 0\n"
+    )
+    assert run_fresh(code, cwd=tmp_path).split() == ["True"]
 
 
 def test_svd_batches_spanning_sigma_rows_do_not_change_trials(monkeypatch):
