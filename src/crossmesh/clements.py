@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import DimensionError, DomainError
 from .linalg import array_from_json, ensure_square, int_from_json, number_from_json, svd_factorize, unitarity_residual
-from .nodes import LossModel, mzi_entries, voa_transfer, voa_transfer_at
+from .nodes import LossModel, cell_entries, mzi_entries, voa_transfer, voa_transfer_at
 
 _TWO_PI = 2.0 * math.pi
 _UNITARY_ATOL = 1e-8
@@ -195,6 +195,8 @@ def apply_mesh(y: np.ndarray, mesh: ClementsMesh, *, node_field=1.0) -> np.ndarr
     batch axes of the mesh's phase arrays.  ``node_field`` is the per-cell
     scalar field factor (``T_node``); ports that skip a layer pass
     unattenuated; a ``(K, 1)`` array of them adds a leading axis of K.
+    Each layer's cells take their entries from one ``nodes.cell_entries``
+    call.
     """
     y = np.asarray(y)
     if y.ndim < 2 or y.shape[-2] != mesh.n:
@@ -203,14 +205,9 @@ def apply_mesh(y: np.ndarray, mesh: ClementsMesh, *, node_field=1.0) -> np.ndarr
     out = np.empty(batch + y.shape[-2:], dtype=np.complex128)
     out[...] = y
     for first, start, count in _layers(mesh.n):
-        half = 0.5 * mesh.theta[..., start : start + count]
-        common = node_field * 1j * np.exp(1j * half)
-        s, c = np.sin(half), np.cos(half)
-        ephi = np.exp(1j * mesh.phi[..., start : start + count])
-        m11 = (common * ephi * s)[..., None]
-        m12 = (common * c)[..., None]
-        m21 = (common * ephi * c)[..., None]
-        m22 = (-common * s)[..., None]
+        cells = slice(start, start + count)
+        entries = cell_entries(mesh.theta[..., cells], mesh.phi[..., cells], node_field)
+        m11, m12, m21, m22 = (m[..., None] for m in entries)
         tops = slice(first, first + 2 * count, 2)
         bottoms = slice(first + 1, first + 2 * count + 1, 2)
         top = out[..., tops, :]
@@ -281,9 +278,13 @@ def build_svd_clements(d, loss: LossModel) -> ClementsDevice:
     axes, and ``device[k]`` is bit-identical to the device of ``d[k]``.
 
     Phases are always computed from the lossless factors; ``loss`` only
-    scales the cells at evaluation time.
+    scales the cells at evaluation time.  DomainError for n < 2, which
+    ``device_from_json`` would refuse to load.
     """
     factors = svd_factorize(d)
+    n = factors.sigma.shape[-1]
+    if n < 2:
+        raise DomainError(f"n must be >= 2, got {n}")
     sigma_max = factors.sigma[..., :1]
     if np.any(sigma_max == 0.0):
         raise DomainError("cannot compile the zero matrix")

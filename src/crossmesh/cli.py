@@ -25,12 +25,13 @@ byte for byte.
 
 Every number in a JSON input must be a JSON number (int or float, never a
 bool, string or null), finite, in lists of the declared shape.  Exit
-codes: 0 success; 1 a bad flag, value, grid or configuration, a loss file
-that breaks that rule or names an unknown loss, JSON that does not parse
-or nests too deeply to parse, or a dump naming an unknown architecture; 2
-a numerical failure, or a matrix, vector or dump that breaks the rule or
-does not describe a valid device (a failed sweep point names itself); 3 an
-I/O failure.
+codes: 0 success; 1 a bad flag, value, grid or configuration (a grid or
+size list that repeats a value included), a loss file that breaks that
+rule or names an unknown loss, JSON that does not parse or nests too
+deeply to parse, or a dump naming an unknown architecture; 2 a numerical
+failure, or a matrix, vector or dump that breaks the rule or does not
+describe a valid device (a failed sweep point names itself); 3 an I/O
+failure.
 """
 
 from __future__ import annotations
@@ -86,7 +87,8 @@ class _Parser(argparse.ArgumentParser):
 def parse_value_list(text: str) -> tuple[float, ...]:
     """Parse ``start:stop:step`` (inclusive within half a step) or a comma list.
 
-    Every number given must be finite.
+    Every number given must be finite, and no value may repeat: sweep points
+    are seeded by grid index and keyed by value in the CSV.
     """
     text = text.strip()
     if ":" in text:
@@ -101,15 +103,17 @@ def parse_value_list(text: str) -> tuple[float, ...]:
         raise ConfigError(f"bad value list {text!r}: {exc}") from exc
     if not all(math.isfinite(v) for v in values):
         raise ConfigError(f"values must be finite, got {text!r}")
-    if ":" not in text:
-        return values
-    start, stop, step = values
-    if step <= 0:
-        raise ConfigError(f"range step must be positive, got {step}")
-    span = (stop - start) / step  # infinite if the range overflows
-    if not -0.5 <= span < math.inf:
-        raise ConfigError(f"range {text!r} is empty or has no finite number of points")
-    return tuple(start + k * step for k in range(int(math.floor(span + 0.5)) + 1))
+    if ":" in text:
+        start, stop, step = values
+        if step <= 0:
+            raise ConfigError(f"range step must be positive, got {step}")
+        span = (stop - start) / step  # infinite if the range overflows
+        if not -0.5 <= span < math.inf:
+            raise ConfigError(f"range {text!r} is empty or has no finite number of points")
+        values = tuple(start + k * step for k in range(int(math.floor(span + 0.5)) + 1))
+    if len(set(values)) != len(values):
+        raise ConfigError(f"values must not repeat, got {text!r}")
+    return values
 
 
 def parse_int_list(text: str) -> tuple[int, ...]:

@@ -26,6 +26,14 @@ weight cell follows its attenuator with a value phase shifter, so it
 transfers ``T_node * w * e^{i phi}``; the crossbar folds ``T_node`` into its
 per-column factors.
 
+``cell_entries`` is the one batched cell: mesh evaluation
+(``clements.apply_mesh``) and the attenuators (``voa_transfer_at``) take
+their entries from it.  ``mzi_entries`` is a scalar copy kept for the
+elimination in ``clements.clements_decompose``: it sets the bar state
+exactly (cos(pi/2) is 6e-17, which would un-zero nulled entries), and on the
+small stacks a sweep factors, one batched call per step costs more than the
+scalar route.
+
 A cell is nothing but its (theta, phi) pair: the meshes store those pairs
 as arrays (``clements.ClementsMesh``) and the crossbar derives them from its
 weights.  Phase errors enter through ``clements.apply_common_deviation`` and
@@ -152,8 +160,21 @@ def node_loss_model(il_node_db: float, passives: LossModel = SILICON_PASSIVES) -
     )
 
 
+def cell_entries(theta, phi, field=1.0) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Entries (m11, m12, m21, m22) of ``field * M(theta, phi)``, broadcast over all three arguments."""
+    half = 0.5 * np.asarray(theta, dtype=np.float64)
+    common = field * 1j * np.exp(1j * half)
+    s, c = np.sin(half), np.cos(half)
+    ephi = np.exp(1j * np.asarray(phi, dtype=np.float64))
+    return common * ephi * s, common * c, common * ephi * c, -common * s
+
+
 def mzi_entries(theta: float, phi: float) -> tuple[complex, complex, complex, complex]:
-    """Entries (m11, m12, m21, m22) of the lossless cell M(theta, phi), as Python complex scalars."""
+    """Entries (m11, m12, m21, m22) of the lossless cell M(theta, phi), as Python complex scalars.
+
+    The scalar copy of ``cell_entries`` that ``clements_decompose`` steps
+    with: exact at bar, and cheaper than a batched call on a few matrices.
+    """
     half = 0.5 * theta
     # Exact at bar (cos(pi/2) is 6e-17), so a bar cell keeps zeros exactly zero.
     s, c = (1.0, 0.0) if theta == math.pi else (math.sin(half), math.cos(half))
@@ -180,9 +201,8 @@ def voa_transfer_at(theta, loss: LossModel = LOSSLESS) -> np.ndarray:
     """Connected-port transfers of attenuator cells at the angles ``theta``.
 
     ``theta`` may be a scalar or an array of any shape; the result has the
-    same shape.  Each value is the (2, 2) element of the lossy cell
-    ``T_node * M(theta, phi)``, which does not depend on phi: the cell's phi
-    shifter sits on the unconnected arm.
+    same shape.  Each value is the (2, 2) entry of ``cell_entries`` with
+    ``field = T_node``, which does not depend on phi: the cell's phi shifter
+    sits on the unconnected arm.
     """
-    half = 0.5 * np.asarray(theta, dtype=np.float64)
-    return loss.t_node * -1j * (np.cos(half) + 1j * np.sin(half)) * np.sin(half)
+    return cell_entries(theta, 0.0, loss.t_node)[3]

@@ -196,6 +196,12 @@ class TestBuildEvaluate:
         with pytest.raises(DomainError):
             build_svd_clements(np.zeros((3, 3)), LOSSLESS)
 
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 1, 1)], ids=["single", "stack"])
+    def test_one_port_rejected(self, shape):
+        # device_from_json refuses n < 2, so compiling one would write a dump nothing loads
+        with pytest.raises(DomainError, match="n must be >= 2, got 1"):
+            build_svd_clements(np.full(shape, 0.5), LOSSLESS)
+
     def test_lossy_identity_diagonal_device(self):
         # equal singular values keep Y_exp diagonal; ports cross unequal cell
         # counts, so the diagonal carries the path-loss spread of the mesh

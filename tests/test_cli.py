@@ -68,9 +68,12 @@ class TestConfigErrors:
             ["--arch", "xbar,xbar"],
             ["--n", "3,3"],
             ["--sigma", "0:1e300:1e-300"],
+            ["--sigma", "0.1,0.1"],
+            ["--sigma", "0.1:0.10000000000000002:1e-18"],
         ],
         ids=["matrices-0", "n-1", "negative-sigma", "trials-0", "threads-0", "threads-negative",
-             "arch-repeated", "n-repeated", "sigma-range-overflow"],
+             "arch-repeated", "n-repeated", "sigma-range-overflow", "sigma-repeated",
+             "sigma-range-below-resolution"],
     )
     def test_phase_sweep_exits_1(self, tmp_path, capsys, flags):
         out = tmp_path / "out.csv"
@@ -83,8 +86,9 @@ class TestConfigErrors:
 
     @pytest.mark.parametrize(
         "flags",
-        [["--n", "1"], ["--threads", "0"], ["--arch", "xbar,xbar"], ["--n", "3,3"]],
-        ids=["n-1", "threads-0", "arch-repeated", "n-repeated"],
+        [["--n", "1"], ["--threads", "0"], ["--arch", "xbar,xbar"], ["--n", "3,3"],
+         ["--node-loss", "0.5,0.5"]],
+        ids=["n-1", "threads-0", "arch-repeated", "n-repeated", "node-loss-repeated"],
     )
     def test_loss_sweep_exits_1(self, tmp_path, flags):
         argv = ["fidelity-loss", "--n", "3", "--node-loss", "0", "--matrices", "1",
@@ -108,6 +112,15 @@ class TestFlagsNothingReads:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
+
+
+def test_fig3_repeated_node_loss_exits_1(tmp_path, capsys):
+    # one CSV row per (arch, case, n, il_node_db) key, so a repeated value would duplicate rows
+    out = tmp_path / "out.csv"
+    assert run_experiment(["fig3", "--n", "4", "--node-loss", "0.5,0.5", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flags", [["--n", "1"], ["--n", "4", "--m", "0"]], ids=["n-1", "m-0"])
@@ -276,6 +289,13 @@ class TestCompileEval:
         scale = np.vdot(expected, y) / np.vdot(expected, expected)
         assert abs(scale) > 0.0
         assert np.max(np.abs(y - scale * expected)) <= 1e-12 * np.max(np.abs(y))
+
+    def test_one_port_svd_compile_exits_2(self, tmp_path, capsys):
+        # eval cannot load an n = 1 svd-clements dump, so compile must not write one
+        assert self.compile(tmp_path, np.array([[0.5]]), "--arch", "svd-clements") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "device.json").exists()
 
     def test_mode_is_rejected_for_svd_clements(self, tmp_path, capsys):
         assert self.compile(tmp_path, self.A, "--arch", "svd-clements", "--mode", "uniform") == 1

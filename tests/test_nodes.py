@@ -26,7 +26,7 @@ from crossmesh.clements import _device
 from crossmesh.crossbar import device_from_json as xbar_device_from_json
 from crossmesh.crossbar import device_to_json as xbar_device_to_json
 from crossmesh.montecarlo import target_matrix
-from crossmesh.nodes import mzi_entries
+from crossmesh.nodes import cell_entries, mzi_entries
 from oracles import mzi_product
 
 
@@ -142,6 +142,27 @@ class TestNodeTransfer:
             assert np.max(np.abs(m - m0 @ np.diag([np.exp(1j * phi), 1.0]))) < 1e-12
 
 
+class TestCellEntries:
+    ANGLES = np.random.default_rng(16).uniform(0, 2 * np.pi, (2, 4, 5))  # (K, m) thetas and phis
+
+    @pytest.mark.parametrize("field", [1.0, node_loss_model(0.7).t_node], ids=["lossless", "lossy"])
+    def test_matches_four_matrix_product(self, field):
+        thetas, phis = self.ANGLES
+        entries = cell_entries(thetas, phis, field)
+        assert all(e.shape == (4, 5) for e in entries)
+        for k, m in np.ndindex(thetas.shape):
+            cell = np.array([e[k, m] for e in entries]).reshape(2, 2)
+            oracle = field * mzi_product(thetas[k, m], phis[k, m])
+            assert np.max(np.abs(cell - oracle)) < 1e-15
+
+    def test_matches_scalar_cell_off_bar(self):
+        thetas, phis = self.ANGLES
+        entries = cell_entries(thetas, phis)
+        for k, m in np.ndindex(thetas.shape):
+            scalar = mzi_entries(thetas[k, m], phis[k, m])
+            assert max(abs(e[k, m] - x) for e, x in zip(entries, scalar)) < 1e-15
+
+
 class TestVoaTransfer:
     def test_full_transmission(self):
         transfer, theta = voa_transfer(1.0)
@@ -176,11 +197,13 @@ class TestVoaTransfer:
         assert np.array_equal(evaluate_svd_clements(shifted), evaluate_svd_clements(device))
 
     def test_array_of_angles(self):
-        # one call over an array equals the per-cell transfers
+        # one call over an array equals the per-cell transfers, and each is
+        # the (2, 2) entry of the batched cell whatever its phi
         loss = node_loss_model(0.5)
-        thetas = np.random.default_rng(15).uniform(0, 2 * np.pi, (3, 7))
+        thetas, phis = np.random.default_rng(15).uniform(0, 2 * np.pi, (2, 3, 7))
         column = voa_transfer_at(thetas, loss)
         assert column.shape == (3, 7)
+        assert column.tobytes() == cell_entries(thetas, phis, loss.t_node)[3].tobytes()
         for theta, value in zip(thetas.flat, column.flat):
             assert value == voa_transfer_at(theta, loss)
             assert abs(value - loss.t_node * mzi_product(theta, 0.0)[1, 1]) < 1e-15
