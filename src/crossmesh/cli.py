@@ -26,17 +26,23 @@ byte for byte.
 Every number in a JSON input must be a JSON number (int or float, never a
 bool, string or null), finite, in lists of the declared shape.  Exit
 codes: 0 success; 1 a bad flag, value, grid or configuration (a grid or
-size list that repeats a value included), a loss file that breaks that
-rule or names an unknown loss, JSON that does not parse or nests too
-deeply to parse, or a dump naming an unknown architecture; 2 a numerical
-failure, or a matrix, vector or dump that breaks the rule or does not
-describe a valid device (a failed sweep point names itself); 3 an I/O
-failure.
+size list that repeats a value included), an ``--svg`` path that is the
+CSV or its manifest, a loss file that breaks that rule or names an
+unknown loss, JSON that does not parse or nests too deeply to parse, or a
+dump naming an unknown architecture; 2 a numerical failure, or a matrix,
+vector or dump that breaks the rule or does not describe a valid device
+(a failed sweep point names itself); 3 an I/O failure.
+
+The console entry calls ``gc.freeze()`` before the command, so no later
+collection re-walks the import-time heap, which lives until exit anyway;
+``run_experiment`` leaves the GC alone, as freezing a host that calls it
+in-process would keep that host's cyclic garbage forever.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -253,6 +259,9 @@ def _cmd_sweep(args) -> int:
     experiment = _EXPERIMENTS[args.command]
     flags = vars(args)
     workers = flags.get("threads", 1)
+    written = {os.path.realpath(path) for path in (args.out, args.out + ".manifest.json")}
+    if args.svg and os.path.realpath(args.svg) in written:
+        raise ConfigError(f"--svg {args.svg} would overwrite the CSV or its manifest")
     cfg = SweepConfig(
         passive_losses=_load_loss(flags.get("loss")),
         architectures=tuple(a.strip() for a in args.arch.split(",") if a.strip()),
@@ -421,6 +430,7 @@ def run_experiment(argv=None) -> int:
 
 
 def console_entry() -> None:
+    gc.freeze()  # everything alive here lives until exit; forked workers inherit the frozen heap
     sys.exit(run_experiment())
 
 

@@ -40,6 +40,8 @@ pins a pool started before that); with more than one worker, all its
 tasks run in one process pool, sized to at most the task count and the
 usable CPUs.  Only then is the pool imported, and the parent loads
 ``numpy.random`` before the fork so workers inherit it (moot under forkserver).
+Workers forked from the CLI also inherit its frozen import-time heap
+(``cli.console_entry`` calls ``gc.freeze()``), which their collections skip.
 """
 
 from __future__ import annotations

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import platform
@@ -53,6 +54,30 @@ class TestModuleEntry:
         done = run_module()
         assert done.returncode == 1
         assert "error" in done.stderr
+
+
+class TestGcPolicy:
+    @pytest.mark.parametrize("argv, code", [(["stats", "--n", "2"], 0), (["stats"], 1)],
+                             ids=["stats", "usage-error"])
+    def test_console_entry_freezes_the_heap_before_the_command(self, monkeypatch, argv, code):
+        events = []
+        run = cli.run_experiment
+        monkeypatch.setattr(cli.gc, "freeze", lambda: events.append("freeze"))
+        monkeypatch.setattr(cli, "run_experiment", lambda: events.append("run") or run())
+        monkeypatch.setattr(sys, "argv", ["crossmesh"] + argv)
+        with pytest.raises(SystemExit) as exited:
+            cli.console_entry()
+        assert exited.value.code == code
+        assert events == ["freeze", "run"]
+
+    def test_run_experiment_leaves_the_gc_alone(self, tmp_path):
+        # Tests and bench/trace_run.py call it in-process; a freeze there would
+        # keep the host's cyclic garbage alive for good.
+        state = (gc.isenabled(), gc.get_freeze_count())
+        argv = ["fidelity-phase", "--arch", "xbar", "--n", "3", "--sigma", "0,0.1", "--matrices", "2",
+                "--trials", "2", "--out", str(tmp_path / "out.csv")]
+        assert run_experiment(argv) == 0
+        assert (gc.isenabled(), gc.get_freeze_count()) == state
 
 
 class TestConfigErrors:
@@ -140,6 +165,25 @@ def test_outputs_follow_the_umask(tmp_path):
         os.umask(old)
     for path in (out, svg, tmp_path / "out.csv.manifest.json"):
         assert path.stat().st_mode & 0o777 == 0o644
+
+
+@pytest.mark.parametrize("collision", ["csv", "manifest"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["fig3", "--n", "3", "--node-loss", "0,1"],
+        ["fidelity-phase", "--arch", "xbar", "--n", "3", "--sigma", "0:0.1:0.05", "--matrices", "2",
+         "--trials", "3"],
+    ],
+    ids=["fig3", "fidelity-phase"],
+)
+def test_svg_onto_the_csv_or_its_manifest_exits_1(tmp_path, capsys, command, collision):
+    # The CSV path is spelled differently, so the check must compare real paths.
+    svg = f"{tmp_path}/./a.csv" if collision == "csv" else str(tmp_path / "a.csv.manifest.json")
+    assert run_experiment(command + ["--out", str(tmp_path / "a.csv"), "--svg", svg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestNonFiniteGrids:

@@ -1,4 +1,5 @@
 import concurrent.futures
+import json
 import math
 import os
 import subprocess
@@ -365,6 +366,25 @@ def test_parent_loads_numpy_random_before_the_pool_forks(tmp_path):
         f"assert run_experiment({tiny_phase_sweep(2)!r}) == 0\n"
     )
     assert run_fresh(code, cwd=tmp_path).split() == ["True"]
+
+
+def test_workers_forked_by_the_cli_inherit_the_frozen_heap(tmp_path):
+    # The checking wrapper reaches the workers through fork; a failed assertion fails the sweep.
+    code = (
+        "import gc, sys\n"
+        "from crossmesh import cli, montecarlo\n"
+        "montecarlo.usable_cpus = lambda: 2\n"
+        "chunk = montecarlo._loss_chunk\n"
+        "def checked(task):\n"
+        "    assert gc.get_freeze_count() > 0, 'worker heap is not frozen'\n"
+        "    return chunk(task)\n"
+        "montecarlo._loss_chunk = checked\n"
+        "sys.argv = ['crossmesh', 'fidelity-loss', '--n', '3,4', '--node-loss', '0,0.5', '--matrices', '2',"
+        " '--threads', '2', '--out', 'out.csv']\n"
+        "cli.console_entry()\n"
+    )
+    run_fresh(code, cwd=tmp_path)
+    assert json.loads((tmp_path / "out.csv.manifest.json").read_text())["workers_used"] == 2
 
 
 def test_svd_batches_spanning_sigma_rows_do_not_change_trials(monkeypatch):
