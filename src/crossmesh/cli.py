@@ -31,7 +31,9 @@ CSV or its manifest, a loss file that breaks that rule or names an
 unknown loss, JSON that does not parse or nests too deeply to parse, or a
 dump naming an unknown architecture; 2 a numerical failure, or a matrix,
 vector or dump that breaks the rule or does not describe a valid device
-(a failed sweep point names itself); 3 an I/O failure.
+(a failed sweep point names itself); 3 an I/O failure, among them an
+``--out`` or ``--svg`` in a directory that does not exist, which a sweep
+reports before it does any work.
 
 The console entry calls ``gc.freeze()`` before the command, so no later
 collection re-walks the import-time heap, which lives until exit anyway;
@@ -262,6 +264,9 @@ def _cmd_sweep(args) -> int:
     written = {os.path.realpath(path) for path in (args.out, args.out + ".manifest.json")}
     if args.svg and os.path.realpath(args.svg) in written:
         raise ConfigError(f"--svg {args.svg} would overwrite the CSV or its manifest")
+    for path in filter(None, (args.out, args.svg)):
+        if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            raise FileNotFoundError(f"no directory to write {path} in")
     cfg = SweepConfig(
         passive_losses=_load_loss(flags.get("loss")),
         architectures=tuple(a.strip() for a in args.arch.split(",") if a.strip()),
@@ -371,9 +376,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--seed", type=int, default=1234, help="master seed (default 1234)")
         p.add_argument("--threads", type=int, default=1,
                        help="worker processes, at most the usable CPUs; >= 1 (default 1); "
-                            "the pool is imported only for > 1, numpy.random loaded before it forks; "
-                            "every sweep runs BLAS on one thread (OPENBLAS_NUM_THREADS "
-                            "defaults to 1)")
+                            "results are identical for any value")
 
     def add_loss(p):
         p.add_argument("--loss", default=None, help="path to loss-model JSON")

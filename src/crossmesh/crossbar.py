@@ -11,11 +11,12 @@ All per-column bookkeeping reduces to the diagonal transmission matrix
 
     p_c = alpha * T_node * L_c * (1/N_f) * (prod_{q<c} t_q) * xi_c
 
-so the realized operator is ``P^T W^T`` for weight matrix W.  Choosing the
-coupler ratios so every p_c is identical makes the whole loss budget a
-global scalar (fidelity exactly 1); with identical couplers instead, the
-per-column imbalance is removed after the fact by the diagonal restoration
-matrix ``(P^T)^{-1}``.  Phase errors change the weights themselves:
+with L_c the passive path to column c (``passive_loss``), so the realized
+operator is ``P^T W^T`` for weight matrix W.  Balanced couplers make every
+p_c equal, ``L_c xi_c = L_{c+1} t_c xi_{c+1}`` for each c, so the whole
+loss budget is a global scalar (fidelity exactly 1); with identical couplers
+instead, the per-column imbalance is removed after the fact by the diagonal
+restoration matrix ``(P^T)^{-1}``.  Phase errors change the weights themselves:
 ``weights_with_common_deviation`` is the general per-cell route (the test
 oracle, and the one for independent per-cell errors), while
 ``common_deviation_fidelity`` scores any array of deviations shared by
@@ -76,31 +77,38 @@ def build_topology(n: int, m: int) -> XbarTopology:
     return XbarTopology(n=n, m=m, n_f=n_f, m_fwd=m_fwd, recomb_crossings=recomb)
 
 
-def design_splitters(topology: XbarTopology, loss: LossModel) -> tuple[np.ndarray, np.ndarray]:
-    """Coupler ratios that equalize the transmission of every column.
+def passive_loss(topology: XbarTopology, loss: LossModel) -> np.ndarray:
+    """Field transmission L_c of the passive circuitry up to each column c = 1..M.
 
-    Works backward from the last coupler: between the final two columns the
-    path difference is ``recomb - m_fwd`` crossings, giving the base case
-    ``xi_{M-1}^2 = 1 / (1 + l_x^{2 (recomb - m_fwd)})``; between any two
-    earlier columns it is one coupler pass and one forwarding section,
-    giving ``xi_c = t_c xi_{c+1} l_xi l_x^{m_fwd}`` combined with
-    ``xi_c^2 + t_c^2 = 1``.  Returns (xi, t) with ``xi[M-1] = 1`` for the
-    virtual coupler of the final column and ``t`` of length M - 1.
+    Covers the front-end splitter and combiner-tree couplers
+    (``2 log2(N_f)`` of them), the ``min(c, M - 1)`` directional couplers
+    passed, and the waveguide crossings: ``m_fwd`` per forwarding section
+    before column c, plus the recombination path, which the final column
+    (no forwarding waveguides to cross) omits.
     """
     m = topology.m
-    xi2 = np.ones(m)
-    if m == 1:
-        return np.ones(1), np.zeros(0)
-    l_xi = loss.l_xi
-    l_x = loss.l_x
-    base_exp = 2 * (topology.recomb_crossings - topology.m_fwd)
-    xi2[m - 2] = 1.0 / (1.0 + l_x**base_exp)
-    g2 = (l_xi * l_x**topology.m_fwd) ** 2
-    for c in range(m - 3, -1, -1):
-        x = xi2[c + 1] * g2
+    c = np.arange(1, m + 1)
+    n_xi = np.minimum(c, m - 1)
+    n_cross = (c - 1) * topology.m_fwd + np.where(c < m, topology.recomb_crossings, 0)
+    return loss.l_coup ** (2 * topology.log2_n_f) * loss.l_xi**n_xi * loss.l_x**n_cross
+
+
+def design_splitters(topology: XbarTopology, loss: LossModel) -> tuple[np.ndarray, np.ndarray]:
+    """Coupler ratios that equalize the transmission p_c of every column.
+
+    p_c = p_{c+1} reads ``L_c xi_c = L_{c+1} t_c xi_{c+1}``; with
+    ``xi_c^2 + t_c^2 = 1`` that is ``xi_c^2 = x / (1 + x)`` for
+    ``x = xi_{c+1}^2 (L_{c+1} / L_c)^2``, solved backward from the last
+    column's virtual coupler ``xi_M = 1``.  Returns (xi, t), ``t`` of
+    length M - 1.
+    """
+    l_c = passive_loss(topology, loss).tolist()
+    xi2 = [1.0] * topology.m
+    for c in range(topology.m - 2, -1, -1):
+        x = xi2[c + 1] * (l_c[c + 1] / l_c[c]) ** 2
         xi2[c] = x / (1.0 + x)
-    t = np.sqrt(1.0 - xi2[: m - 1])
-    return np.sqrt(xi2), t
+    xi2 = np.array(xi2)
+    return np.sqrt(xi2), np.sqrt(1.0 - xi2[:-1])
 
 
 def uniform_splitters(topology: XbarTopology) -> tuple[np.ndarray, np.ndarray]:
@@ -110,27 +118,6 @@ def uniform_splitters(topology: XbarTopology) -> tuple[np.ndarray, np.ndarray]:
     xi[m - 1] = 1.0
     t = np.full(m - 1, 1.0 / math.sqrt(2.0))
     return xi, t
-
-
-def passive_loss(c: int, topology: XbarTopology, loss: LossModel) -> float:
-    """Field transmission of the passive circuitry up to column ``c`` (1-based).
-
-    Covers the front-end splitter and combiner-tree couplers
-    (``2 log2(N_f)`` of them), the directional couplers passed, and the
-    waveguide crossings.  The final column has no forwarding waveguides to
-    cross, so its crossing count omits the recombination term.
-    """
-    m = topology.m
-    if not 1 <= c <= m:
-        raise DomainError(f"column index must lie in [1, {m}], got {c}")
-    n_coup = 2 * topology.log2_n_f
-    if c < m:
-        n_xi = c
-        n_cross = topology.recomb_crossings + (c - 1) * topology.m_fwd
-    else:
-        n_xi = m - 1
-        n_cross = (m - 1) * topology.m_fwd
-    return loss.l_coup**n_coup * loss.l_xi**n_xi * loss.l_x**n_cross
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,9 +141,8 @@ def transmission_matrix(device: XbarDevice) -> np.ndarray:
     """Per-column field factors p_c (the diagonal of P) collecting every split and loss."""
     top = device.topology
     loss = device.loss
-    l_passive = np.array([passive_loss(c, top, loss) for c in range(1, top.m + 1)])
     t_products = np.concatenate(([1.0], np.cumprod(device.t)))
-    return loss.alpha * loss.t_node * l_passive * t_products * device.xi / top.n_f
+    return loss.alpha * loss.t_node * passive_loss(top, loss) * t_products * device.xi / top.n_f
 
 
 def build_xbar(y, loss: LossModel, mode: str = "balanced") -> XbarDevice:
@@ -219,13 +205,15 @@ def xbar_insertion_loss(
     IL = IL_node + 2 log2(N_f) IL_coup + IL_xi + (N_f/2 - 1) IL_x
          - 10 log10(xi_1^2) + 20 log10(N_f / N)
 
-    with xi_1 from the loss-balanced coupler recursion.  Assumes
-    transparent cells and modulators (alpha = 1); every column of the
-    balanced design then shows this same loss.  ``il_node_db`` overrides
-    the cell term so the cell technology can be swept independently of the
-    fixed passive metrics in ``loss`` (the coupler term always refers to
-    the splitter/combiner trees).  Requires M >= 2 (a single column has no
-    coupler chain for the IL_xi term to describe).
+    with xi_1 from ``design_splitters``.  The passive terms are
+    ``-20 log10 L_1``, so this equals ``IL_node - 20 log10(N L_1 xi_1 / N_f)``,
+    which is how it is computed.  Assumes transparent cells and modulators
+    (alpha = 1); every column of the balanced design then shows this same
+    loss.  ``il_node_db`` overrides the cell term so the cell technology can
+    be swept independently of the fixed passive metrics in ``loss`` (the
+    coupler term always refers to the splitter/combiner trees).  Requires
+    M >= 2 (a single column has no coupler chain for the IL_xi term to
+    describe).
     """
     if topology.m < 2:
         raise DomainError("closed-form insertion loss requires at least two columns")
@@ -234,15 +222,8 @@ def xbar_insertion_loss(
     elif il_node_db < 0.0:
         raise DomainError(f"il_node_db must be >= 0, got {il_node_db}")
     xi, _ = design_splitters(topology, loss)
-    xi1_sq = float(xi[0]) ** 2
-    return (
-        il_node_db
-        + 2 * topology.log2_n_f * loss.il_coup_db
-        + loss.il_xi_db
-        + (topology.n_f / 2 - 1) * loss.il_x_db
-        - 10.0 * math.log10(xi1_sq)
-        + 20.0 * math.log10(topology.n_f / topology.n)
-    )
+    l_1 = passive_loss(topology, loss)[0]
+    return il_node_db - 20.0 * math.log10(topology.n * l_1 * xi[0] / topology.n_f)
 
 
 def restoration_matrix(device: XbarDevice) -> np.ndarray:

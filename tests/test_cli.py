@@ -186,6 +186,30 @@ def test_svg_onto_the_csv_or_its_manifest_exits_1(tmp_path, capsys, command, col
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("flag", ["--out", "--svg"])
+@pytest.mark.parametrize(
+    "command,sweep",
+    [
+        (["fig3", "--n", "4", "--node-loss", "0:1:0.5"], "insertion_loss_sweep"),
+        (["fidelity-phase", "--arch", "svd-clements", "--n", "16", "--sigma", "0:0.1:0.05",
+          "--matrices", "3", "--trials", "10"], "phase_fidelity_sweep"),
+    ],
+    ids=["fig3", "fidelity-phase"],
+)
+def test_missing_output_directory_exits_3_before_any_work(tmp_path, capsys, monkeypatch,
+                                                          command, sweep, flag):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(cli, sweep, no_work)
+    paths = {"--out": str(tmp_path / "f.csv"), "--svg": str(tmp_path / "f.svg")}
+    paths[flag] = str(tmp_path / "nodir" / "f.out")
+    assert run_experiment(command + [arg for item in paths.items() for arg in item]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and paths[flag] in err
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestNonFiniteGrids:
     @pytest.mark.parametrize(
         "command",
