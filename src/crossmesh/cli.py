@@ -32,8 +32,9 @@ unknown loss, JSON that does not parse or nests too deeply to parse, or a
 dump naming an unknown architecture; 2 a numerical failure, or a matrix,
 vector or dump that breaks the rule or does not describe a valid device
 (a failed sweep point names itself); 3 an I/O failure, among them an
-``--out`` or ``--svg`` in a directory that does not exist, which a sweep
-reports before it does any work.
+``--out``, ``--svg`` or ``<csv>.manifest.json`` that is a directory or
+lies in a directory that does not exist, which a sweep reports before it
+does any work.
 
 The console entry calls ``gc.freeze()`` before the command, so no later
 collection re-walks the import-time heap, which lives until exit anyway;
@@ -95,8 +96,8 @@ class _Parser(argparse.ArgumentParser):
 def parse_value_list(text: str) -> tuple[float, ...]:
     """Parse ``start:stop:step`` (inclusive within half a step) or a comma list.
 
-    Every number given must be finite, and no value may repeat: sweep points
-    are seeded by grid index and keyed by value in the CSV.
+    Every number given must be finite; ``montecarlo._grid`` checks a sweep
+    grid's other rules, and ``SweepConfig`` rejects repeated sizes.
     """
     text = text.strip()
     if ":" in text:
@@ -119,8 +120,6 @@ def parse_value_list(text: str) -> tuple[float, ...]:
         if not -0.5 <= span < math.inf:
             raise ConfigError(f"range {text!r} is empty or has no finite number of points")
         values = tuple(start + k * step for k in range(int(math.floor(span + 0.5)) + 1))
-    if len(set(values)) != len(values):
-        raise ConfigError(f"values must not repeat, got {text!r}")
     return values
 
 
@@ -207,10 +206,10 @@ def _write_manifest(command: str, config: dict, outputs: list[str], started: flo
 class _Experiment:
     """What sets one experiment command apart from the other two.
 
-    ``run(cfg, workers)`` returns the CSV rows.  It names its sweep function
-    inside a lambda, so each call uses whatever this module's global holds
-    then (``bench/trace_run.py`` wraps those globals).  ``point`` maps a row
-    to its chart (label, x, y); ``chart`` holds the chart's titles.
+    ``run(cfg, grid, workers)`` returns the CSV rows, naming its sweep in a
+    lambda so each call uses this module's global then (``bench/trace_run.py``
+    wraps those globals).  ``grid_field`` keys the grid in the manifest,
+    ``point`` maps a row to its chart (label, x, y), ``chart`` holds titles.
     """
 
     grid_flag: str
@@ -227,7 +226,7 @@ _FIDELITY_COLUMNS = ("fidelity_mean", "fidelity_std", "n_samples", "seed")
 _EXPERIMENTS = {
     "fig3": _Experiment(
         grid_flag="--node-loss", grid_field="il_node_grid",
-        run=lambda cfg, workers: insertion_loss_sweep(cfg),
+        run=lambda cfg, grid, workers: insertion_loss_sweep(cfg, grid),
         header=("arch", "case", "n", "il_node_db", "il_total_db"),
         point=lambda row: (f"{row[0]}/{row[1]} N={row[2]}", row[3], row[4]),
         chart=dict(title="Total insertion loss vs per-cell loss", xlabel="IL_node (dB)",
@@ -236,7 +235,7 @@ _EXPERIMENTS = {
     ),
     "fidelity-loss": _Experiment(
         grid_flag="--node-loss", grid_field="il_node_grid",
-        run=lambda cfg, workers: [astuple(r) for r in loss_fidelity_sweep(cfg, workers=workers)],
+        run=lambda cfg, grid, workers: [astuple(r) for r in loss_fidelity_sweep(cfg, grid, workers=workers)],
         header=("arch", "n", "il_node_db") + _FIDELITY_COLUMNS,
         point=lambda row: (f"{row[0]} N={row[1]}", row[2], row[3]),
         chart=dict(title="Loss-induced fidelity", xlabel="IL_node (dB)", ylabel="mean fidelity"),
@@ -244,7 +243,7 @@ _EXPERIMENTS = {
     ),
     "fidelity-phase": _Experiment(
         grid_flag="--sigma", grid_field="sigma_grid",
-        run=lambda cfg, workers: [astuple(r) for r in phase_fidelity_sweep(cfg, workers=workers)],
+        run=lambda cfg, grid, workers: [astuple(r) for r in phase_fidelity_sweep(cfg, grid, workers=workers)],
         header=("arch", "n", "sigma_rad") + _FIDELITY_COLUMNS,
         point=lambda row: (f"{row[0]} N={row[1]}", row[2], row[3]),
         chart=dict(title="Phase-error fidelity", xlabel="sigma (rad)", ylabel="mean fidelity"),
@@ -264,26 +263,27 @@ def _cmd_sweep(args) -> int:
     written = {os.path.realpath(path) for path in (args.out, args.out + ".manifest.json")}
     if args.svg and os.path.realpath(args.svg) in written:
         raise ConfigError(f"--svg {args.svg} would overwrite the CSV or its manifest")
-    for path in filter(None, (args.out, args.svg)):
+    for path in filter(None, (args.out, args.out + ".manifest.json", args.svg)):
+        if os.path.isdir(path):
+            raise IsADirectoryError(f"cannot write {path}: it is a directory")
         if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
             raise FileNotFoundError(f"no directory to write {path} in")
+    grid = parse_value_list(args.grid)
     cfg = SweepConfig(
         passive_losses=_load_loss(flags.get("loss")),
         architectures=tuple(a.strip() for a in args.arch.split(",") if a.strip()),
         n_values=parse_int_list(args.n),
-        **{experiment.grid_field: parse_value_list(args.grid)},
         **{name: flags[flag] for flag, name in _CONFIG_FLAGS if flag in flags},
     )
-    rows = experiment.run(cfg, workers)
+    rows = experiment.run(cfg, grid, workers)
     _atomic_write(args.out, _csv_text(experiment.header, rows))
     outputs = [args.out]
     if args.svg:
         _atomic_write(args.svg, line_chart(_series(map(experiment.point, rows)), **experiment.chart))
         outputs.append(args.svg)
-    values = dict(arch=list(cfg.architectures), n_values=list(cfg.n_values),
-                  il_node_grid=list(cfg.il_node_grid), sigma_grid=list(cfg.sigma_grid),
-                  n_matrices=cfg.n_matrices, n_phase_trials=cfg.n_phase_trials,
-                  loss=cfg.passive_losses.to_json(), threads=workers)
+    values = dict(arch=list(cfg.architectures), n_values=list(cfg.n_values), n_matrices=cfg.n_matrices,
+                  n_phase_trials=cfg.n_phase_trials, loss=cfg.passive_losses.to_json(), threads=workers,
+                  **{experiment.grid_field: list(grid)})
     config = {key: values[key] for key in experiment.config_keys}
     _write_manifest(args.command, config, outputs, started,
                     workers_used=pool_size(cfg, workers), master_seed=flags.get("seed"))
@@ -378,13 +378,13 @@ def _build_parser() -> _Parser:
                        help="worker processes, at most the usable CPUs; >= 1 (default 1); "
                             "results are identical for any value")
 
-    def add_loss(p):
-        p.add_argument("--loss", default=None, help="path to loss-model JSON")
+    def add_loss(p, note=""):
+        p.add_argument("--loss", default=None, help="path to loss-model JSON" + note)
 
     add_loss(add_experiment("fig3", "insertion-loss comparison curves"))
     p = add_experiment("fidelity-loss", "loss-induced fidelity Monte Carlo")
     add_monte_carlo(p)
-    add_loss(p)
+    add_loss(p, "; here the passive losses only set the crossbar's coupler design")
     p = add_experiment("fidelity-phase", "phase-error fidelity Monte Carlo")
     add_monte_carlo(p)
     p.add_argument("--trials", type=int, default=100)

@@ -28,11 +28,12 @@ The crossbar scores it in one closed-form call; the SVD device in batches of
 ``_BATCH_ENTRIES // n^2`` trials that may span sigma values, plus one
 unperturbed evaluation if the grid holds a 0, and its IL values in one pass.
 
-A task ``(cfg, arch, n, lo, hi)`` covers matrices lo..hi-1 of one point,
-one task per worker.  ``_per_matrix`` alone draws targets, builds devices
-(SVD devices in stacks of ``_BATCH_ENTRIES // n^2`` meshes at most) and
-names a failed point (``SweepError``); a sweep only scores each device.
-``SweepConfig`` rejects repeated architectures or sizes.
+Each sweep takes its grid as an argument, which ``_grid`` alone checks.  A
+task ``(cfg, arch, n, lo, hi)`` covers matrices lo..hi-1 of one point, one
+task per worker, and the pool maps ``partial(chunk, grid)`` over the tasks.
+``_per_matrix`` alone draws targets, builds devices (SVD devices in stacks
+of ``_BATCH_ENTRIES // n^2`` meshes at most) and names a failed point
+(``SweepError``); a sweep only scores each device.
 
 Parallelism: every sweep runs the bundled OpenBLAS on one thread (the
 package defaults ``OPENBLAS_NUM_THREADS`` to 1, and ``_one_blas_thread``
@@ -47,6 +48,7 @@ Workers forked from the CLI also inherit its frozen import-time heap
 from __future__ import annotations
 
 import ctypes
+import functools
 import glob
 import math
 import operator
@@ -112,12 +114,10 @@ def _integer(name: str, value, low: int, high: float = math.inf) -> int:
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Shared experiment configuration; ``n_values`` must name a size, grids may be empty when unused."""
+    """What every sweep shares; each sweep takes its own grid.  Architectures and sizes must not repeat."""
 
     architectures: tuple[str, ...] = (ARCH_XBAR, ARCH_SVD_CLEMENTS)
     n_values: tuple[int, ...] = ()
-    il_node_grid: tuple[float, ...] = ()
-    sigma_grid: tuple[float, ...] = ()
     n_matrices: int = 500
     n_phase_trials: int = 100
     passive_losses: LossModel = field(default_factory=lambda: SILICON_PASSIVES)
@@ -129,8 +129,6 @@ class SweepConfig:
         # A matrix or trial index is one uint32 seed word.
         for name, low, high in (("n_matrices", 1, _MASK32), ("n_phase_trials", 1, _MASK32), ("master_seed", 0, math.inf)):
             object.__setattr__(self, name, _integer(name, getattr(self, name), low, high))
-        object.__setattr__(self, "il_node_grid", tuple(float(v) for v in self.il_node_grid))
-        object.__setattr__(self, "sigma_grid", tuple(float(v) for v in self.sigma_grid))
         if not self.architectures:
             raise ConfigError("at least one architecture must be selected")
         for arch in self.architectures:
@@ -141,9 +139,15 @@ class SweepConfig:
         for name, values in (("architectures", self.architectures), ("n_values", self.n_values)):
             if len(set(values)) != len(values):
                 raise ConfigError(f"{name} must not repeat, got {values}")
-        for name in ("il_node_grid", "sigma_grid"):
-            if not all(math.isfinite(v) and v >= 0.0 for v in getattr(self, name)):
-                raise ConfigError(f"{name} values must be finite and >= 0")
+
+
+def _grid(name: str, values) -> tuple[float, ...]:
+    """``values`` as floats; ConfigError unless non-empty, finite, >= 0 and free of repeats
+    (a sweep seeds its points by grid index and keys its reports by value)."""
+    grid = tuple(float(v) for v in values)
+    if not grid or len(set(grid)) != len(grid) or not all(math.isfinite(v) and v >= 0.0 for v in grid):
+        raise ConfigError(f"{name} must be non-empty, finite, >= 0 and free of repeats, got {grid}")
+    return grid
 
 
 @dataclass(frozen=True)
@@ -222,13 +226,13 @@ def _seed_pool(words: list) -> list:
     return pool
 
 
-def _phase_deviations(cfg: SweepConfig, arch: str, n: int, m_idx: int) -> np.ndarray:
+def _phase_deviations(cfg: SweepConfig, sigma_grid, arch: str, n: int, m_idx: int) -> np.ndarray:
     """Matrix ``m_idx``'s (sigma, trial, (d_theta, d_phi)) deviations, left zero at sigma = 0.
 
     Entry (s, t) is what ``trial_rng(cfg.master_seed, arch, n, s, m_idx,
-    t)`` gives for ``normal(0, sigma_s)`` twice, bit for bit.
+    t)`` gives for ``normal(0, sigma_grid[s])`` twice, bit for bit.
     """
-    sigmas = np.array(cfg.sigma_grid)
+    sigmas = np.array(sigma_grid)
     rows = np.flatnonzero(sigmas)
     trials = cfg.n_phase_trials
     deviations = np.zeros((len(sigmas), trials, 2))
@@ -377,9 +381,9 @@ def _per_matrix(task, loss: LossModel, score, kind: str) -> np.ndarray:
     return np.array(rows)
 
 
-def _loss_chunk(task) -> np.ndarray:
+def _loss_chunk(il_node_grid, task) -> np.ndarray:
     cfg, arch = task[:2]
-    models = [node_loss_model(il, cfg.passive_losses) for il in cfg.il_node_grid]
+    models = [node_loss_model(il, cfg.passive_losses) for il in il_node_grid]
 
     def score(device, y, _m_idx):
         if arch == ARCH_SVD_CLEMENTS:  # every IL value in one pass
@@ -391,13 +395,13 @@ def _loss_chunk(task) -> np.ndarray:
     return _per_matrix(task, models[0], score, "loss")
 
 
-def _phase_chunk(task) -> np.ndarray:
+def _phase_chunk(sigma_grid, task) -> np.ndarray:
     cfg, arch, n = task[:3]
     batch = max(1, _BATCH_ENTRIES // (n * n))
-    perturbed = np.array(cfg.sigma_grid) != 0.0
+    perturbed = np.array(sigma_grid) != 0.0
 
     def score(device, y, m_idx):
-        deviations = _phase_deviations(cfg, arch, n, m_idx)
+        deviations = _phase_deviations(cfg, sigma_grid, arch, n, m_idx)
         if arch == ARCH_XBAR:
             return common_deviation_fidelity(device, y, deviations[..., 0])
         out = np.empty(deviations.shape[:2])
@@ -417,9 +421,9 @@ def _phase_chunk(task) -> np.ndarray:
 
 
 def _reports(cfg: SweepConfig, chunk, grid: tuple, workers: int) -> list[FidelityReport]:
-    """Mean and std per (architecture, n, grid value k) of entry k of ``chunk``'s rows."""
+    """Mean and std per (architecture, n, grid value k) of entry k of ``chunk(grid, task)``'s rows."""
     reports = []
-    for arch, n, values in _run_sweep(chunk, cfg, workers):
+    for arch, n, values in _run_sweep(functools.partial(chunk, grid), cfg, workers):
         for k, value in enumerate(grid):
             samples = values[:, k].reshape(-1)
             mean = math.fsum(samples) / samples.size
@@ -428,51 +432,46 @@ def _reports(cfg: SweepConfig, chunk, grid: tuple, workers: int) -> list[Fidelit
     return reports
 
 
-def loss_fidelity_sweep(cfg: SweepConfig, *, workers: int = 1) -> list[FidelityReport]:
-    """Mean/std fidelity of lossy devices over seeded random targets.
+def loss_fidelity_sweep(cfg: SweepConfig, il_node_grid, *, workers: int = 1) -> list[FidelityReport]:
+    """Mean/std fidelity over seeded random targets of devices with per-cell loss ``il_node_grid`` (dB).
 
     One report per (architecture, n, IL_node) point.  The crossbar rows are
     computed, not assumed: the loss-balanced design makes every one of its
     points exactly 1, which doubles as a regression check.
     """
-    if not cfg.il_node_grid:
-        raise ConfigError("il_node_grid must be non-empty for a loss sweep")
-    return _reports(cfg, _loss_chunk, cfg.il_node_grid, workers)
+    return _reports(cfg, _loss_chunk, _grid("il_node_grid", il_node_grid), workers)
 
 
-def phase_fidelity_sweep(cfg: SweepConfig, *, workers: int = 1) -> list[FidelityReport]:
-    """Mean/std fidelity of lossless devices under Gaussian phase errors.
+def phase_fidelity_sweep(cfg: SweepConfig, sigma_grid, *, workers: int = 1) -> list[FidelityReport]:
+    """Mean/std fidelity of lossless devices under Gaussian phase errors of std ``sigma_grid`` (rad).
 
     Each trial draws one two-element Gaussian deviation set (d_theta,
     d_phi) from its own seeded stream and applies it to every MZI cell of
     the device, including the attenuator column; samples aggregate over
     matrices and trials.
     """
-    if not cfg.sigma_grid:
-        raise ConfigError("sigma_grid must be non-empty for a phase sweep")
-    return _reports(cfg, _phase_chunk, cfg.sigma_grid, workers)
+    return _reports(cfg, _phase_chunk, _grid("sigma_grid", sigma_grid), workers)
 
 
-def insertion_loss_sweep(cfg: SweepConfig) -> list[tuple[str, str, int, float, float]]:
-    """Closed-form insertion-loss curves; no randomness involved.
+def insertion_loss_sweep(cfg: SweepConfig, il_node_grid) -> list[tuple[str, str, int, float, float]]:
+    """Closed-form insertion-loss curves over ``il_node_grid`` (per-cell loss, dB); no randomness involved.
 
     Returns rows (architecture, case, n, il_node_db, il_total_db) with the
     crossbar evaluated on an equal footing (M = N, loss-balanced) and the
     SVD architecture along its best- and worst-case paths.
     """
-    if not cfg.il_node_grid:
-        raise ConfigError("il_node_grid must be non-empty for an insertion-loss sweep")
+    il_node_grid = _grid("il_node_grid", il_node_grid)
     rows = []
     for arch in cfg.architectures:
         if arch == ARCH_SVD_CLEMENTS:
             for case in ("best", "worst"):
                 for n in cfg.n_values:
-                    for il in cfg.il_node_grid:
+                    for il in il_node_grid:
                         rows.append((arch, case, n, il, svd_insertion_loss(n, il, case)))
         else:
             for n in cfg.n_values:
                 topology = build_topology(n, n)
-                for il in cfg.il_node_grid:
+                for il in il_node_grid:
                     total = xbar_insertion_loss(topology, cfg.passive_losses, il_node_db=il)
                     rows.append((arch, "balanced", n, il, total))
     return rows

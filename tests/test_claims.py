@@ -1,13 +1,16 @@
 """The paper's qualitative claims about the two architectures, on small configs."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from crossmesh import (
     ARCH_SVD_CLEMENTS,
+    ARCH_XBAR,
     LOSSLESS,
+    LossModel,
     SweepConfig,
     build_svd_clements,
     loss_fidelity_sweep,
@@ -25,14 +28,32 @@ def test_svd_loss_fidelity_falls_with_node_loss_and_size():
     as IL_node grows at each n and as n grows at each IL_node > 0.
     """
     sizes, grid = (3, 6, 12), (0.0, 0.5, 1.0, 2.0)
-    cfg = SweepConfig(architectures=(ARCH_SVD_CLEMENTS,), n_values=sizes, il_node_grid=grid,
-                      n_matrices=4, master_seed=17)
-    reports = loss_fidelity_sweep(cfg)
+    cfg = SweepConfig(architectures=(ARCH_SVD_CLEMENTS,), n_values=sizes, n_matrices=4, master_seed=17)
+    reports = loss_fidelity_sweep(cfg, grid)
     assert [(r.n, r.sweep_value) for r in reports] == [(n, il) for n in sizes for il in grid]
     mean = np.reshape([r.fidelity_mean for r in reports], (len(sizes), len(grid)))
     assert np.abs(mean[:, 0] - 1.0).max() <= 1e-12
     assert (np.diff(mean, axis=1) < 0.0).all(), mean
     assert (np.diff(mean[:, 1:], axis=0) < 0.0).all(), mean
+
+
+def test_passive_losses_leave_loss_induced_fidelity_unchanged():
+    """Loss-balanced couplers restore the crossbar's loss-induced fidelity under any passive metrics.
+
+    ``node_loss_model`` keeps only the passives' il_xi, il_x and alpha,
+    which no SVD cell reads, so the SVD reports are equal bit for bit; the
+    crossbar's couplers are designed from them, and its means stay 1.
+    """
+    cfg, grid = SweepConfig(n_values=(4, 7), n_matrices=3, master_seed=11), (0.0, 0.5, 1.0)
+    lossy = LossModel(il_coup_db=0.5, il_ps_db=0.3, il_xi_db=0.9, il_x_db=0.4, alpha_db=1.0)
+    default = loss_fidelity_sweep(cfg, grid)
+    passive = loss_fidelity_sweep(replace(cfg, passive_losses=lossy), grid)
+    svd = [[r for r in reports if r.architecture == ARCH_SVD_CLEMENTS] for reports in (default, passive)]
+    assert svd[0] == svd[1]
+    assert min(r.fidelity_mean for r in svd[0]) < 0.99  # IL_node itself does act on the SVD rows
+    for r in default + passive:
+        if r.architecture == ARCH_XBAR:
+            assert abs(r.fidelity_mean - 1.0) <= 1e-15, r
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 9, 16])

@@ -186,8 +186,7 @@ def test_svg_onto_the_csv_or_its_manifest_exits_1(tmp_path, capsys, command, col
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("flag", ["--out", "--svg"])
-@pytest.mark.parametrize(
+SWEEP_COMMANDS = pytest.mark.parametrize(
     "command,sweep",
     [
         (["fig3", "--n", "4", "--node-loss", "0:1:0.5"], "insertion_loss_sweep"),
@@ -196,11 +195,16 @@ def test_svg_onto_the_csv_or_its_manifest_exits_1(tmp_path, capsys, command, col
     ],
     ids=["fig3", "fidelity-phase"],
 )
+
+
+def no_work(*args, **kwargs):
+    raise AssertionError("the sweep ran")
+
+
+@pytest.mark.parametrize("flag", ["--out", "--svg"])
+@SWEEP_COMMANDS
 def test_missing_output_directory_exits_3_before_any_work(tmp_path, capsys, monkeypatch,
                                                           command, sweep, flag):
-    def no_work(*args, **kwargs):
-        raise AssertionError("the sweep ran")
-
     monkeypatch.setattr(cli, sweep, no_work)
     paths = {"--out": str(tmp_path / "f.csv"), "--svg": str(tmp_path / "f.svg")}
     paths[flag] = str(tmp_path / "nodir" / "f.out")
@@ -208,6 +212,21 @@ def test_missing_output_directory_exits_3_before_any_work(tmp_path, capsys, monk
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and paths[flag] in err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("output", ["--out", "--svg", "manifest"])
+@SWEEP_COMMANDS
+def test_output_path_that_is_a_directory_exits_3_before_any_work(tmp_path, capsys, monkeypatch,
+                                                                 command, sweep, output):
+    monkeypatch.setattr(cli, sweep, no_work)
+    paths = {"--out": str(tmp_path / "f.csv"), "--svg": str(tmp_path / "f.svg")}
+    directory = paths["--out"] + ".manifest.json" if output == "manifest" else paths[output]
+    os.mkdir(directory)
+    assert run_experiment(command + [arg for item in paths.items() for arg in item]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and directory in err
+    assert [p.name for p in tmp_path.iterdir()] == [os.path.basename(directory)]
+    assert os.listdir(directory) == []
 
 
 class TestNonFiniteGrids:
@@ -282,6 +301,10 @@ class TestCorruptDumps:
         assert self.eval_dump(tmp_path, self.svd_dump(), 4, vector) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_input_of_the_wrong_length_is_a_one_line_error(self, tmp_path, capsys):
+        assert self.eval_dump(tmp_path, self.svd_dump(), 3) == 2
+        assert capsys.readouterr().err == "error: input length 3 does not match device size 4\n"
 
     def test_vector_file_may_give_its_length(self, tmp_path):
         vector = {"n": 4, "re": [1.0] * 4, "im": [0.0] * 4}
@@ -534,8 +557,8 @@ def test_duration_survives_a_wall_clock_step(tmp_path, monkeypatch):
     # The wall clock steps back an hour mid-sweep, as NTP or a resumed VM may step it.
     sweep = cli.phase_fidelity_sweep
 
-    def stepped_sweep(cfg, *, workers):
-        reports = sweep(cfg, workers=workers)
+    def stepped_sweep(cfg, sigma_grid, *, workers):
+        reports = sweep(cfg, sigma_grid, workers=workers)
         wall = time.time
         monkeypatch.setattr(time, "time", lambda: wall() - 3600.0)
         return reports
@@ -574,9 +597,9 @@ class TestExperimentOutputs:
 
     def test_fig3(self, tmp_path):
         csv, svg, manifest = self.run(tmp_path, ["fig3", "--n", "3,4", "--node-loss", "0:1:0.5"])
-        cfg = SweepConfig(n_values=(3, 4), il_node_grid=(0.0, 0.5, 1.0))
+        cfg = SweepConfig(n_values=(3, 4))
         assert csv == _csv_text(["arch", "case", "n", "il_node_db", "il_total_db"],
-                                insertion_loss_sweep(cfg))
+                                insertion_loss_sweep(cfg, (0.0, 0.5, 1.0)))
         assert legend(svg) == ["xbar/balanced N=3", "xbar/balanced N=4",
                                "svd-clements/best N=3", "svd-clements/best N=4",
                                "svd-clements/worst N=3", "svd-clements/worst N=4"]
@@ -598,10 +621,9 @@ class TestExperimentOutputs:
             "fidelity-loss", "--n", "3,4", "--node-loss", "0,0.5", "--matrices", "2",
             "--seed", "5", "--loss", str(loss_file),
         ])
-        cfg = SweepConfig(n_values=(3, 4), il_node_grid=(0.0, 0.5), n_matrices=2,
-                          passive_losses=loss, master_seed=5)
+        cfg = SweepConfig(n_values=(3, 4), n_matrices=2, passive_losses=loss, master_seed=5)
         header = [c.format(grid="il_node_db") for c in FIDELITY_HEADER]
-        assert csv == _csv_text(header, report_rows(loss_fidelity_sweep(cfg)))
+        assert csv == _csv_text(header, report_rows(loss_fidelity_sweep(cfg, (0.0, 0.5))))
         assert legend(svg) == ["xbar N=3", "xbar N=4", "svd-clements N=3", "svd-clements N=4"]
         assert set(manifest) == MANIFEST_KEYS
         assert (manifest["command"], manifest["master_seed"]) == ("fidelity-loss", 5)
@@ -620,11 +642,10 @@ class TestExperimentOutputs:
             "fidelity-phase", "--arch", "svd-clements,xbar", "--n", "3", "--sigma", "0:0.1:0.05",
             "--matrices", "2", "--trials", "3", "--seed", "9",
         ])
-        cfg = SweepConfig(architectures=("svd-clements", "xbar"), n_values=(3,),
-                          sigma_grid=(0.0, 0.05, 0.1), n_matrices=2, n_phase_trials=3,
-                          master_seed=9)
+        cfg = SweepConfig(architectures=("svd-clements", "xbar"), n_values=(3,), n_matrices=2,
+                          n_phase_trials=3, master_seed=9)
         header = [c.format(grid="sigma_rad") for c in FIDELITY_HEADER]
-        assert csv == _csv_text(header, report_rows(phase_fidelity_sweep(cfg)))
+        assert csv == _csv_text(header, report_rows(phase_fidelity_sweep(cfg, (0.0, 0.05, 0.1))))
         assert legend(svg) == ["svd-clements N=3", "xbar N=3"]
         assert set(manifest) == MANIFEST_KEYS
         assert (manifest["command"], manifest["master_seed"]) == ("fidelity-phase", 9)

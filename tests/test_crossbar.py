@@ -236,6 +236,10 @@ class TestInsertionLoss:
         with pytest.raises(DomainError):
             xbar_insertion_loss(build_topology(4, 1), LOSSLESS)
 
+    def test_negative_node_loss_rejected(self):
+        with pytest.raises(DomainError, match="il_node_db must be >= 0"):
+            xbar_insertion_loss(build_topology(4, 4), SILICON_PASSIVES, il_node_db=-1.0)
+
 
 class TestRestoration:
     def test_balanced_is_scalar(self):
@@ -500,6 +504,7 @@ class TestDeviceJson:
             lambda d: d.update(n=4.0),
             lambda d: d.update(m=4.5),
             lambda d: d.update(n_f=4.0),
+            lambda d: d.update(n_f=8),
             lambda d: d["weights"]["re"][0].__setitem__(1, "0.5"),
             lambda d: d["t"].__setitem__(0, True),
             lambda d: d["xi"].__setitem__(0, 10**400),
@@ -507,7 +512,7 @@ class TestDeviceJson:
         ],
         ids=["missing-t", "missing-n", "string-m", "weights-not-object", "null-weight",
              "string-xi", "string-loss", "loss-not-object", "weight-above-one", "float-n",
-             "fractional-m", "float-n_f", "string-weight", "bool-t", "huge-int-xi", "nested-xi"],
+             "fractional-m", "float-n_f", "n_f-disagrees-with-n", "string-weight", "bool-t", "huge-int-xi", "nested-xi"],
     )
     def test_invalid_dump_rejected(self, corrupt):
         dump = device_to_json(build_xbar(target_matrix(59, 4, 0), LOSSLESS, "balanced"))

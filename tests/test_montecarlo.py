@@ -21,6 +21,7 @@ from crossmesh import (
     build_xbar,
     evaluate_svd_clements,
     fidelity,
+    insertion_loss_sweep,
     loss_fidelity_sweep,
     phase_fidelity_sweep,
     realized_matrix,
@@ -30,38 +31,29 @@ from crossmesh.crossbar import common_deviation_fidelity
 from crossmesh.montecarlo import _phase_chunk, _phase_deviations, target_matrix
 from oracles import svd_device_layer_product, trial_deviation_pair, xbar_column_sums
 
-PHASE_CFG = SweepConfig(
-    n_values=(3, 4),
-    sigma_grid=(0.0, 0.05, 0.2),
-    n_matrices=3,
-    n_phase_trials=5,
-    master_seed=17,
-)
-LOSS_CFG = SweepConfig(
-    n_values=(3, 4),
-    il_node_grid=(0.0, 0.5, 1.5),
-    n_matrices=3,
-    master_seed=17,
-)
+PHASE_CFG = SweepConfig(n_values=(3, 4), n_matrices=3, n_phase_trials=5, master_seed=17)
+PHASE_GRID = (0.0, 0.05, 0.2)
+LOSS_CFG = SweepConfig(n_values=(3, 4), n_matrices=3, master_seed=17)
+LOSS_GRID = (0.0, 0.5, 1.5)
 
 
 def phase_task(seed, arch, n, sigmas, trials, lo, hi):
-    """The pool task ``(cfg, arch, n, lo, hi)`` for matrices lo..hi-1 of one phase point."""
-    cfg = SweepConfig(n_values=(n,), sigma_grid=sigmas, n_phase_trials=trials, master_seed=seed)
-    return cfg, arch, n, lo, hi
+    """``_phase_chunk``'s arguments: the grid, and the pool task ``(cfg, arch, n, lo, hi)`` for matrices lo..hi-1."""
+    cfg = SweepConfig(n_values=(n,), n_phase_trials=trials, master_seed=seed)
+    return sigmas, (cfg, arch, n, lo, hi)
 
 
 def test_workers_do_not_change_reports(monkeypatch):
     # Five matrices per point: every (arch, n) point's chunks share one pool
     # and spread unevenly over 2 or 3 workers.
     monkeypatch.setattr(montecarlo, "usable_cpus", lambda: 3)
-    for sweep, cfg in ((phase_fidelity_sweep, PHASE_CFG), (loss_fidelity_sweep, LOSS_CFG)):
+    for sweep, cfg, grid in ((phase_fidelity_sweep, PHASE_CFG, PHASE_GRID), (loss_fidelity_sweep, LOSS_CFG, LOSS_GRID)):
         cfg = replace(cfg, n_matrices=5)
-        serial = sweep(cfg, workers=1)
+        serial = sweep(cfg, grid, workers=1)
         assert len(serial) == 2 * 2 * 3
         for workers in (2, 3):
             assert montecarlo.pool_size(cfg, workers) == workers
-            assert sweep(cfg, workers=workers) == serial, workers
+            assert sweep(cfg, grid, workers=workers) == serial, workers
 
 
 @pytest.mark.parametrize("entries", [1, 2 * 3 * 3 * 2], ids=["one-matrix-blocks", "two-matrix-blocks"])
@@ -71,11 +63,11 @@ def test_build_blocks_do_not_change_reports(monkeypatch, entries):
     # least one): every split gives the reports of one block per chunk.
     monkeypatch.setattr(montecarlo, "usable_cpus", lambda: 3)
     cfg = replace(LOSS_CFG, n_matrices=5)
-    reference = loss_fidelity_sweep(cfg, workers=1)
+    reference = loss_fidelity_sweep(cfg, LOSS_GRID, workers=1)
     monkeypatch.setattr(montecarlo, "_BATCH_ENTRIES", entries)
     for workers, chunks in ((1, [(0, 5)]), (2, [(0, 3), (3, 5)]), (3, [(0, 2), (2, 4), (4, 5)])):
         assert montecarlo._chunks(5, workers) == chunks
-        assert loss_fidelity_sweep(cfg, workers=workers) == reference, workers
+        assert loss_fidelity_sweep(cfg, LOSS_GRID, workers=workers) == reference, workers
 
 
 class _RecordingPool:
@@ -106,10 +98,8 @@ def test_pool_never_exceeds_tasks_or_cpus(monkeypatch, workers, cpus, n_matrices
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(montecarlo, "usable_cpus", lambda: cpus)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
-    cfg = SweepConfig(
-        architectures=(ARCH_XBAR,), n_values=(3,), il_node_grid=(0.0,), n_matrices=n_matrices
-    )
-    reports = loss_fidelity_sweep(cfg, workers=workers)
+    cfg = SweepConfig(architectures=(ARCH_XBAR,), n_values=(3,), n_matrices=n_matrices)
+    reports = loss_fidelity_sweep(cfg, (0.0,), workers=workers)
     assert [r.fidelity_mean for r in reports] == [pytest.approx(1.0, abs=1e-12)]
     assert _RecordingPool.sizes == ([] if expected is None else [expected])
     assert montecarlo.pool_size(cfg, workers) == (expected or 1)
@@ -137,7 +127,7 @@ class TestOneBlasThreadPerWorker:
         monkeypatch.setattr(montecarlo, "usable_cpus", lambda: 2)
         return functions
 
-    CFG = SweepConfig(n_values=(3,), il_node_grid=(0.0,), n_matrices=4)
+    CFG = SweepConfig(n_values=(3,), n_matrices=4)
 
     def test_workers_run_one_blas_thread_and_parent_is_restored(self, blas):
         get, _set = blas
@@ -177,7 +167,7 @@ class TestOneBlasThreadPerWorker:
 
 def test_batched_trials_match_layer_product_oracle():
     seed, n, sigmas, trials = 5, 4, (0.0, 0.05, 0.2), 6
-    got = _phase_chunk(phase_task(seed, ARCH_SVD_CLEMENTS, n, sigmas, trials, 0, 2))
+    got = _phase_chunk(*phase_task(seed, ARCH_SVD_CLEMENTS, n, sigmas, trials, 0, 2))
     assert got.shape == (2, 3, 6)
     for m_idx in range(2):
         y = target_matrix(seed, n, m_idx)
@@ -197,7 +187,7 @@ def test_crossbar_trials_match_column_sum_oracle():
     # entry by entry, then read the realized matrix column by column off the
     # literal per-column sums.
     seed, n, sigmas, trials = 5, 4, (0.0, 0.05, 0.2), 6
-    got = _phase_chunk(phase_task(seed, ARCH_XBAR, n, sigmas, trials, 0, 2))
+    got = _phase_chunk(*phase_task(seed, ARCH_XBAR, n, sigmas, trials, 0, 2))
     assert got.shape == (2, 3, 6)
     for m_idx in range(2):
         y = target_matrix(seed, n, m_idx)
@@ -236,7 +226,7 @@ def test_batch_size_does_not_change_trials(n):
         ARCH_XBAR: lambda deviations: common_deviation_fidelity(xbar, y, deviations[:, 0]).tolist(),
     }
     for arch, score in scorers.items():
-        full = _phase_chunk(phase_task(seed, arch, n, sigmas, trials, 0, 1))[0]
+        full = _phase_chunk(*phase_task(seed, arch, n, sigmas, trials, 0, 1))[0]
         for s_idx, sigma in enumerate(sigmas):
             deviations = np.array([
                 trial_deviation_pair(seed, arch, n, s_idx, 0, t_idx, sigma)
@@ -263,7 +253,7 @@ def test_phase_deviations_match_trial_rng_bit_for_bit(seed):
         for n in (2, 64, 2**32 - 1, 2**32, 2**33):
             for m_idx in (0, 2**32 - 1):
                 for grid in grids:
-                    cfg = SweepConfig(n_values=(n,), sigma_grid=grid, n_phase_trials=3, master_seed=seed)
+                    cfg = SweepConfig(n_values=(n,), n_phase_trials=3, master_seed=seed)
                     expected = np.zeros((len(grid), 3, 2))
                     for s_idx, sigma in enumerate(grid):
                         if sigma != 0.0:
@@ -271,18 +261,18 @@ def test_phase_deviations_match_trial_rng_bit_for_bit(seed):
                                 trial_deviation_pair(seed, arch, n, s_idx, m_idx, t_idx, sigma)
                                 for t_idx in range(3)
                             ]
-                    got = _phase_deviations(cfg, arch, n, m_idx)
+                    got = _phase_deviations(cfg, grid, arch, n, m_idx)
                     assert got.tobytes() == expected.tobytes(), (arch, n, m_idx, grid)
 
 
 def test_no_sweep_draws_from_trial_rng(monkeypatch):
-    reference = phase_fidelity_sweep(PHASE_CFG)
+    reference = phase_fidelity_sweep(PHASE_CFG, PHASE_GRID)
 
     def refuse(*args):
         raise AssertionError("trial_rng called")
 
     monkeypatch.setattr(montecarlo, "trial_rng", refuse)
-    assert phase_fidelity_sweep(PHASE_CFG) == reference
+    assert phase_fidelity_sweep(PHASE_CFG, PHASE_GRID) == reference
 
 
 @pytest.mark.parametrize("field", ["n_matrices", "n_phase_trials"])
@@ -375,9 +365,9 @@ def test_workers_forked_by_the_cli_inherit_the_frozen_heap(tmp_path):
         "from crossmesh import cli, montecarlo\n"
         "montecarlo.usable_cpus = lambda: 2\n"
         "chunk = montecarlo._loss_chunk\n"
-        "def checked(task):\n"
+        "def checked(grid, task):\n"
         "    assert gc.get_freeze_count() > 0, 'worker heap is not frozen'\n"
-        "    return chunk(task)\n"
+        "    return chunk(grid, task)\n"
         "montecarlo._loss_chunk = checked\n"
         "sys.argv = ['crossmesh', 'fidelity-loss', '--n', '3,4', '--node-loss', '0,0.5', '--matrices', '2',"
         " '--threads', '2', '--out', 'out.csv']\n"
@@ -392,9 +382,9 @@ def test_svd_batches_spanning_sigma_rows_do_not_change_trials(monkeypatch):
     # every trial still equals the unbatched run and the one-trial route.
     seed, n, sigmas, trials = 13, 4, (0.05, 0.0, 0.2), 5
     task = phase_task(seed, ARCH_SVD_CLEMENTS, n, sigmas, trials, 0, 2)
-    reference = _phase_chunk(task)
+    reference = _phase_chunk(*task)
     monkeypatch.setattr(montecarlo, "_BATCH_ENTRIES", 3 * n * n)
-    got = _phase_chunk(task)
+    got = _phase_chunk(*task)
     assert got.tolist() == reference.tolist()
     for m_idx in range(2):
         y = target_matrix(seed, n, m_idx)
@@ -421,7 +411,7 @@ def test_crossbar_scores_each_matrix_in_one_call(monkeypatch):
 
     monkeypatch.setattr(montecarlo, "common_deviation_fidelity", counted)
     seed, n, sigmas, trials = 13, 4, (0.05, 0.0, 0.2), 5
-    got = _phase_chunk(phase_task(seed, ARCH_XBAR, n, sigmas, trials, 0, 3))
+    got = _phase_chunk(*phase_task(seed, ARCH_XBAR, n, sigmas, trials, 0, 3))
     assert calls == [(3, 5)] * 3
     for m_idx in range(3):
         y = target_matrix(seed, n, m_idx)
@@ -438,27 +428,38 @@ def test_unperturbed_svd_evaluated_once_per_matrix_if_grid_has_zero(monkeypatch,
         return evaluate_svd_clements(device, **kwargs)
 
     monkeypatch.setattr(montecarlo, "evaluate_svd_clements", recorded)
-    _phase_chunk(phase_task(13, ARCH_SVD_CLEMENTS, 4, sigmas, 5, 0, 2))
+    _phase_chunk(*phase_task(13, ARCH_SVD_CLEMENTS, 4, sigmas, 5, 0, 2))
     assert sum(seen) == unperturbed_calls
     assert len(seen) > unperturbed_calls
 
 
-@pytest.mark.parametrize("grid", ["sigma_grid", "il_node_grid"])
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -0.1])
-def test_grid_values_must_be_finite_and_non_negative(grid, value):
-    with pytest.raises(ConfigError):
-        SweepConfig(n_values=(3,), **{grid: (0.0, value)})
+@pytest.mark.parametrize("sweep", [phase_fidelity_sweep, loss_fidelity_sweep, insertion_loss_sweep],
+                         ids=["sigma_grid", "il_node_grid", "insertion-loss"])
+@pytest.mark.parametrize(
+    "grid",
+    [(0.0, math.nan), (0.0, math.inf), (0.0, -math.inf), (0.0, -0.1), (), (0.1, 0.0, 0.1)],
+    ids=["nan", "inf", "-inf", "-0.1", "empty", "repeated"],
+)
+def test_grid_values_must_be_finite_and_non_negative(monkeypatch, sweep, grid):
+    # Also non-empty and free of repeats: points are seeded by grid index and
+    # keyed by value, so (0.1, 0.0, 0.1) would give two different rows keyed 0.1.
+    def no_work(*args):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(montecarlo, "_run_sweep", no_work)
+    with pytest.raises(ConfigError, match="grid must be non-empty, finite, >= 0 and free of repeats"):
+        sweep(SweepConfig(n_values=(3,)), grid)
 
 
 def test_zero_sigma_and_balanced_crossbar_are_exact():
-    for r in phase_fidelity_sweep(PHASE_CFG):
+    for r in phase_fidelity_sweep(PHASE_CFG, PHASE_GRID):
         assert r.n_samples == 15
         if r.sweep_value == 0.0:
             assert abs(r.fidelity_mean - 1.0) <= 1e-12
             assert r.fidelity_std <= 1e-12
         else:
             assert r.fidelity_mean < 1.0
-    for r in loss_fidelity_sweep(LOSS_CFG):
+    for r in loss_fidelity_sweep(LOSS_CFG, LOSS_GRID):
         if r.architecture == ARCH_XBAR:
             assert abs(r.fidelity_mean - 1.0) <= 1e-12
         elif r.sweep_value > 0.0:

@@ -16,6 +16,7 @@ from crossmesh import (
     build_xbar,
     evaluate_svd_clements,
     node_loss_model,
+    phase_fidelity_sweep,
     realized_matrix,
     transmission_matrix,
     voa_transfer,
@@ -289,7 +290,7 @@ class TestPerturbPhases:
 
     def test_negative_sigma(self):
         with pytest.raises(DomainError):
-            SweepConfig(n_values=(3,), sigma_grid=(-0.1,))
+            phase_fidelity_sweep(SweepConfig(n_values=(3,)), (-0.1,))
 
 
 def test_vectorized_normal_matches_scalar_sequence():
