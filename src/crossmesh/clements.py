@@ -369,19 +369,16 @@ def svd_architecture_stats(n: int) -> dict:
     """Cell count, extreme path depths, and programming step count.
 
     A bar-state path stays on its port: it crosses every layer that covers
-    the port once in each of the two meshes, plus the port's attenuator, so
-    the depths are 2 min + 1 and 2 max + 1 over the ports' layer counts.
+    the port once in each of the two meshes, plus the port's attenuator.
+    Layers start alternately at rows 0 and 1, so an edge port lies in
+    floor(n/2) or more layers and an inner port (none at n = 2) in all n.
     """
     if n < 2:
         raise DomainError(f"n must be >= 2, got {n}")
-    covering = [0] * n
-    for first, _start, count in _layers(n):
-        for port in range(first, first + 2 * count):
-            covering[port] += 1
     return {
         "nodes": n * n,
-        "best_depth": 2 * min(covering) + 1,
-        "worst_depth": 2 * max(covering) + 1,
+        "best_depth": 2 * (n // 2) + 1,
+        "worst_depth": 2 * n + 1 if n > 2 else 3,
         "programming_steps": n * (n - 1) // 2,
     }
 

@@ -34,6 +34,8 @@ from .errors import DegenerateDeviceError, DimensionError, DomainError
 from .linalg import array_from_json, ensure_matrix, int_from_json
 from .nodes import LossModel
 
+_TINY = 2.0**-1022  # the least normal double, sys.float_info.min
+
 
 @dataclass(frozen=True)
 class XbarTopology:
@@ -100,13 +102,17 @@ def design_splitters(topology: XbarTopology, loss: LossModel) -> tuple[np.ndarra
     ``xi_c^2 + t_c^2 = 1`` that is ``xi_c^2 = x / (1 + x)`` for
     ``x = xi_{c+1}^2 (L_{c+1} / L_c)^2``, solved backward from the last
     column's virtual coupler ``xi_M = 1``.  Returns (xi, t), ``t`` of
-    length M - 1.
+    length M - 1; DomainError once an L_c or xi_1^2 underflows (silicon passives: n >= 9018).
     """
     l_c = passive_loss(topology, loss).tolist()
+    if min(l_c) < _TINY:
+        raise DomainError(f"crossbar coupler design at n={topology.n}: the passive loss L_c underflows")
     xi2 = [1.0] * topology.m
     for c in range(topology.m - 2, -1, -1):
         x = xi2[c + 1] * (l_c[c + 1] / l_c[c]) ** 2
         xi2[c] = x / (1.0 + x)
+    if xi2[0] < _TINY:
+        raise DomainError(f"crossbar coupler design at n={topology.n}: xi_1^2 underflows")
     xi2 = np.array(xi2)
     return np.sqrt(xi2), np.sqrt(1.0 - xi2[:-1])
 

@@ -25,15 +25,15 @@ bit-identical for any worker count and regardless of how many phase trials
 are evaluated or devices built per batch.  A matrix's phase trials form one
 (sigma, trial, (d_theta, d_phi)) array, left zero (and undrawn) at sigma = 0.
 The crossbar scores it in one closed-form call; the SVD device in batches of
-``_BATCH_ENTRIES // n^2`` trials that may span sigma values, plus one
+``_TRIAL_ENTRIES // n^2`` trials that may span sigma values, plus one
 unperturbed evaluation if the grid holds a 0, and its IL values in one pass.
 
 Each sweep takes its grid as an argument, which ``_grid`` alone checks.  A
 task ``(cfg, arch, n, lo, hi)`` covers matrices lo..hi-1 of one point, one
 task per worker, and the pool maps ``partial(chunk, grid)`` over the tasks.
 ``_per_matrix`` alone draws targets, builds devices (SVD devices in stacks
-of ``_BATCH_ENTRIES // n^2`` meshes at most) and names a failed point
-(``SweepError``); a sweep only scores each device.
+of ``_BATCH_ENTRIES // n^2`` meshes at most, two per device) and names a
+failed point (``SweepError``); a sweep only scores each device.
 
 Parallelism: every sweep runs the bundled OpenBLAS on one thread (the
 package defaults ``OPENBLAS_NUM_THREADS`` to 1, and ``_one_blas_thread``
@@ -84,13 +84,15 @@ _ARCH_IDS = {ARCH_XBAR: 1, ARCH_SVD_CLEMENTS: 2}
 _TAG_TARGET = 11
 _TAG_PHASE = 22
 
-# Most transfer-matrix entries (K n^2) evaluated in one batch of K SVD
-# phase trials: at most 13 trials at n = 64.  A fresh process evaluates a
-# first batch of 14 or more n = 64 trials 30-45 ms slower than one of 13
-# or fewer, while warm batches cost the same per trial (2-vCPU Xeon).  At
-# the CLI's default 100 trials, batches of 16 held the peak RSS to 47 MB,
-# against 78 MB with all trials in one batch.
+# Most mesh entries (2 K n^2) in one stacked build of K SVD devices, 6 at
+# n = 64: ``clements_decompose`` shares its per-step overhead across the stack.
 _BATCH_ENTRIES = 13 * 64 * 64
+
+# Most transfer-matrix entries (K n^2) in one batch of K SVD phase trials, 4
+# at n = 64, so its ~four (K, n, n) complex stacks (1 MB) fit a 2 MB L2 cache.
+# An n = 64 trial then takes 5.3 ms (5.8 ms in batches of 13, 8.9 ms one by one),
+# and bench phase-svd peaks at 39.8 MB RSS, 42.9 MB at 13 (2-vCPU Xeon, numpy 2.4).
+_TRIAL_ENTRIES = 4 * 64 * 64
 
 # numpy's SeedSequence hash constants (pool of four uint32 words) and the
 # PCG64 multiplier, with which _phase_deviations reproduces trial_rng.
@@ -397,7 +399,7 @@ def _loss_chunk(il_node_grid, task) -> np.ndarray:
 
 def _phase_chunk(sigma_grid, task) -> np.ndarray:
     cfg, arch, n = task[:3]
-    batch = max(1, _BATCH_ENTRIES // (n * n))
+    batch = max(1, _TRIAL_ENTRIES // (n * n))
     perturbed = np.array(sigma_grid) != 0.0
 
     def score(device, y, m_idx):
@@ -427,7 +429,7 @@ def _reports(cfg: SweepConfig, chunk, grid: tuple, workers: int) -> list[Fidelit
         for k, value in enumerate(grid):
             samples = values[:, k].reshape(-1)
             mean = math.fsum(samples) / samples.size
-            std = math.sqrt(math.fsum((v - mean) ** 2 for v in samples) / samples.size)
+            std = math.sqrt(math.fsum(((samples - mean) ** 2).tolist()) / samples.size)
             reports.append(FidelityReport(arch, n, value, mean, std, samples.size, cfg.master_seed))
     return reports
 

@@ -3,12 +3,17 @@
 Everything here is deliberately written along a different route than the
 code under test: the SVD uses one-sided Jacobi rotations instead of LAPACK,
 mesh propagation multiplies explicit dense layer matrices instead of
-two-row updates, the crossbar output is a literal per-column sum, and a
-phase trial's deviations come from its own ``trial_rng`` stream.
+two-row updates, the crossbar output is a literal per-column sum, a
+phase trial's deviations come from its own ``trial_rng`` stream, path depths
+are counted port by port, and the balanced crossbar's insertion loss is
+summed in the log domain.
 """
+
+import math
 
 import numpy as np
 
+from crossmesh.clements import _layers
 from crossmesh.montecarlo import trial_rng
 
 
@@ -168,3 +173,34 @@ def trial_deviation_pair(master_seed, arch, n, sweep_index, matrix_index, trial_
     """One phase trial's (d_theta, d_phi), drawn from its own seeded stream."""
     rng = trial_rng(master_seed, arch, n, sweep_index, matrix_index, trial_index)
     return float(rng.normal(0.0, sigma)), float(rng.normal(0.0, sigma))
+
+
+def svd_path_depths(n):
+    """(best, worst) bar-state path depth of the n-port SVD device, counted port by port.
+
+    Each layer covers rows first .. first + 2 count - 1; a path crosses its
+    port's layers in both meshes plus the port's attenuator.
+    """
+    covering = [0] * n
+    for first, _start, count in _layers(n):
+        for port in range(first, first + 2 * count):
+            covering[port] += 1
+    return 2 * min(covering) + 1, 2 * max(covering) + 1
+
+
+def balanced_xbar_insertion_loss_db(topology, loss, il_node_db):
+    """Insertion loss of the loss-balanced N x N crossbar, summed in dB so nothing underflows.
+
+    The lossless coupler chain conserves power, sum_c |(prod_{q<c} t_q) xi_c|^2
+    = 1, and balancing makes every L_c (prod_{q<c} t_q) xi_c the same p, so
+    p^-2 = sum_c L_c^-2 and IL = IL_node + 20 log10(N_f / N) - 20 log10 p.
+    """
+    log2nf = topology.n_f.bit_length() - 1
+    m = topology.m
+    db = []  # -20 log10 L_c, column by column
+    for c in range(1, m + 1):
+        n_cross = (c - 1) * topology.m_fwd + (topology.recomb_crossings if c < m else 0)
+        db.append(2 * log2nf * loss.il_coup_db + min(c, m - 1) * loss.il_xi_db + n_cross * loss.il_x_db)
+    top = max(db)
+    inverse_p2_db = top + 10.0 * math.log10(math.fsum(10.0 ** ((d - top) / 10.0) for d in db))
+    return il_node_db + 20.0 * math.log10(topology.n_f / topology.n) + inverse_p2_db

@@ -21,7 +21,7 @@ from crossmesh import (
 )
 from crossmesh.clements import _mesh_to_json, device_from_json, device_to_json
 from crossmesh.montecarlo import target_matrix
-from oracles import haar_unitary_qr, mesh_layer_product, svd_device_layer_product
+from oracles import haar_unitary_qr, mesh_layer_product, svd_device_layer_product, svd_path_depths
 
 
 def mesh_transfer(mesh):
@@ -354,6 +354,11 @@ class TestClosedForms:
         }
         stats20 = svd_architecture_stats(20)
         assert stats20["nodes"] == 400 and stats20["programming_steps"] == 190
+
+    def test_depths_match_port_by_port_count(self):
+        for n in range(2, 301):
+            stats = svd_architecture_stats(n)
+            assert (stats["best_depth"], stats["worst_depth"]) == svd_path_depths(n), n
 
     @pytest.mark.parametrize("n", range(2, 17))
     def test_identity_columns_hit_best_and_worst(self, n):

@@ -428,6 +428,23 @@ def test_loss_file_with_an_unknown_key_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize("argv, loss", [
+    (["fig3", "--n", "20000"], None),
+    (["fidelity-loss", "--n", "4", "--matrices", "1"], {"il_xi_db": 2000.0}),
+], ids=["fig3-n-20000", "fidelity-loss-2000-dB-couplers"])
+def test_crossbar_design_underflow_exits_2(tmp_path, capsys, argv, loss):
+    # A coupler design beyond double precision is a numerical failure: exit 2, one line, nothing written.
+    out = tmp_path / "out.csv"
+    argv = argv + ["--arch", "xbar", "--node-loss", "0", "--out", str(out)]
+    if loss is not None:
+        (tmp_path / "loss.json").write_text(json.dumps(loss))
+        argv += ["--loss", str(tmp_path / "loss.json")]
+    assert run_experiment(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "underflows" in err
+    assert list(tmp_path.iterdir()) == ([] if loss is None else [tmp_path / "loss.json"])
+
+
 class TestJsonNumbers:
     """Every JSON input takes JSON numbers only: finite ints and floats, never strings, booleans or null.
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,11 +11,14 @@ from crossmesh import (
     LOSSLESS,
     LossModel,
     SILICON_PASSIVES,
+    SweepConfig,
+    SweepError,
     build_topology,
     build_xbar,
     design_splitters,
     evaluate_xbar,
     fidelity,
+    loss_fidelity_sweep,
     node_loss_model,
     passive_loss,
     realized_matrix,
@@ -28,7 +32,7 @@ from crossmesh import (
 )
 from crossmesh.crossbar import XbarDevice, common_deviation_fidelity, device_from_json, device_to_json
 from crossmesh.montecarlo import target_matrix
-from oracles import column_transmissions, xbar_column_sums
+from oracles import balanced_xbar_insertion_loss_db, column_transmissions, xbar_column_sums
 
 
 class TestTopology:
@@ -239,6 +243,36 @@ class TestInsertionLoss:
     def test_negative_node_loss_rejected(self):
         with pytest.raises(DomainError, match="il_node_db must be >= 0"):
             xbar_insertion_loss(build_topology(4, 4), SILICON_PASSIVES, il_node_db=-1.0)
+
+    @pytest.mark.parametrize("n", [4, 64, 1024, 9017])
+    def test_matches_log_domain_oracle(self, n):
+        # 9017 is the largest n whose xi_1^2 is a normal double with the silicon passives.
+        top = build_topology(n, n)
+        expected = balanced_xbar_insertion_loss_db(top, SILICON_PASSIVES, 1.0)
+        assert abs(xbar_insertion_loss(top, SILICON_PASSIVES, il_node_db=1.0) - expected) <= 1e-12 * expected
+
+    @pytest.mark.parametrize("n, quantity", [(9018, "xi_1^2"), (16384, "xi_1^2"), (20000, "L_c")])
+    def test_underflow_is_a_domain_error(self, n, quantity):
+        # Past n = 9017 xi_1^2 is subnormal and loses its precision: n = 16384
+        # would read 3390.9 dB, where the log-domain oracle gives 5746.7 dB.
+        # At n = 20000 the last columns' L_c are 0.0.
+        message = f"crossbar coupler design at n={n}: .*{re.escape(quantity)} underflows"
+        top = build_topology(n, n)
+        with pytest.raises(DomainError, match=message):
+            design_splitters(top, SILICON_PASSIVES)
+        with pytest.raises(DomainError, match=message):
+            xbar_insertion_loss(top, SILICON_PASSIVES, il_node_db=0.0)
+
+    @pytest.mark.parametrize("loss, quantity", [(LossModel(il_xi_db=2000.0), "xi_1^2"),
+                                                (LossModel(il_x_db=7000.0), "L_c")],
+                             ids=["xi", "L_c"])
+    def test_underflow_reaches_build_and_loss_sweep(self, loss, quantity):
+        message = f"crossbar coupler design at n=4: .*{re.escape(quantity)} underflows"
+        with pytest.raises(DomainError, match=message):
+            build_xbar(np.ones((4, 4)), loss)
+        cfg = SweepConfig(architectures=("xbar",), n_values=(4,), n_matrices=1, passive_losses=loss)
+        with pytest.raises(SweepError, match="loss sweep failed at arch=xbar, n=4, matrix=0: " + message):
+            loss_fidelity_sweep(cfg, (0.0,))
 
 
 class TestRestoration:

@@ -212,7 +212,7 @@ def test_crossbar_trials_match_column_sum_oracle():
 def test_batch_size_does_not_change_trials(n):
     # The sweep scores all of a matrix's crossbar trials, sigma = 0 included,
     # in one closed-form call; the SVD device evaluates sigma = 0 once and
-    # the other trials in batches of up to _BATCH_ENTRIES // n^2 (13 at
+    # the other trials in batches of up to _TRIAL_ENTRIES // n^2 (4 at
     # n = 64, so the 17 trials at sigma = 0.1 split there).  Batches of 1
     # and of 3 trials, each scored alone, give the same bits.
     seed, sigmas, trials = 3, (0.0, 0.1), 17
@@ -383,7 +383,7 @@ def test_svd_batches_spanning_sigma_rows_do_not_change_trials(monkeypatch):
     seed, n, sigmas, trials = 13, 4, (0.05, 0.0, 0.2), 5
     task = phase_task(seed, ARCH_SVD_CLEMENTS, n, sigmas, trials, 0, 2)
     reference = _phase_chunk(*task)
-    monkeypatch.setattr(montecarlo, "_BATCH_ENTRIES", 3 * n * n)
+    monkeypatch.setattr(montecarlo, "_TRIAL_ENTRIES", 3 * n * n)
     got = _phase_chunk(*task)
     assert got.tolist() == reference.tolist()
     for m_idx in range(2):
@@ -400,6 +400,33 @@ def test_svd_batches_spanning_sigma_rows_do_not_change_trials(monkeypatch):
                     one = apply_common_deviation(device, np.full((1, 1), dth), np.full((1, 1), dph))
                     expected = fidelity(evaluate_svd_clements(one)[0], y)
                 assert got[m_idx, s_idx, t_idx] == expected
+
+
+def test_trial_batches_and_build_blocks_keep_their_own_budgets(monkeypatch):
+    # At n = 64 a phase sweep evaluates its perturbed trials in batches of at
+    # most _TRIAL_ENTRIES // n^2 devices, while a loss sweep still builds its
+    # 6 matrices in one stack of _BATCH_ENTRIES // (2 n^2).
+    evaluated, built = [], []
+
+    def evaluate(device, **kwargs):
+        evaluated.append(device.theta.shape[:-1])
+        return evaluate_svd_clements(device, **kwargs)
+
+    def build(y, loss):
+        built.append(np.shape(y))
+        return build_svd_clements(y, loss)
+
+    monkeypatch.setattr(montecarlo, "evaluate_svd_clements", evaluate)
+    monkeypatch.setattr(montecarlo, "build_svd_clements", build)
+    n, trials = 64, 20
+    cfg = SweepConfig(architectures=(ARCH_SVD_CLEMENTS,), n_values=(n,), n_matrices=1, n_phase_trials=trials)
+    phase_fidelity_sweep(cfg, (0.0, 0.1))
+    batch = montecarlo._TRIAL_ENTRIES // (n * n)
+    assert evaluated == [()] + [(min(batch, trials - first),) for first in range(0, trials, batch)]
+    assert batch < montecarlo._BATCH_ENTRIES // (n * n)
+    built.clear()
+    loss_fidelity_sweep(replace(cfg, n_matrices=6), (0.0, 1.0))
+    assert built == [(6, n, n)]
 
 
 def test_crossbar_scores_each_matrix_in_one_call(monkeypatch):
