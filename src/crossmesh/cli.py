@@ -15,12 +15,13 @@ to losses.  ``--mode`` (crossbar couplers, default balanced) is xbar-only.
 
 The three experiments write their CSV (and SVG) atomically (temp file +
 rename, permissions from the umask) and then ``<csv>.manifest.json`` with
-the fields ``command``; ``config`` (architectures, sizes, the swept grid,
-and per command the matrix and trial counts, the passive loss model and
-``threads``); ``master_seed`` (Monte-Carlo commands only); ``version``;
-``duration_seconds``; ``outputs``; ``workers_used`` (processes started, 1
-when the sweep ran in this process); ``python``; ``numpy``; and
-``cpus_usable``.  Re-running with the same arguments reproduces the CSV
+the fields ``command``; ``config`` (the parsed value of each flag the
+command declares, ``--seed`` and the output paths aside, in the order
+declared: architectures, sizes, the swept grid, and per command the matrix
+and trial counts, the passive loss model and ``threads``); ``master_seed``
+(Monte-Carlo commands only); ``version``; ``duration_seconds``;
+``outputs``; ``workers_used`` (processes started, 1 when the sweep ran in
+this process); ``python``; ``numpy``; and ``cpus_usable``.  Re-running with the same arguments reproduces the CSV
 byte for byte.
 
 Every number in a JSON input must be a JSON number (int or float, never a
@@ -199,67 +200,82 @@ def _write_manifest(command: str, config: dict, outputs: list[str], started: flo
         numpy=np.__version__,
         cpus_usable=montecarlo.usable_cpus(),
     )
-    _atomic_write(outputs[0] + ".manifest.json", json.dumps(manifest, indent=2) + "\n")
+    text = json.dumps(manifest, indent=2, default=LossModel.to_json)  # a loss model writes its own JSON form
+    _atomic_write(outputs[0] + ".manifest.json", text + "\n")
 
 
 @dataclass(frozen=True)
 class _Experiment:
-    """What sets one experiment command apart from the other two.
+    """One experiment command.
 
-    ``run(cfg, grid, workers)`` returns the CSV rows, naming its sweep in a
-    lambda so each call uses this module's global then (``bench/trace_run.py``
-    wraps those globals).  ``grid_field`` keys the grid in the manifest,
-    ``point`` maps a row to its chart (label, x, y), ``chart`` holds titles.
+    Each flag is ``(flag, key, parse, default, help)``, required if the
+    default is ``...``.  Argparse types the counts (``parse`` is ``int``);
+    ``_cmd_sweep`` parses every value into ``values[key]`` after its output
+    checks, and the manifest ``config`` holds them in this order,
+    ``master_seed`` aside.  ``run(cfg, values)`` returns the CSV rows,
+    naming its sweep in a lambda so each call uses this module's global
+    then (``bench/trace_run.py`` wraps those globals).  ``point`` maps a
+    row to its chart (label, x, y), ``chart`` holds titles.
     """
 
-    grid_flag: str
-    grid_field: str
+    help: str
+    flags: tuple
     run: Callable
     header: tuple[str, ...]
     point: Callable
     chart: dict
-    config_keys: tuple[str, ...]
 
+
+_ARCH = ("--arch", "arch", lambda text: tuple(a.strip() for a in text.split(",") if a.strip()),
+         f"{ARCH_XBAR},{ARCH_SVD_CLEMENTS}", None)
+_SIZES = ("--n", "n_values", parse_int_list, ..., "matrix sizes, e.g. 4,8 or 4:64:4")
+_NODE_LOSS = ("--node-loss", "il_node_grid", parse_value_list, ..., "IL_node grid in dB, e.g. 0:2:0.05")
+_MATRICES = ("--matrices", "n_matrices", int, 500, None)
+_THREADS = ("--threads", "threads", int, 1,
+            "worker processes, at most the usable CPUs; >= 1 (default 1); results are identical for any value")
+_SEED = ("--seed", "master_seed", int, 1234, "master seed (default 1234)")
+_LOSS = ("--loss", "loss", _load_loss, None)  # and a help text per command
 
 _FIDELITY_COLUMNS = ("fidelity_mean", "fidelity_std", "n_samples", "seed")
 
 _EXPERIMENTS = {
     "fig3": _Experiment(
-        grid_flag="--node-loss", grid_field="il_node_grid",
-        run=lambda cfg, grid, workers: insertion_loss_sweep(cfg, grid),
+        help="insertion-loss comparison curves",
+        flags=(_ARCH, _SIZES, _NODE_LOSS, _LOSS + ("path to loss-model JSON",)),
+        run=lambda cfg, v: insertion_loss_sweep(cfg, v["il_node_grid"], passives=v["loss"]),
         header=("arch", "case", "n", "il_node_db", "il_total_db"),
         point=lambda row: (f"{row[0]}/{row[1]} N={row[2]}", row[3], row[4]),
         chart=dict(title="Total insertion loss vs per-cell loss", xlabel="IL_node (dB)",
                    ylabel="total IL (dB)"),
-        config_keys=("arch", "n_values", "il_node_grid", "loss"),
     ),
     "fidelity-loss": _Experiment(
-        grid_flag="--node-loss", grid_field="il_node_grid",
-        run=lambda cfg, grid, workers: [astuple(r) for r in loss_fidelity_sweep(cfg, grid, workers=workers)],
+        help="loss-induced fidelity Monte Carlo",
+        flags=(_ARCH, _SIZES, _NODE_LOSS, _MATRICES,
+               _LOSS + ("path to loss-model JSON; here the passive losses only set the crossbar's coupler design",),
+               _THREADS, _SEED),
+        run=lambda cfg, v: [astuple(r) for r in loss_fidelity_sweep(
+            cfg, v["il_node_grid"], passives=v["loss"], workers=v["threads"])],
         header=("arch", "n", "il_node_db") + _FIDELITY_COLUMNS,
         point=lambda row: (f"{row[0]} N={row[1]}", row[2], row[3]),
         chart=dict(title="Loss-induced fidelity", xlabel="IL_node (dB)", ylabel="mean fidelity"),
-        config_keys=("arch", "n_values", "il_node_grid", "n_matrices", "loss", "threads"),
     ),
     "fidelity-phase": _Experiment(
-        grid_flag="--sigma", grid_field="sigma_grid",
-        run=lambda cfg, grid, workers: [astuple(r) for r in phase_fidelity_sweep(cfg, grid, workers=workers)],
+        help="phase-error fidelity Monte Carlo",
+        flags=(_ARCH, _SIZES,
+               ("--sigma", "sigma_grid", parse_value_list, ..., "deviation grid in rad, e.g. 0:0.2:0.02"),
+               _MATRICES, ("--trials", "n_phase_trials", int, 100, None), _THREADS, _SEED),
+        run=lambda cfg, v: [astuple(r) for r in phase_fidelity_sweep(
+            cfg, v["sigma_grid"], trials=v["n_phase_trials"], workers=v["threads"])],
         header=("arch", "n", "sigma_rad") + _FIDELITY_COLUMNS,
         point=lambda row: (f"{row[0]} N={row[1]}", row[2], row[3]),
         chart=dict(title="Phase-error fidelity", xlabel="sigma (rad)", ylabel="mean fidelity"),
-        config_keys=("arch", "n_values", "sigma_grid", "n_matrices", "n_phase_trials", "threads"),
     ),
 }
-
-# Experiment flags that not every command has, and the SweepConfig fields they fill.
-_CONFIG_FLAGS = (("matrices", "n_matrices"), ("trials", "n_phase_trials"), ("seed", "master_seed"))
 
 
 def _cmd_sweep(args) -> int:
     started = time.monotonic()
     experiment = _EXPERIMENTS[args.command]
-    flags = vars(args)
-    workers = flags.get("threads", 1)
     written = {os.path.realpath(path) for path in (args.out, args.out + ".manifest.json")}
     if args.svg and os.path.realpath(args.svg) in written:
         raise ConfigError(f"--svg {args.svg} would overwrite the CSV or its manifest")
@@ -268,25 +284,18 @@ def _cmd_sweep(args) -> int:
             raise IsADirectoryError(f"cannot write {path}: it is a directory")
         if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
             raise FileNotFoundError(f"no directory to write {path} in")
-    grid = parse_value_list(args.grid)
-    cfg = SweepConfig(
-        passive_losses=_load_loss(flags.get("loss")),
-        architectures=tuple(a.strip() for a in args.arch.split(",") if a.strip()),
-        n_values=parse_int_list(args.n),
-        **{name: flags[flag] for flag, name in _CONFIG_FLAGS if flag in flags},
-    )
-    rows = experiment.run(cfg, grid, workers)
+    values = {key: parse(getattr(args, key)) for _flag, key, parse, _default, _help in experiment.flags}
+    # fig3 has neither a matrix count nor a seed, and reads neither.
+    cfg = SweepConfig(values["arch"], values["n_values"], values.get("n_matrices", 1), values.get("master_seed", 0))
+    rows = experiment.run(cfg, values)
     _atomic_write(args.out, _csv_text(experiment.header, rows))
     outputs = [args.out]
     if args.svg:
         _atomic_write(args.svg, line_chart(_series(map(experiment.point, rows)), **experiment.chart))
         outputs.append(args.svg)
-    values = dict(arch=list(cfg.architectures), n_values=list(cfg.n_values), n_matrices=cfg.n_matrices,
-                  n_phase_trials=cfg.n_phase_trials, loss=cfg.passive_losses.to_json(), threads=workers,
-                  **{experiment.grid_field: list(grid)})
-    config = {key: values[key] for key in experiment.config_keys}
-    _write_manifest(args.command, config, outputs, started,
-                    workers_used=pool_size(cfg, workers), master_seed=flags.get("seed"))
+    master_seed = values.pop("master_seed", None)
+    _write_manifest(args.command, values, outputs, started,
+                    workers_used=pool_size(cfg, values.get("threads", 1)), master_seed=master_seed)
     return 0
 
 
@@ -357,37 +366,14 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="crossmesh", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    grid_help = {"--node-loss": "IL_node grid in dB, e.g. 0:2:0.05",
-                 "--sigma": "deviation grid in rad, e.g. 0:0.2:0.02"}
-
-    def add_experiment(command, help):
-        p = sub.add_parser(command, help=help)
-        grid_flag = _EXPERIMENTS[command].grid_flag
-        p.add_argument("--n", required=True, help="matrix sizes, e.g. 4,8 or 4:64:4")
-        p.add_argument(grid_flag, dest="grid", required=True, help=grid_help[grid_flag])
-        p.add_argument("--arch", default=f"{ARCH_XBAR},{ARCH_SVD_CLEMENTS}")
+    for command, experiment in _EXPERIMENTS.items():
+        p = sub.add_parser(command, help=experiment.help)
+        for flag, key, parse, default, help in experiment.flags:
+            p.add_argument(flag, dest=key, type=int if parse is int else None, default=default,
+                           required=default is ..., help=help)
         p.add_argument("--out", required=True)
         p.add_argument("--svg", default=None, help="also write an SVG chart here")
         p.set_defaults(func=_cmd_sweep)
-        return p
-
-    def add_monte_carlo(p):
-        p.add_argument("--matrices", type=int, default=500)
-        p.add_argument("--seed", type=int, default=1234, help="master seed (default 1234)")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker processes, at most the usable CPUs; >= 1 (default 1); "
-                            "results are identical for any value")
-
-    def add_loss(p, note=""):
-        p.add_argument("--loss", default=None, help="path to loss-model JSON" + note)
-
-    add_loss(add_experiment("fig3", "insertion-loss comparison curves"))
-    p = add_experiment("fidelity-loss", "loss-induced fidelity Monte Carlo")
-    add_monte_carlo(p)
-    add_loss(p, "; here the passive losses only set the crossbar's coupler design")
-    p = add_experiment("fidelity-phase", "phase-error fidelity Monte Carlo")
-    add_monte_carlo(p)
-    p.add_argument("--trials", type=int, default=100)
 
     p = sub.add_parser("compile", help="program a matrix onto a device")
     p.add_argument("--arch", required=True, choices=[ARCH_XBAR, ARCH_SVD_CLEMENTS])
@@ -395,7 +381,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--mode", default=None, choices=["balanced", "uniform"],
                    help="crossbar coupler design (default balanced; xbar only)")
     p.add_argument("--out", required=True)
-    add_loss(p)
+    p.add_argument("--loss", default=None, help="path to loss-model JSON")
     p.set_defaults(func=_cmd_compile)
 
     p = sub.add_parser("eval", help="apply a compiled device to an input vector")

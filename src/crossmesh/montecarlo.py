@@ -28,12 +28,13 @@ The crossbar scores it in one closed-form call; the SVD device in batches of
 ``_TRIAL_ENTRIES // n^2`` trials that may span sigma values, plus one
 unperturbed evaluation if the grid holds a 0, and its IL values in one pass.
 
-Each sweep takes its grid as an argument, which ``_grid`` alone checks.  A
-task ``(cfg, arch, n, lo, hi)`` covers matrices lo..hi-1 of one point, one
-task per worker, and the pool maps ``partial(chunk, grid)`` over the tasks.
-``_per_matrix`` alone draws targets, builds devices (SVD devices in stacks
-of ``_BATCH_ENTRIES // n^2`` meshes at most, two per device) and names a
-failed point (``SweepError``); a sweep only scores each device.
+Each sweep takes its grid, which ``_grid`` alone checks, and its own
+settings as arguments.  A task ``(cfg, arch, n, lo, hi)`` covers matrices
+lo..hi-1 of one point, one task per worker, and the pool maps the sweep's
+``partial(chunk, grid, setting)`` over the tasks.  ``_per_matrix`` alone
+draws targets, builds devices (SVD devices in stacks of ``_BATCH_ENTRIES //
+n^2`` meshes at most, two per device) and names a failed point
+(``SweepError``); a sweep only scores each device.
 
 Parallelism: every sweep runs the bundled OpenBLAS on one thread (the
 package defaults ``OPENBLAS_NUM_THREADS`` to 1, and ``_one_blas_thread``
@@ -54,7 +55,7 @@ import math
 import operator
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,6 +70,7 @@ from .crossbar import (  # weights_with_common_deviation: bench/trace_run.py wra
     build_topology,
     build_xbar,
     common_deviation_fidelity,
+    design_splitters,
     realized_matrix,
     weights_with_common_deviation,
     xbar_insertion_loss,
@@ -116,21 +118,19 @@ def _integer(name: str, value, low: int, high: float = math.inf) -> int:
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """What every sweep shares; each sweep takes its own grid.  Architectures and sizes must not repeat."""
+    """The points and seeding the Monte-Carlo sweeps share.  Architectures and sizes must not repeat."""
 
     architectures: tuple[str, ...] = (ARCH_XBAR, ARCH_SVD_CLEMENTS)
     n_values: tuple[int, ...] = ()
     n_matrices: int = 500
-    n_phase_trials: int = 100
-    passive_losses: LossModel = field(default_factory=lambda: SILICON_PASSIVES)
     master_seed: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "architectures", tuple(self.architectures))
         object.__setattr__(self, "n_values", tuple(_integer("n_values", n, 2) for n in self.n_values))
-        # A matrix or trial index is one uint32 seed word.
-        for name, low, high in (("n_matrices", 1, _MASK32), ("n_phase_trials", 1, _MASK32), ("master_seed", 0, math.inf)):
-            object.__setattr__(self, name, _integer(name, getattr(self, name), low, high))
+        # A matrix index is one uint32 seed word.
+        object.__setattr__(self, "n_matrices", _integer("n_matrices", self.n_matrices, 1, _MASK32))
+        object.__setattr__(self, "master_seed", _integer("master_seed", self.master_seed, 0))
         if not self.architectures:
             raise ConfigError("at least one architecture must be selected")
         for arch in self.architectures:
@@ -228,7 +228,7 @@ def _seed_pool(words: list) -> list:
     return pool
 
 
-def _phase_deviations(cfg: SweepConfig, sigma_grid, arch: str, n: int, m_idx: int) -> np.ndarray:
+def _phase_deviations(cfg: SweepConfig, sigma_grid, trials: int, arch: str, n: int, m_idx: int) -> np.ndarray:
     """Matrix ``m_idx``'s (sigma, trial, (d_theta, d_phi)) deviations, left zero at sigma = 0.
 
     Entry (s, t) is what ``trial_rng(cfg.master_seed, arch, n, s, m_idx,
@@ -236,7 +236,6 @@ def _phase_deviations(cfg: SweepConfig, sigma_grid, arch: str, n: int, m_idx: in
     """
     sigmas = np.array(sigma_grid)
     rows = np.flatnonzero(sigmas)
-    trials = cfg.n_phase_trials
     deviations = np.zeros((len(sigmas), trials, 2))
     if rows.size == 0:
         return deviations
@@ -383,9 +382,9 @@ def _per_matrix(task, loss: LossModel, score, kind: str) -> np.ndarray:
     return np.array(rows)
 
 
-def _loss_chunk(il_node_grid, task) -> np.ndarray:
-    cfg, arch = task[:2]
-    models = [node_loss_model(il, cfg.passive_losses) for il in il_node_grid]
+def _loss_chunk(il_node_grid, passives: LossModel, task) -> np.ndarray:
+    arch = task[1]
+    models = [node_loss_model(il, passives) for il in il_node_grid]
 
     def score(device, y, _m_idx):
         if arch == ARCH_SVD_CLEMENTS:  # every IL value in one pass
@@ -397,35 +396,35 @@ def _loss_chunk(il_node_grid, task) -> np.ndarray:
     return _per_matrix(task, models[0], score, "loss")
 
 
-def _phase_chunk(sigma_grid, task) -> np.ndarray:
+def _phase_chunk(sigma_grid, trials: int, task) -> np.ndarray:
     cfg, arch, n = task[:3]
     batch = max(1, _TRIAL_ENTRIES // (n * n))
     perturbed = np.array(sigma_grid) != 0.0
 
     def score(device, y, m_idx):
-        deviations = _phase_deviations(cfg, sigma_grid, arch, n, m_idx)
+        deviations = _phase_deviations(cfg, sigma_grid, trials, arch, n, m_idx)
         if arch == ARCH_XBAR:
             return common_deviation_fidelity(device, y, deviations[..., 0])
         out = np.empty(deviations.shape[:2])
         if not perturbed.all():  # every sigma = 0 trial is the unperturbed device
             out[~perturbed] = fidelity(evaluate_svd_clements(device), y)
-        trials = deviations[perturbed].reshape(-1, 2)
+        pairs = deviations[perturbed].reshape(-1, 2)
         scored = []
-        for first in range(0, len(trials), batch):  # batches may span sigma rows
-            chunk = trials[first : first + batch]
+        for first in range(0, len(pairs), batch):  # batches may span sigma rows
+            chunk = pairs[first : first + batch]
             # By keyword: bench/trace_run.py's tracer takes bool(d == 0.0) of positional deviations.
             shaken = apply_common_deviation(device, dtheta=chunk[:, :1], dphi=chunk[:, 1:])
             scored.extend(fidelity(evaluate_svd_clements(shaken), y))
-        out[perturbed] = np.reshape(scored, (-1, cfg.n_phase_trials))
+        out[perturbed] = np.reshape(scored, (-1, trials))
         return out
 
     return _per_matrix(task, LOSSLESS, score, "phase")
 
 
-def _reports(cfg: SweepConfig, chunk, grid: tuple, workers: int) -> list[FidelityReport]:
-    """Mean and std per (architecture, n, grid value k) of entry k of ``chunk(grid, task)``'s rows."""
+def _reports(cfg: SweepConfig, worker, grid: tuple, workers: int) -> list[FidelityReport]:
+    """Mean and std per (architecture, n, grid value k) of entry k of ``worker(task)``'s rows."""
     reports = []
-    for arch, n, values in _run_sweep(functools.partial(chunk, grid), cfg, workers):
+    for arch, n, values in _run_sweep(worker, cfg, workers):
         for k, value in enumerate(grid):
             samples = values[:, k].reshape(-1)
             mean = math.fsum(samples) / samples.size
@@ -434,28 +433,39 @@ def _reports(cfg: SweepConfig, chunk, grid: tuple, workers: int) -> list[Fidelit
     return reports
 
 
-def loss_fidelity_sweep(cfg: SweepConfig, il_node_grid, *, workers: int = 1) -> list[FidelityReport]:
+def loss_fidelity_sweep(cfg: SweepConfig, il_node_grid, *, passives: LossModel = SILICON_PASSIVES,
+                        workers: int = 1) -> list[FidelityReport]:
     """Mean/std fidelity over seeded random targets of devices with per-cell loss ``il_node_grid`` (dB).
 
     One report per (architecture, n, IL_node) point.  The crossbar rows are
     computed, not assumed: the loss-balanced design makes every one of its
-    points exactly 1, which doubles as a regression check.
+    points exactly 1, which doubles as a regression check.  ``passives`` set
+    only the crossbar's couplers, whose design is checked before any target
+    is drawn.
     """
-    return _reports(cfg, _loss_chunk, _grid("il_node_grid", il_node_grid), workers)
+    il_node_grid = _grid("il_node_grid", il_node_grid)
+    if ARCH_XBAR in cfg.architectures:
+        # With the devices' model: the passives' own coupler loss could fail a size that builds.
+        for n in cfg.n_values:
+            design_splitters(build_topology(n, n), node_loss_model(il_node_grid[0], passives))
+    return _reports(cfg, functools.partial(_loss_chunk, il_node_grid, passives), il_node_grid, workers)
 
 
-def phase_fidelity_sweep(cfg: SweepConfig, sigma_grid, *, workers: int = 1) -> list[FidelityReport]:
+def phase_fidelity_sweep(cfg: SweepConfig, sigma_grid, *, trials: int = 100, workers: int = 1) -> list[FidelityReport]:
     """Mean/std fidelity of lossless devices under Gaussian phase errors of std ``sigma_grid`` (rad).
 
-    Each trial draws one two-element Gaussian deviation set (d_theta,
-    d_phi) from its own seeded stream and applies it to every MZI cell of
-    the device, including the attenuator column; samples aggregate over
-    matrices and trials.
+    Each of the ``trials`` trials per matrix and sigma draws one
+    two-element Gaussian deviation set (d_theta, d_phi) from its own seeded
+    stream and applies it to every MZI cell of the device, including the
+    attenuator column; samples aggregate over matrices and trials.
     """
-    return _reports(cfg, _phase_chunk, _grid("sigma_grid", sigma_grid), workers)
+    sigma_grid = _grid("sigma_grid", sigma_grid)
+    trials = _integer("trials", trials, 1, _MASK32)  # a trial index is one uint32 seed word
+    return _reports(cfg, functools.partial(_phase_chunk, sigma_grid, trials), sigma_grid, workers)
 
 
-def insertion_loss_sweep(cfg: SweepConfig, il_node_grid) -> list[tuple[str, str, int, float, float]]:
+def insertion_loss_sweep(cfg: SweepConfig, il_node_grid, *,
+                         passives: LossModel = SILICON_PASSIVES) -> list[tuple[str, str, int, float, float]]:
     """Closed-form insertion-loss curves over ``il_node_grid`` (per-cell loss, dB); no randomness involved.
 
     Returns rows (architecture, case, n, il_node_db, il_total_db) with the
@@ -474,6 +484,6 @@ def insertion_loss_sweep(cfg: SweepConfig, il_node_grid) -> list[tuple[str, str,
             for n in cfg.n_values:
                 topology = build_topology(n, n)
                 for il in il_node_grid:
-                    total = xbar_insertion_loss(topology, cfg.passive_losses, il_node_db=il)
+                    total = xbar_insertion_loss(topology, passives, il_node_db=il)
                     rows.append((arch, "balanced", n, il, total))
     return rows

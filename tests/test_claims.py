@@ -1,7 +1,6 @@
 """The paper's qualitative claims about the two architectures, on small configs."""
 
 import json
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -47,7 +46,7 @@ def test_passive_losses_leave_loss_induced_fidelity_unchanged():
     cfg, grid = SweepConfig(n_values=(4, 7), n_matrices=3, master_seed=11), (0.0, 0.5, 1.0)
     lossy = LossModel(il_coup_db=0.5, il_ps_db=0.3, il_xi_db=0.9, il_x_db=0.4, alpha_db=1.0)
     default = loss_fidelity_sweep(cfg, grid)
-    passive = loss_fidelity_sweep(replace(cfg, passive_losses=lossy), grid)
+    passive = loss_fidelity_sweep(cfg, grid, passives=lossy)
     svd = [[r for r in reports if r.architecture == ARCH_SVD_CLEMENTS] for reports in (default, passive)]
     assert svd[0] == svd[1]
     assert min(r.fidelity_mean for r in svd[0]) < 0.99  # IL_node itself does act on the SVD rows

@@ -13,6 +13,7 @@ import pytest
 
 from crossmesh import (
     LOSSLESS,
+    SILICON_PASSIVES,
     DomainError,
     LossModel,
     SweepConfig,
@@ -128,8 +129,12 @@ class TestFlagsNothingReads:
             ["fidelity-phase", "--n", "3", "--sigma", "0", "--matrices", "1", "--trials", "1",
              "--loss", "x"],
             ["fig3", "--n", "3", "--node-loss", "0", "--seed", "5"],
+            ["fig3", "--n", "3", "--node-loss", "0", "--matrices", "2"],
+            ["fig3", "--n", "3", "--node-loss", "0", "--threads", "2"],
+            ["fig3", "--n", "3", "--node-loss", "0", "--trials", "2"],
+            ["fidelity-loss", "--n", "3", "--node-loss", "0", "--matrices", "1", "--trials", "2"],
         ],
-        ids=["phase-loss", "fig3-seed"],
+        ids=["phase-loss", "fig3-seed", "fig3-matrices", "fig3-threads", "fig3-trials", "loss-trials"],
     )
     def test_is_rejected(self, tmp_path, capsys, argv):
         out = tmp_path / "out.csv"
@@ -445,6 +450,18 @@ def test_crossbar_design_underflow_exits_2(tmp_path, capsys, argv, loss):
     assert list(tmp_path.iterdir()) == ([] if loss is None else [tmp_path / "loss.json"])
 
 
+def test_infeasible_crossbar_size_fails_before_any_target_is_drawn(tmp_path, capsys, monkeypatch):
+    # An n = 20000 target alone would take 6.4 GB.
+    monkeypatch.setattr(montecarlo, "target_matrix", lambda *args: pytest.fail("a target was drawn"))
+    out = tmp_path / "out.csv"
+    argv = ["fidelity-loss", "--arch", "xbar,svd-clements", "--n", "4,20000", "--node-loss", "0",
+            "--matrices", "1", "--out", str(out)]
+    assert run_experiment(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "underflows" in err
+    assert not out.exists()
+
+
 class TestJsonNumbers:
     """Every JSON input takes JSON numbers only: finite ints and floats, never strings, booleans or null.
 
@@ -574,8 +591,8 @@ def test_duration_survives_a_wall_clock_step(tmp_path, monkeypatch):
     # The wall clock steps back an hour mid-sweep, as NTP or a resumed VM may step it.
     sweep = cli.phase_fidelity_sweep
 
-    def stepped_sweep(cfg, sigma_grid, *, workers):
-        reports = sweep(cfg, sigma_grid, workers=workers)
+    def stepped_sweep(cfg, sigma_grid, **settings):
+        reports = sweep(cfg, sigma_grid, **settings)
         wall = time.time
         monkeypatch.setattr(time, "time", lambda: wall() - 3600.0)
         return reports
@@ -616,19 +633,19 @@ class TestExperimentOutputs:
         csv, svg, manifest = self.run(tmp_path, ["fig3", "--n", "3,4", "--node-loss", "0:1:0.5"])
         cfg = SweepConfig(n_values=(3, 4))
         assert csv == _csv_text(["arch", "case", "n", "il_node_db", "il_total_db"],
-                                insertion_loss_sweep(cfg, (0.0, 0.5, 1.0)))
+                                insertion_loss_sweep(cfg, (0.0, 0.5, 1.0), passives=SILICON_PASSIVES))
         assert legend(svg) == ["xbar/balanced N=3", "xbar/balanced N=4",
                                "svd-clements/best N=3", "svd-clements/best N=4",
                                "svd-clements/worst N=3", "svd-clements/worst N=4"]
         assert set(manifest) == MANIFEST_KEYS - {"master_seed"}  # closed form: no seed
         assert manifest["command"] == "fig3"
         assert manifest["workers_used"] == 1
-        assert manifest["config"] == {
-            "arch": ["xbar", "svd-clements"],
-            "n_values": [3, 4],
-            "il_node_grid": [0.0, 0.5, 1.0],
-            "loss": cfg.passive_losses.to_json(),
-        }
+        assert list(manifest["config"].items()) == [
+            ("arch", ["xbar", "svd-clements"]),
+            ("n_values", [3, 4]),
+            ("il_node_grid", [0.0, 0.5, 1.0]),
+            ("loss", SILICON_PASSIVES.to_json()),
+        ]
 
     def test_fidelity_loss(self, tmp_path):
         loss = LossModel(il_coup_db=0.1, il_xi_db=0.2)
@@ -638,40 +655,39 @@ class TestExperimentOutputs:
             "fidelity-loss", "--n", "3,4", "--node-loss", "0,0.5", "--matrices", "2",
             "--seed", "5", "--loss", str(loss_file),
         ])
-        cfg = SweepConfig(n_values=(3, 4), n_matrices=2, passive_losses=loss, master_seed=5)
+        cfg = SweepConfig(n_values=(3, 4), n_matrices=2, master_seed=5)
         header = [c.format(grid="il_node_db") for c in FIDELITY_HEADER]
-        assert csv == _csv_text(header, report_rows(loss_fidelity_sweep(cfg, (0.0, 0.5))))
+        assert csv == _csv_text(header, report_rows(loss_fidelity_sweep(cfg, (0.0, 0.5), passives=loss)))
         assert legend(svg) == ["xbar N=3", "xbar N=4", "svd-clements N=3", "svd-clements N=4"]
         assert set(manifest) == MANIFEST_KEYS
         assert (manifest["command"], manifest["master_seed"]) == ("fidelity-loss", 5)
         assert manifest["workers_used"] == 1
-        assert manifest["config"] == {
-            "arch": ["xbar", "svd-clements"],
-            "n_values": [3, 4],
-            "il_node_grid": [0.0, 0.5],
-            "n_matrices": 2,
-            "loss": loss.to_json(),
-            "threads": 1,
-        }
+        assert list(manifest["config"].items()) == [
+            ("arch", ["xbar", "svd-clements"]),
+            ("n_values", [3, 4]),
+            ("il_node_grid", [0.0, 0.5]),
+            ("n_matrices", 2),
+            ("loss", loss.to_json()),
+            ("threads", 1),
+        ]
 
     def test_fidelity_phase(self, tmp_path):
         csv, svg, manifest = self.run(tmp_path, [
             "fidelity-phase", "--arch", "svd-clements,xbar", "--n", "3", "--sigma", "0:0.1:0.05",
             "--matrices", "2", "--trials", "3", "--seed", "9",
         ])
-        cfg = SweepConfig(architectures=("svd-clements", "xbar"), n_values=(3,), n_matrices=2,
-                          n_phase_trials=3, master_seed=9)
+        cfg = SweepConfig(architectures=("svd-clements", "xbar"), n_values=(3,), n_matrices=2, master_seed=9)
         header = [c.format(grid="sigma_rad") for c in FIDELITY_HEADER]
-        assert csv == _csv_text(header, report_rows(phase_fidelity_sweep(cfg, (0.0, 0.05, 0.1))))
+        assert csv == _csv_text(header, report_rows(phase_fidelity_sweep(cfg, (0.0, 0.05, 0.1), trials=3)))
         assert legend(svg) == ["svd-clements N=3", "xbar N=3"]
         assert set(manifest) == MANIFEST_KEYS
         assert (manifest["command"], manifest["master_seed"]) == ("fidelity-phase", 9)
         assert manifest["workers_used"] == 1
-        assert manifest["config"] == {
-            "arch": ["svd-clements", "xbar"],
-            "n_values": [3],
-            "sigma_grid": [0.0, 0.05, 0.1],
-            "n_matrices": 2,
-            "n_phase_trials": 3,
-            "threads": 1,
-        }
+        assert list(manifest["config"].items()) == [
+            ("arch", ["svd-clements", "xbar"]),
+            ("n_values", [3]),
+            ("sigma_grid", [0.0, 0.05, 0.1]),
+            ("n_matrices", 2),
+            ("n_phase_trials", 3),
+            ("threads", 1),
+        ]

@@ -12,7 +12,6 @@ from crossmesh import (
     LossModel,
     SILICON_PASSIVES,
     SweepConfig,
-    SweepError,
     build_topology,
     build_xbar,
     design_splitters,
@@ -30,6 +29,7 @@ from crossmesh import (
     with_loss,
     xbar_insertion_loss,
 )
+from crossmesh import montecarlo
 from crossmesh.crossbar import XbarDevice, common_deviation_fidelity, device_from_json, device_to_json
 from crossmesh.montecarlo import target_matrix
 from oracles import balanced_xbar_insertion_loss_db, column_transmissions, xbar_column_sums
@@ -266,13 +266,25 @@ class TestInsertionLoss:
     @pytest.mark.parametrize("loss, quantity", [(LossModel(il_xi_db=2000.0), "xi_1^2"),
                                                 (LossModel(il_x_db=7000.0), "L_c")],
                              ids=["xi", "L_c"])
-    def test_underflow_reaches_build_and_loss_sweep(self, loss, quantity):
+    def test_underflow_reaches_build_and_loss_sweep(self, monkeypatch, loss, quantity):
         message = f"crossbar coupler design at n=4: .*{re.escape(quantity)} underflows"
         with pytest.raises(DomainError, match=message):
             build_xbar(np.ones((4, 4)), loss)
-        cfg = SweepConfig(architectures=("xbar",), n_values=(4,), n_matrices=1, passive_losses=loss)
-        with pytest.raises(SweepError, match="loss sweep failed at arch=xbar, n=4, matrix=0: " + message):
-            loss_fidelity_sweep(cfg, (0.0,))
+        # The loss sweep checks the coupler design before it draws any target.
+        monkeypatch.setattr(montecarlo, "target_matrix", lambda *args: pytest.fail("a target was drawn"))
+        cfg = SweepConfig(architectures=("xbar",), n_values=(4,), n_matrices=1)
+        with pytest.raises(DomainError, match=message):
+            loss_fidelity_sweep(cfg, (0.0,), passives=loss)
+
+    def test_loss_sweep_checks_the_design_its_devices_get(self):
+        # node_loss_model replaces the passives' coupler loss, so passives
+        # whose own 2000 dB couplers underflow L_c still build and sweep.
+        passives = LossModel(il_coup_db=2000.0)
+        with pytest.raises(DomainError, match="L_c underflows"):
+            design_splitters(build_topology(4, 4), passives)
+        cfg = SweepConfig(architectures=("xbar",), n_values=(4,), n_matrices=1)
+        reports = loss_fidelity_sweep(cfg, (0.0, 1.0), passives=passives)
+        assert [r.fidelity_mean for r in reports] == pytest.approx([1.0, 1.0], abs=1e-12)
 
 
 class TestRestoration:

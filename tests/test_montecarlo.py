@@ -1,4 +1,5 @@
 import concurrent.futures
+import functools
 import json
 import math
 import os
@@ -31,23 +32,25 @@ from crossmesh.crossbar import common_deviation_fidelity
 from crossmesh.montecarlo import _phase_chunk, _phase_deviations, target_matrix
 from oracles import svd_device_layer_product, trial_deviation_pair, xbar_column_sums
 
-PHASE_CFG = SweepConfig(n_values=(3, 4), n_matrices=3, n_phase_trials=5, master_seed=17)
+PHASE_CFG = SweepConfig(n_values=(3, 4), n_matrices=3, master_seed=17)
 PHASE_GRID = (0.0, 0.05, 0.2)
+PHASE_TRIALS = 5
 LOSS_CFG = SweepConfig(n_values=(3, 4), n_matrices=3, master_seed=17)
 LOSS_GRID = (0.0, 0.5, 1.5)
 
 
 def phase_task(seed, arch, n, sigmas, trials, lo, hi):
-    """``_phase_chunk``'s arguments: the grid, and the pool task ``(cfg, arch, n, lo, hi)`` for matrices lo..hi-1."""
-    cfg = SweepConfig(n_values=(n,), n_phase_trials=trials, master_seed=seed)
-    return sigmas, (cfg, arch, n, lo, hi)
+    """``_phase_chunk``'s arguments: grid, trial count and pool task ``(cfg, arch, n, lo, hi)`` (matrices lo..hi-1)."""
+    cfg = SweepConfig(n_values=(n,), master_seed=seed)
+    return sigmas, trials, (cfg, arch, n, lo, hi)
 
 
 def test_workers_do_not_change_reports(monkeypatch):
     # Five matrices per point: every (arch, n) point's chunks share one pool
     # and spread unevenly over 2 or 3 workers.
     monkeypatch.setattr(montecarlo, "usable_cpus", lambda: 3)
-    for sweep, cfg, grid in ((phase_fidelity_sweep, PHASE_CFG, PHASE_GRID), (loss_fidelity_sweep, LOSS_CFG, LOSS_GRID)):
+    phase_sweep = functools.partial(phase_fidelity_sweep, trials=PHASE_TRIALS)
+    for sweep, cfg, grid in ((phase_sweep, PHASE_CFG, PHASE_GRID), (loss_fidelity_sweep, LOSS_CFG, LOSS_GRID)):
         cfg = replace(cfg, n_matrices=5)
         serial = sweep(cfg, grid, workers=1)
         assert len(serial) == 2 * 2 * 3
@@ -253,7 +256,7 @@ def test_phase_deviations_match_trial_rng_bit_for_bit(seed):
         for n in (2, 64, 2**32 - 1, 2**32, 2**33):
             for m_idx in (0, 2**32 - 1):
                 for grid in grids:
-                    cfg = SweepConfig(n_values=(n,), n_phase_trials=3, master_seed=seed)
+                    cfg = SweepConfig(n_values=(n,), master_seed=seed)
                     expected = np.zeros((len(grid), 3, 2))
                     for s_idx, sigma in enumerate(grid):
                         if sigma != 0.0:
@@ -261,42 +264,57 @@ def test_phase_deviations_match_trial_rng_bit_for_bit(seed):
                                 trial_deviation_pair(seed, arch, n, s_idx, m_idx, t_idx, sigma)
                                 for t_idx in range(3)
                             ]
-                    got = _phase_deviations(cfg, grid, arch, n, m_idx)
+                    got = _phase_deviations(cfg, grid, 3, arch, n, m_idx)
                     assert got.tobytes() == expected.tobytes(), (arch, n, m_idx, grid)
 
 
 def test_no_sweep_draws_from_trial_rng(monkeypatch):
-    reference = phase_fidelity_sweep(PHASE_CFG, PHASE_GRID)
+    reference = phase_fidelity_sweep(PHASE_CFG, PHASE_GRID, trials=PHASE_TRIALS)
 
     def refuse(*args):
         raise AssertionError("trial_rng called")
 
     monkeypatch.setattr(montecarlo, "trial_rng", refuse)
-    assert phase_fidelity_sweep(PHASE_CFG, PHASE_GRID) == reference
+    assert phase_fidelity_sweep(PHASE_CFG, PHASE_GRID, trials=PHASE_TRIALS) == reference
 
 
-@pytest.mark.parametrize("field", ["n_matrices", "n_phase_trials"])
-def test_indices_must_fit_one_seed_word(field):
-    SweepConfig(n_values=(3,), **{field: 2**32 - 1})
+@pytest.fixture
+def checked_settings(monkeypatch):
+    """Checks ``SweepConfig(n_values=(3,), **fields)`` and a phase sweep of it with ``trials``; runs no task."""
+    monkeypatch.setattr(montecarlo, "_run_sweep", lambda worker, cfg, workers: [])
+
+    def check(trials=1, **fields):
+        phase_fidelity_sweep(SweepConfig(**{"n_values": (3,), **fields}), (0.0,), trials=trials)
+
+    return check
+
+
+@pytest.mark.parametrize("field", ["n_matrices", "trials"])
+def test_indices_must_fit_one_seed_word(checked_settings, field):
+    checked_settings(**{field: 2**32 - 1})
     with pytest.raises(ConfigError, match=field):
-        SweepConfig(n_values=(3,), **{field: 2**32})
+        checked_settings(**{field: 2**32})
 
 
 @pytest.mark.parametrize("kwargs", [
     {"n_values": (2.7,)}, {"n_values": (True,)}, {"n_values": (np.bool_(True),)}, {"n_values": ("3",)},
     {"master_seed": True}, {"master_seed": 1.5}, {"master_seed": np.float64(2.0)},
-    {"n_matrices": 1.5}, {"n_matrices": False}, {"n_phase_trials": 2.5}, {"n_phase_trials": None},
+    {"n_matrices": 1.5}, {"n_matrices": False}, {"trials": 2.5}, {"trials": None},
 ])
-def test_integer_fields_refuse_non_integers(kwargs):
+def test_integer_fields_refuse_non_integers(checked_settings, kwargs):
     with pytest.raises(ConfigError, match=next(iter(kwargs))):
-        SweepConfig(**{"n_values": (3,), **kwargs})
+        checked_settings(**kwargs)
 
 
-def test_integer_fields_take_numpy_ints_as_python_ints():
-    cfg = SweepConfig(n_values=(np.int64(3),), n_matrices=np.uint32(4), n_phase_trials=np.int8(5),
-                      master_seed=np.uint64(2**64 - 1))
-    assert (cfg.n_values, cfg.n_matrices, cfg.n_phase_trials, cfg.master_seed) == ((3,), 4, 5, 2**64 - 1)
-    assert all(type(v) is int for v in (*cfg.n_values, cfg.n_matrices, cfg.n_phase_trials, cfg.master_seed))
+def test_integer_fields_take_numpy_ints_as_python_ints(monkeypatch):
+    cfg = SweepConfig(n_values=(np.int64(3),), n_matrices=np.uint32(4), master_seed=np.uint64(2**64 - 1))
+    assert (cfg.n_values, cfg.n_matrices, cfg.master_seed) == ((3,), 4, 2**64 - 1)
+    assert all(type(v) is int for v in (*cfg.n_values, cfg.n_matrices, cfg.master_seed))
+    # The phase sweep hands its chunks the trial count as a Python int.
+    seen = []
+    monkeypatch.setattr(montecarlo, "_run_sweep", lambda worker, cfg, workers: seen.append(worker.args[1]) or [])
+    phase_fidelity_sweep(cfg, (0.0,), trials=np.int8(5))
+    assert seen == [5] and type(seen[0]) is int
 
 
 def run_fresh(code: str, env=None, cwd=None) -> str:
@@ -365,9 +383,9 @@ def test_workers_forked_by_the_cli_inherit_the_frozen_heap(tmp_path):
         "from crossmesh import cli, montecarlo\n"
         "montecarlo.usable_cpus = lambda: 2\n"
         "chunk = montecarlo._loss_chunk\n"
-        "def checked(grid, task):\n"
+        "def checked(*args):\n"
         "    assert gc.get_freeze_count() > 0, 'worker heap is not frozen'\n"
-        "    return chunk(grid, task)\n"
+        "    return chunk(*args)\n"
         "montecarlo._loss_chunk = checked\n"
         "sys.argv = ['crossmesh', 'fidelity-loss', '--n', '3,4', '--node-loss', '0,0.5', '--matrices', '2',"
         " '--threads', '2', '--out', 'out.csv']\n"
@@ -419,8 +437,8 @@ def test_trial_batches_and_build_blocks_keep_their_own_budgets(monkeypatch):
     monkeypatch.setattr(montecarlo, "evaluate_svd_clements", evaluate)
     monkeypatch.setattr(montecarlo, "build_svd_clements", build)
     n, trials = 64, 20
-    cfg = SweepConfig(architectures=(ARCH_SVD_CLEMENTS,), n_values=(n,), n_matrices=1, n_phase_trials=trials)
-    phase_fidelity_sweep(cfg, (0.0, 0.1))
+    cfg = SweepConfig(architectures=(ARCH_SVD_CLEMENTS,), n_values=(n,), n_matrices=1)
+    phase_fidelity_sweep(cfg, (0.0, 0.1), trials=trials)
     batch = montecarlo._TRIAL_ENTRIES // (n * n)
     assert evaluated == [()] + [(min(batch, trials - first),) for first in range(0, trials, batch)]
     assert batch < montecarlo._BATCH_ENTRIES // (n * n)
@@ -479,7 +497,7 @@ def test_grid_values_must_be_finite_and_non_negative(monkeypatch, sweep, grid):
 
 
 def test_zero_sigma_and_balanced_crossbar_are_exact():
-    for r in phase_fidelity_sweep(PHASE_CFG, PHASE_GRID):
+    for r in phase_fidelity_sweep(PHASE_CFG, PHASE_GRID, trials=PHASE_TRIALS):
         assert r.n_samples == 15
         if r.sweep_value == 0.0:
             assert abs(r.fidelity_mean - 1.0) <= 1e-12
