@@ -60,7 +60,7 @@ from .crossbar import (
     build_xbar,
     design_splitters,
     evaluate_xbar,
-    passive_loss,
+    passive_loss_db,
     realized_matrix,
     restoration_matrix,
     transmission_matrix,

@@ -22,7 +22,8 @@ and trial counts, the passive loss model and ``threads``); ``master_seed``
 (Monte-Carlo commands only); ``version``; ``duration_seconds``;
 ``outputs``; ``workers_used`` (processes started, 1 when the sweep ran in
 this process); ``python``; ``numpy``; and ``cpus_usable``.  Re-running with the same arguments reproduces the CSV
-byte for byte.
+byte for byte.  Any SVG is drawn before anything is written, so a chart
+that fails leaves no file.
 
 Every number in a JSON input must be a JSON number (int or float, never a
 bool, string or null), finite, in lists of the declared shape.  Exit
@@ -32,7 +33,8 @@ CSV or its manifest, a loss file that breaks that rule or names an
 unknown loss, JSON that does not parse or nests too deeply to parse, or a
 dump naming an unknown architecture; 2 a numerical failure, or a matrix,
 vector or dump that breaks the rule or does not describe a valid device
-(a failed sweep point names itself); 3 an I/O failure, among them an
+(a failed sweep point names itself), or an insertion loss or chart bound
+that is not finite; 3 an I/O failure, among them an
 ``--out``, ``--svg`` or ``<csv>.manifest.json`` that is a directory or
 lies in a directory that does not exist, which a sweep reports before it
 does any work.
@@ -288,13 +290,13 @@ def _cmd_sweep(args) -> int:
     # fig3 has neither a matrix count nor a seed, and reads neither.
     cfg = SweepConfig(values["arch"], values["n_values"], values.get("n_matrices", 1), values.get("master_seed", 0))
     rows = experiment.run(cfg, values)
-    _atomic_write(args.out, _csv_text(experiment.header, rows))
-    outputs = [args.out]
-    if args.svg:
-        _atomic_write(args.svg, line_chart(_series(map(experiment.point, rows)), **experiment.chart))
-        outputs.append(args.svg)
+    texts = {args.out: _csv_text(experiment.header, rows)}
+    if args.svg:  # rendered before anything is written, so a chart that fails leaves no file
+        texts[args.svg] = line_chart(_series(map(experiment.point, rows)), **experiment.chart)
+    for path, text in texts.items():
+        _atomic_write(path, text)
     master_seed = values.pop("master_seed", None)
-    _write_manifest(args.command, values, outputs, started,
+    _write_manifest(args.command, values, list(texts), started,
                     workers_used=pool_size(cfg, values.get("threads", 1)), master_seed=master_seed)
     return 0
 

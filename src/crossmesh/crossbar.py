@@ -11,12 +11,13 @@ All per-column bookkeeping reduces to the diagonal transmission matrix
 
     p_c = alpha * T_node * L_c * (1/N_f) * (prod_{q<c} t_q) * xi_c
 
-with L_c the passive path to column c (``passive_loss``), so the realized
-operator is ``P^T W^T`` for weight matrix W.  Balanced couplers make every
-p_c equal, ``L_c xi_c = L_{c+1} t_c xi_{c+1}`` for each c, so the whole
-loss budget is a global scalar (fidelity exactly 1); with identical couplers
-instead, the per-column imbalance is removed after the fact by the diagonal
-restoration matrix ``(P^T)^{-1}``.  Phase errors change the weights themselves:
+with L_c = 10^(-A_c/20) the passive path to column c, its loss A_c kept in
+dB (``passive_loss_db``), so the realized operator is ``P^T W^T`` for
+weight matrix W.  Balanced couplers make every p_c equal,
+``L_c xi_c = L_{c+1} t_c xi_{c+1}`` for each c, so the whole loss budget is
+a global scalar (fidelity exactly 1); with identical couplers instead, the
+per-column imbalance is removed after the fact by the diagonal restoration
+matrix ``(P^T)^{-1}``.  Phase errors change the weights themselves:
 ``weights_with_common_deviation`` is the general per-cell route (the test
 oracle, and the one for independent per-cell errors), while
 ``common_deviation_fidelity`` scores any array of deviations shared by
@@ -33,8 +34,6 @@ import numpy as np
 from .errors import DegenerateDeviceError, DimensionError, DomainError
 from .linalg import array_from_json, ensure_matrix, int_from_json
 from .nodes import LossModel
-
-_TINY = 2.0**-1022  # the least normal double, sys.float_info.min
 
 
 @dataclass(frozen=True)
@@ -79,8 +78,8 @@ def build_topology(n: int, m: int) -> XbarTopology:
     return XbarTopology(n=n, m=m, n_f=n_f, m_fwd=m_fwd, recomb_crossings=recomb)
 
 
-def passive_loss(topology: XbarTopology, loss: LossModel) -> np.ndarray:
-    """Field transmission L_c of the passive circuitry up to each column c = 1..M.
+def passive_loss_db(topology: XbarTopology, loss: LossModel) -> np.ndarray:
+    """Power loss A_c in dB of the passive circuitry up to each column c = 1..M.
 
     Covers the front-end splitter and combiner-tree couplers
     (``2 log2(N_f)`` of them), the ``min(c, M - 1)`` directional couplers
@@ -92,7 +91,7 @@ def passive_loss(topology: XbarTopology, loss: LossModel) -> np.ndarray:
     c = np.arange(1, m + 1)
     n_xi = np.minimum(c, m - 1)
     n_cross = (c - 1) * topology.m_fwd + np.where(c < m, topology.recomb_crossings, 0)
-    return loss.l_coup ** (2 * topology.log2_n_f) * loss.l_xi**n_xi * loss.l_x**n_cross
+    return 2 * topology.log2_n_f * loss.il_coup_db + n_xi * loss.il_xi_db + n_cross * loss.il_x_db
 
 
 def design_splitters(topology: XbarTopology, loss: LossModel) -> tuple[np.ndarray, np.ndarray]:
@@ -100,18 +99,19 @@ def design_splitters(topology: XbarTopology, loss: LossModel) -> tuple[np.ndarra
 
     p_c = p_{c+1} reads ``L_c xi_c = L_{c+1} t_c xi_{c+1}``; with
     ``xi_c^2 + t_c^2 = 1`` that is ``xi_c^2 = x / (1 + x)`` for
-    ``x = xi_{c+1}^2 (L_{c+1} / L_c)^2``, solved backward from the last
-    column's virtual coupler ``xi_M = 1``.  Returns (xi, t), ``t`` of
-    length M - 1; DomainError once an L_c or xi_1^2 underflows (silicon passives: n >= 9018).
+    ``x = xi_{c+1}^2 10^((A_c - A_{c+1}) / 10)``, solved backward from the
+    last column's virtual coupler ``xi_M = 1``; only the last step, which
+    skips column M's recombination crossings, can have A_c > A_{c+1}, and
+    its x is capped at 10^300, where x / (1 + x) is 1.0 anyway.  Returns
+    (xi, t), ``t`` of length M - 1; DomainError once xi_1^2, the least,
+    underflows (silicon passives: n >= 9018).
     """
-    l_c = passive_loss(topology, loss).tolist()
-    if min(l_c) < _TINY:
-        raise DomainError(f"crossbar coupler design at n={topology.n}: the passive loss L_c underflows")
+    a_c = passive_loss_db(topology, loss).tolist()
     xi2 = [1.0] * topology.m
     for c in range(topology.m - 2, -1, -1):
-        x = xi2[c + 1] * (l_c[c + 1] / l_c[c]) ** 2
+        x = xi2[c + 1] * 10.0 ** (min(a_c[c] - a_c[c + 1], 3000.0) / 10.0)
         xi2[c] = x / (1.0 + x)
-    if xi2[0] < _TINY:
+    if xi2[0] < 2.0**-1022:  # the least normal double, sys.float_info.min
         raise DomainError(f"crossbar coupler design at n={topology.n}: xi_1^2 underflows")
     xi2 = np.array(xi2)
     return np.sqrt(xi2), np.sqrt(1.0 - xi2[:-1])
@@ -148,7 +148,8 @@ def transmission_matrix(device: XbarDevice) -> np.ndarray:
     top = device.topology
     loss = device.loss
     t_products = np.concatenate(([1.0], np.cumprod(device.t)))
-    return loss.alpha * loss.t_node * passive_loss(top, loss) * t_products * device.xi / top.n_f
+    l_c = 10.0 ** (-passive_loss_db(top, loss) / 20.0)
+    return loss.alpha * loss.t_node * l_c * t_products * device.xi / top.n_f
 
 
 def build_xbar(y, loss: LossModel, mode: str = "balanced") -> XbarDevice:
@@ -206,14 +207,16 @@ def evaluate_xbar(device: XbarDevice, x) -> np.ndarray:
 def xbar_insertion_loss(
     topology: XbarTopology, loss: LossModel, il_node_db: float | None = None
 ) -> float:
-    """Closed-form insertion loss of the loss-balanced crossbar, in dB.
+    """Closed-form insertion loss of the loss-balanced crossbar, in dB, at any size.
 
     IL = IL_node + 2 log2(N_f) IL_coup + IL_xi + (N_f/2 - 1) IL_x
          - 10 log10(xi_1^2) + 20 log10(N_f / N)
 
-    with xi_1 from ``design_splitters``.  The passive terms are
-    ``-20 log10 L_1``, so this equals ``IL_node - 20 log10(N L_1 xi_1 / N_f)``,
-    which is how it is computed.  Assumes transparent cells and modulators
+    with xi_1 from ``design_splitters``.  The lossless coupler chain conserves
+    power and balancing equalizes every L_c (prod_{q<c} t_q) xi_c, so the
+    passive terms and xi_1 add up to 10 log10 sum_c 10^(A_c/10), which is
+    how it is computed: relative to the largest A_c, with no coupler solved
+    and nothing to underflow.  Assumes transparent cells and modulators
     (alpha = 1); every column of the balanced design then shows this same
     loss.  ``il_node_db`` overrides the cell term so the cell technology can
     be swept independently of the fixed passive metrics in ``loss`` (the
@@ -227,9 +230,9 @@ def xbar_insertion_loss(
         il_node_db = loss.il_node_db
     elif il_node_db < 0.0:
         raise DomainError(f"il_node_db must be >= 0, got {il_node_db}")
-    xi, _ = design_splitters(topology, loss)
-    l_1 = passive_loss(topology, loss)[0]
-    return il_node_db - 20.0 * math.log10(topology.n * l_1 * xi[0] / topology.n_f)
+    a_c = passive_loss_db(topology, loss)
+    passive_db = a_c.max() + 10.0 * math.log10(np.sum(10.0 ** ((a_c - a_c.max()) / 10.0)))
+    return float(il_node_db + 20.0 * math.log10(topology.n_f / topology.n) + passive_db)
 
 
 def restoration_matrix(device: XbarDevice) -> np.ndarray:

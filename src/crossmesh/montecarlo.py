@@ -51,6 +51,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import glob
+import itertools
 import math
 import operator
 import os
@@ -286,8 +287,7 @@ def pool_size(cfg: SweepConfig, workers: int) -> int:
     each (architecture, n) point into min(matrices, workers) chunks, so
     counting one task per matrix gives the same cap.
     """
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
+    workers = _integer("workers", workers, 1)
     points = len(cfg.architectures) * len(cfg.n_values)
     return min(workers, usable_cpus(), points * cfg.n_matrices)
 
@@ -445,9 +445,8 @@ def loss_fidelity_sweep(cfg: SweepConfig, il_node_grid, *, passives: LossModel =
     """
     il_node_grid = _grid("il_node_grid", il_node_grid)
     if ARCH_XBAR in cfg.architectures:
-        # With the devices' model: the passives' own coupler loss could fail a size that builds.
         for n in cfg.n_values:
-            design_splitters(build_topology(n, n), node_loss_model(il_node_grid[0], passives))
+            design_splitters(build_topology(n, n), passives)
     return _reports(cfg, functools.partial(_loss_chunk, il_node_grid, passives), il_node_grid, workers)
 
 
@@ -470,20 +469,19 @@ def insertion_loss_sweep(cfg: SweepConfig, il_node_grid, *,
 
     Returns rows (architecture, case, n, il_node_db, il_total_db) with the
     crossbar evaluated on an equal footing (M = N, loss-balanced) and the
-    SVD architecture along its best- and worst-case paths.
+    SVD architecture along its best- and worst-case paths.  A total that
+    overflows to infinity is a DomainError.
     """
     il_node_grid = _grid("il_node_grid", il_node_grid)
     rows = []
     for arch in cfg.architectures:
-        if arch == ARCH_SVD_CLEMENTS:
-            for case in ("best", "worst"):
-                for n in cfg.n_values:
-                    for il in il_node_grid:
-                        rows.append((arch, case, n, il, svd_insertion_loss(n, il, case)))
-        else:
-            for n in cfg.n_values:
-                topology = build_topology(n, n)
-                for il in il_node_grid:
-                    total = xbar_insertion_loss(topology, passives, il_node_db=il)
-                    rows.append((arch, "balanced", n, il, total))
+        cases = ("best", "worst") if arch == ARCH_SVD_CLEMENTS else ("balanced",)
+        for case, n, il in itertools.product(cases, cfg.n_values, il_node_grid):
+            if arch == ARCH_SVD_CLEMENTS:
+                total = svd_insertion_loss(n, il, case)
+            else:
+                total = xbar_insertion_loss(build_topology(n, n), passives, il_node_db=il)
+            if not math.isfinite(total):
+                raise DomainError(f"insertion loss at arch={arch}, n={n}, il_node_db={il} is not finite")
+            rows.append((arch, case, n, il, total))
     return rows

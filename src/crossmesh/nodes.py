@@ -91,14 +91,6 @@ class LossModel:
         return db_to_field(self.il_ps_db)
 
     @property
-    def l_xi(self) -> float:
-        return db_to_field(self.il_xi_db)
-
-    @property
-    def l_x(self) -> float:
-        return db_to_field(self.il_x_db)
-
-    @property
     def alpha(self) -> float:
         return db_to_field(self.alpha_db)
 

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import math
 
+from .errors import DomainError
+
 _WIDTH, _HEIGHT = 720, 480
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b",
             "#17becf", "#e377c2", "#7f7f7f", "#bcbd22")
@@ -46,7 +48,7 @@ def line_chart(series, *, title: str, xlabel: str, ylabel: str) -> str:
     """Render labelled (x, y) polyline series as an SVG document string.
 
     ``series`` is an iterable of (label, xs, ys) with equal-length numeric
-    sequences.
+    sequences; DomainError if a padded axis bound is not finite.
     """
     series = [(str(label), list(map(float, xs)), list(map(float, ys)))
               for label, xs, ys in series]
@@ -61,12 +63,14 @@ def line_chart(series, *, title: str, xlabel: str, ylabel: str) -> str:
         y_hi = y_lo + 1.0
     pad_y = 0.05 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad_y, y_hi + pad_y
+    if not all(map(math.isfinite, (x_lo, x_hi, y_lo, y_hi, x_hi - x_lo, y_hi - y_lo))):
+        raise DomainError(f"cannot chart x in [{x_lo}, {x_hi}], y in [{y_lo}, {y_hi}]: not finite")
 
     ml, mr, mt, mb = 64, 160, 40, 48
     pw, ph = _WIDTH - ml - mr, _HEIGHT - mt - mb
 
     def sx(x: float) -> float:
-        return ml + pw * (x - x_lo) / (x_hi - x_lo)
+        return ml + pw * ((x - x_lo) / (x_hi - x_lo))
 
     def sy(y: float) -> float:
         return mt + ph * (1.0 - (y - y_lo) / (y_hi - y_lo))

@@ -15,6 +15,7 @@ import numpy as np
 
 from crossmesh.clements import _layers
 from crossmesh.montecarlo import trial_rng
+from crossmesh.nodes import db_to_field
 
 
 def jacobi_svd(a, tol=1e-14, max_sweeps=60):
@@ -137,7 +138,7 @@ def xbar_column_sums(device, x):
         else:
             n_xi = m - 1
             n_cross = (m - 1) * top.m_fwd
-        l_c = loss.l_coup ** (2 * log2nf) * loss.l_xi**n_xi * loss.l_x**n_cross
+        l_c = loss.l_coup ** (2 * log2nf) * db_to_field(loss.il_xi_db) ** n_xi * db_to_field(loss.il_x_db) ** n_cross
         xi_c = device.xi[c - 1]
         acc = 0.0 + 0.0j
         for r in range(top.n):
@@ -162,7 +163,7 @@ def column_transmissions(device):
         else:
             n_xi = top.m - 1
             n_cross = (top.m - 1) * top.m_fwd
-        l_c = loss.l_coup ** (2 * log2nf) * loss.l_xi**n_xi * loss.l_x**n_cross
+        l_c = loss.l_coup ** (2 * log2nf) * db_to_field(loss.il_xi_db) ** n_xi * db_to_field(loss.il_x_db) ** n_cross
         p[c - 1] = loss.alpha * loss.t_node * l_c * device.xi[c - 1] * t_prod / top.n_f
         if c < top.m:
             t_prod *= device.t[c - 1]

@@ -18,6 +18,7 @@ from crossmesh import (
     LossModel,
     SweepConfig,
     build_svd_clements,
+    build_topology,
     build_xbar,
     insertion_loss_sweep,
     loss_fidelity_sweep,
@@ -31,6 +32,7 @@ from crossmesh.clements import device_to_json as svd_device_to_json
 from crossmesh.crossbar import device_to_json as xbar_device_to_json
 from crossmesh.linalg import vector_from_json, vector_to_json
 from crossmesh.montecarlo import target_matrix
+from oracles import balanced_xbar_insertion_loss_db
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -434,9 +436,9 @@ def test_loss_file_with_an_unknown_key_is_a_config_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, loss", [
-    (["fig3", "--n", "20000"], None),
+    (["fidelity-loss", "--n", "20000", "--matrices", "1"], None),
     (["fidelity-loss", "--n", "4", "--matrices", "1"], {"il_xi_db": 2000.0}),
-], ids=["fig3-n-20000", "fidelity-loss-2000-dB-couplers"])
+], ids=["fidelity-loss-n-20000", "fidelity-loss-2000-dB-couplers"])
 def test_crossbar_design_underflow_exits_2(tmp_path, capsys, argv, loss):
     # A coupler design beyond double precision is a numerical failure: exit 2, one line, nothing written.
     out = tmp_path / "out.csv"
@@ -448,6 +450,49 @@ def test_crossbar_design_underflow_exits_2(tmp_path, capsys, argv, loss):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "underflows" in err
     assert list(tmp_path.iterdir()) == ([] if loss is None else [tmp_path / "loss.json"])
+
+
+def test_fig3_crossbar_has_no_size_limit(tmp_path):
+    # The closed-form IL needs no coupler design, so it answers past n = 9017.
+    out = tmp_path / "out.csv"
+    assert run_experiment(["fig3", "--arch", "xbar", "--n", "9018,16384,20000", "--node-loss", "0",
+                           "--out", str(out)]) == 0
+    totals = [float(line.split(",")[4]) for line in out.read_text().splitlines()[1:]]
+    assert [round(total, 1) for total in totals] == [3247.5, 5746.7, 7544.1]
+    for n, total in zip((9018, 16384, 20000), totals):
+        expected = balanced_xbar_insertion_loss_db(build_topology(n, n), SILICON_PASSIVES, 0.0)
+        assert abs(total - expected) <= 1e-12 * expected
+
+
+@pytest.mark.parametrize("svg", [False, True], ids=["csv", "csv-and-svg"])
+def test_non_finite_insertion_loss_exits_2(tmp_path, capsys, svg):
+    # The SVD path depth times 1e308 dB overflows to inf: exit 2, one line, nothing written.
+    argv = ["fig3", "--n", "4", "--node-loss", "1e308", "--out", str(tmp_path / "f.csv")]
+    assert run_experiment(argv + (["--svg", str(tmp_path / "f.svg")] if svg else [])) == 2
+    err = capsys.readouterr().err
+    assert err == "error: insertion loss at arch=svd-clements, n=4, il_node_db=1e+308 is not finite\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_chart_failure_writes_nothing(tmp_path, capsys):
+    # Every total is finite, but the padded y axis passes the largest double.
+    argv = ["fig3", "--arch", "xbar", "--n", "4", "--node-loss", "0,1.75e308",
+            "--out", str(tmp_path / "f.csv"), "--svg", str(tmp_path / "f.svg")]
+    assert run_experiment(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot chart ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_chart_of_huge_finite_values_stays_in_the_plot(tmp_path):
+    # pw * (x - x_lo) alone would overflow at x = 1e307.
+    svg = tmp_path / "h.svg"
+    assert run_experiment(["fig3", "--arch", "svd-clements", "--n", "4", "--node-loss", "0,1e307",
+                           "--out", str(tmp_path / "h.csv"), "--svg", str(svg)]) == 0
+    text = svg.read_text()
+    assert "inf" not in text and "nan" not in text
+    coords = [float(v) for points in re.findall(r'points="([^"]*)"', text) for v in re.split("[ ,]", points)]
+    assert len(coords) == 8 and all(40.0 <= v <= 560.0 for v in coords)
 
 
 def test_infeasible_crossbar_size_fails_before_any_target_is_drawn(tmp_path, capsys, monkeypatch):

@@ -1,5 +1,4 @@
 import math
-import re
 
 import numpy as np
 import pytest
@@ -14,12 +13,13 @@ from crossmesh import (
     SweepConfig,
     build_topology,
     build_xbar,
+    db_to_field,
     design_splitters,
     evaluate_xbar,
     fidelity,
     loss_fidelity_sweep,
     node_loss_model,
-    passive_loss,
+    passive_loss_db,
     realized_matrix,
     restoration_matrix,
     svd_insertion_loss,
@@ -92,6 +92,11 @@ class TestSplitters:
         spread = (p.max() - p.min()) / p[0]
         assert spread < 1e-12
 
+    def test_last_step_cannot_overflow(self):
+        # Column 2 skips two 2000 dB recombination crossings: 10^400 would overflow.
+        xi, t = design_splitters(build_topology(8, 2), LossModel(il_x_db=2000.0))
+        assert xi.tolist() == [1.0, 1.0] and t.tolist() == [0.0]
+
     def test_uniform_splitters(self):
         xi, t = uniform_splitters(build_topology(4, 4))
         assert np.allclose(xi[:-1], 1 / math.sqrt(2)) and xi[-1] == 1.0
@@ -101,23 +106,20 @@ class TestSplitters:
 class TestPassiveLoss:
     def test_lossless_unity(self):
         top = build_topology(8, 8)
-        assert np.all(passive_loss(top, LOSSLESS) == 1.0)
+        assert np.all(passive_loss_db(top, LOSSLESS) == 0.0)
 
     def test_first_column_budget(self):
         top = build_topology(4, 4)
         loss = LossModel(il_coup_db=0.06, il_xi_db=0.1, il_x_db=0.02)
-        db = -20.0 * math.log10(passive_loss(top, loss)[0])
-        assert abs(db - (4 * 0.06 + 0.1 + 1 * 0.02)) < 1e-12
+        assert abs(passive_loss_db(top, loss)[0] - (4 * 0.06 + 0.1 + 1 * 0.02)) < 1e-12
 
     def test_last_column_branch(self):
         # the final column is one coupler and (recomb - m_fwd) crossings
         # cheaper than the previous column extended by one coupler pass
         top = build_topology(8, 8)
         loss = SILICON_PASSIVES
-        l_c = passive_loss(top, loss)
-        actual = l_c[7]
-        extended = l_c[6] * loss.l_xi
-        delta_db = -20.0 * math.log10(actual) - (-20.0 * math.log10(extended))
+        a_c = passive_loss_db(top, loss)
+        delta_db = a_c[7] - (a_c[6] + loss.il_xi_db)
         expected = -(0.1 + (top.recomb_crossings - top.m_fwd) * 0.02)
         assert abs(delta_db - expected) < 1e-12
 
@@ -139,7 +141,7 @@ class TestTransmissionMatrix:
         device = build_xbar(np.ones((8, 8)), loss, "uniform")
         p = transmission_matrix(device)
         top = device.topology
-        expected = (1 / math.sqrt(2)) * loss.l_xi * loss.l_x**top.m_fwd
+        expected = (1 / math.sqrt(2)) * db_to_field(loss.il_xi_db) * db_to_field(loss.il_x_db) ** top.m_fwd
         for c in range(1, top.m - 1):
             assert abs(p[c] / p[c - 1] - expected) < 1e-12
         # matches the direct product oracle everywhere, including column M
@@ -244,30 +246,29 @@ class TestInsertionLoss:
         with pytest.raises(DomainError, match="il_node_db must be >= 0"):
             xbar_insertion_loss(build_topology(4, 4), SILICON_PASSIVES, il_node_db=-1.0)
 
-    @pytest.mark.parametrize("n", [4, 64, 1024, 9017])
+    @pytest.mark.parametrize("n", [4, 64, 1024, 9017, 9018, 16384, 20000, 10**6])
     def test_matches_log_domain_oracle(self, n):
-        # 9017 is the largest n whose xi_1^2 is a normal double with the silicon passives.
+        # 9017 is the largest n whose xi_1^2 is a normal double with the silicon
+        # passives; the closed form needs no coupler design, so it goes past it.
         top = build_topology(n, n)
         expected = balanced_xbar_insertion_loss_db(top, SILICON_PASSIVES, 1.0)
-        assert abs(xbar_insertion_loss(top, SILICON_PASSIVES, il_node_db=1.0) - expected) <= 1e-12 * expected
+        il = xbar_insertion_loss(top, SILICON_PASSIVES, il_node_db=1.0)
+        assert type(il) is float and abs(il - expected) <= 1e-12 * expected
 
-    @pytest.mark.parametrize("n, quantity", [(9018, "xi_1^2"), (16384, "xi_1^2"), (20000, "L_c")])
-    def test_underflow_is_a_domain_error(self, n, quantity):
+    @pytest.mark.parametrize("n", [9018, 16384, 20000], ids=lambda n: f"{n}-xi_1^2")
+    def test_underflow_is_a_domain_error(self, n):
         # Past n = 9017 xi_1^2 is subnormal and loses its precision: n = 16384
         # would read 3390.9 dB, where the log-domain oracle gives 5746.7 dB.
-        # At n = 20000 the last columns' L_c are 0.0.
-        message = f"crossbar coupler design at n={n}: .*{re.escape(quantity)} underflows"
+        # The closed-form IL never solves the couplers, so it still answers.
         top = build_topology(n, n)
-        with pytest.raises(DomainError, match=message):
+        with pytest.raises(DomainError, match=f"crossbar coupler design at n={n}: xi_1\\^2 underflows"):
             design_splitters(top, SILICON_PASSIVES)
-        with pytest.raises(DomainError, match=message):
-            xbar_insertion_loss(top, SILICON_PASSIVES, il_node_db=0.0)
+        expected = balanced_xbar_insertion_loss_db(top, SILICON_PASSIVES, 0.0)
+        assert xbar_insertion_loss(top, SILICON_PASSIVES, il_node_db=0.0) == pytest.approx(expected, rel=1e-12)
 
-    @pytest.mark.parametrize("loss, quantity", [(LossModel(il_xi_db=2000.0), "xi_1^2"),
-                                                (LossModel(il_x_db=7000.0), "L_c")],
-                             ids=["xi", "L_c"])
-    def test_underflow_reaches_build_and_loss_sweep(self, monkeypatch, loss, quantity):
-        message = f"crossbar coupler design at n=4: .*{re.escape(quantity)} underflows"
+    @pytest.mark.parametrize("loss", [LossModel(il_xi_db=2000.0), LossModel(il_x_db=7000.0)], ids=["xi", "crossing"])
+    def test_underflow_reaches_build_and_loss_sweep(self, monkeypatch, loss):
+        message = "crossbar coupler design at n=4: xi_1\\^2 underflows"
         with pytest.raises(DomainError, match=message):
             build_xbar(np.ones((4, 4)), loss)
         # The loss sweep checks the coupler design before it draws any target.
@@ -277,11 +278,14 @@ class TestInsertionLoss:
             loss_fidelity_sweep(cfg, (0.0,), passives=loss)
 
     def test_loss_sweep_checks_the_design_its_devices_get(self):
-        # node_loss_model replaces the passives' coupler loss, so passives
-        # whose own 2000 dB couplers underflow L_c still build and sweep.
+        # The tree couplers add the same loss to every column, so they leave the
+        # design alone: the sweep's pre-check with the passives' own 2000 dB
+        # couplers sees the design that its devices, built with the cell's
+        # coupler loss, get.
         passives = LossModel(il_coup_db=2000.0)
-        with pytest.raises(DomainError, match="L_c underflows"):
-            design_splitters(build_topology(4, 4), passives)
+        lossless_couplers = design_splitters(build_topology(4, 4), LOSSLESS)
+        for got, want in zip(design_splitters(build_topology(4, 4), passives), lossless_couplers):
+            assert np.max(np.abs(got - want)) < 1e-12
         cfg = SweepConfig(architectures=("xbar",), n_values=(4,), n_matrices=1)
         reports = loss_fidelity_sweep(cfg, (0.0, 1.0), passives=passives)
         assert [r.fidelity_mean for r in reports] == pytest.approx([1.0, 1.0], abs=1e-12)
@@ -300,8 +304,9 @@ class TestRestoration:
         p = column_transmissions(device)
         top = device.topology
         t1 = 1 / math.sqrt(2)
-        assert abs(p[1] / p[0] - t1 * loss.l_xi * loss.l_x**top.m_fwd) < 1e-15
-        last = t1 / (1 / math.sqrt(2)) * loss.l_x ** (top.m_fwd - (top.n_f // 2 - 1))
+        l_xi, l_x = db_to_field(loss.il_xi_db), db_to_field(loss.il_x_db)
+        assert abs(p[1] / p[0] - t1 * l_xi * l_x**top.m_fwd) < 1e-15
+        last = t1 / (1 / math.sqrt(2)) * l_x ** (top.m_fwd - (top.n_f // 2 - 1))
         assert abs(p[2] / p[1] - last) < 1e-15
         r = np.diag(restoration_matrix(device))
         assert np.allclose(r, 1.0 / p, atol=1e-12)

@@ -306,6 +306,16 @@ def test_integer_fields_refuse_non_integers(checked_settings, kwargs):
         checked_settings(**kwargs)
 
 
+@pytest.mark.parametrize("workers", [1.5, "2", True, None, 0], ids=["float", "string", "bool", "none", "zero"])
+def test_worker_count_must_be_a_positive_integer(workers):
+    cfg = SweepConfig(architectures=(ARCH_XBAR,), n_values=(3,), n_matrices=1)
+    with pytest.raises(ConfigError, match="workers"):
+        montecarlo.pool_size(cfg, workers)
+    with pytest.raises(ConfigError, match="workers"):
+        phase_fidelity_sweep(cfg, (0.0,), trials=1, workers=workers)
+    assert montecarlo.pool_size(cfg, np.int64(1)) == 1
+
+
 def test_integer_fields_take_numpy_ints_as_python_ints(monkeypatch):
     cfg = SweepConfig(n_values=(np.int64(3),), n_matrices=np.uint32(4), master_seed=np.uint64(2**64 - 1))
     assert (cfg.n_values, cfg.n_matrices, cfg.master_seed) == ((3,), 4, 2**64 - 1)

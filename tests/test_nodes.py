@@ -49,7 +49,6 @@ class TestLossModel:
         assert abs(loss.l_coup - 10 ** (-0.06 / 20)) < 1e-15
         assert abs(loss.k - 10 ** (-0.94 / 20)) < 1e-15
         assert abs(loss.alpha - 10 ** (-3.0 / 20)) < 1e-15
-        assert 0 < loss.l_x <= 1 and 0 < loss.l_xi <= 1
 
     def test_node_consistency(self):
         loss = LossModel(il_coup_db=0.06, il_ps_db=0.94)
