@@ -20,8 +20,9 @@ command declares, ``--seed`` and the output paths aside, in the order
 declared: architectures, sizes, the swept grid, and per command the matrix
 and trial counts, the passive loss model and ``threads``); ``master_seed``
 (Monte-Carlo commands only); ``version``; ``duration_seconds``;
-``outputs``; ``workers_used`` (processes started, 1 when the sweep ran in
-this process); ``python``; ``numpy``; and ``cpus_usable``.  Re-running with the same arguments reproduces the CSV
+``outputs``; ``workers_used`` (children forked, 1 when the sweep ran in
+this process, as it always does off Linux); ``python``; ``numpy``; and
+``cpus_usable``.  Re-running with the same arguments reproduces the CSV
 byte for byte.  Any SVG is drawn before anything is written, so a chart
 that fails leaves no file.
 
@@ -234,7 +235,8 @@ _SIZES = ("--n", "n_values", parse_int_list, ..., "matrix sizes, e.g. 4,8 or 4:6
 _NODE_LOSS = ("--node-loss", "il_node_grid", parse_value_list, ..., "IL_node grid in dB, e.g. 0:2:0.05")
 _MATRICES = ("--matrices", "n_matrices", int, 500, None)
 _THREADS = ("--threads", "threads", int, 1,
-            "worker processes, at most the usable CPUs; >= 1 (default 1); results are identical for any value")
+            "worker processes, at most the usable CPUs, forked on Linux only (elsewhere the sweep runs serially); "
+            ">= 1 (default 1); results are identical for any value")
 _SEED = ("--seed", "master_seed", int, 1234, "master seed (default 1234)")
 _LOSS = ("--loss", "loss", _load_loss, None)  # and a help text per command
 

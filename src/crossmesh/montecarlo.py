@@ -30,20 +30,29 @@ unperturbed evaluation if the grid holds a 0, and its IL values in one pass.
 
 Each sweep takes its grid, which ``_grid`` alone checks, and its own
 settings as arguments.  A task ``(cfg, arch, n, lo, hi)`` covers matrices
-lo..hi-1 of one point, one task per worker, and the pool maps the sweep's
-``partial(chunk, grid, setting)`` over the tasks.  ``_per_matrix`` alone
-draws targets, builds devices (SVD devices in stacks of ``_BATCH_ENTRIES //
-n^2`` meshes at most, two per device) and names a failed point
-(``SweepError``); a sweep only scores each device.
+lo..hi-1 of one point, one task per worker, and ``_run_sweep`` maps the
+sweep's ``partial(chunk, grid, setting)`` over the tasks.  ``_per_matrix``
+alone draws targets, builds devices (SVD devices in stacks of
+``_BATCH_ENTRIES // n^2`` meshes at most, two per device) and names a
+failed point (``SweepError``); a sweep only scores each device.
 
 Parallelism: every sweep runs the bundled OpenBLAS on one thread (the
 package defaults ``OPENBLAS_NUM_THREADS`` to 1, and ``_one_blas_thread``
-pins a pool started before that); with more than one worker, all its
-tasks run in one process pool, sized to at most the task count and the
-usable CPUs.  Only then is the pool imported, and the parent loads
-``numpy.random`` before the fork so workers inherit it (moot under forkserver).
-Workers forked from the CLI also inherit its frozen import-time heap
-(``cli.console_entry`` calls ``gc.freeze()``), which their collections skip.
+pins a BLAS thread pool started before that).  With more than one
+worker, the parent forks one child per worker with ``os.fork``: child w
+runs tasks w, w + workers, ..., which is chunk w of every point when there
+are at least as many matrices as workers, and pickles its rows to its own
+pipe.  The parent runs no task itself, since its peak RSS counts every
+page it has mapped, a forked child's only the pages it touches.  It puts
+the rows back in task order, raises the exception of the first failed
+task, as the serial loop would, and kills and reaps any child still
+running when it leaves.  The children get through the fork alone what
+makes them cheap: one BLAS thread, ``numpy.random``, which the parent
+loads before forking, and, from the CLI, its frozen import-time heap
+(``cli.console_entry`` calls ``gc.freeze()``), which their collections
+skip.  Spawned children would get none of these, so sweeps fork only on
+Linux and run serially elsewhere, with the same results.  No sweep loads
+``concurrent.futures`` or ``multiprocessing``.
 """
 
 from __future__ import annotations
@@ -55,8 +64,11 @@ import itertools
 import math
 import operator
 import os
+import pickle
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import NoReturn
 
 import numpy as np
 
@@ -275,25 +287,30 @@ def usable_cpus() -> int:
 
 
 def _chunks(total: int, workers: int) -> list[tuple[int, int]]:
-    pieces = max(1, min(total, workers))
-    step = -(-total // pieces)
-    return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
+    """Matrix ranges ``(lo, hi)`` of min(total, workers) chunks, larger first, whose sizes differ by at most one."""
+    pieces = min(total, workers)
+    size, larger = divmod(total, pieces)
+    bounds = [k * size + min(k, larger) for k in range(pieces + 1)]
+    return list(zip(bounds, bounds[1:]))
 
 
 def pool_size(cfg: SweepConfig, workers: int) -> int:
-    """Worker processes a Monte-Carlo sweep of ``cfg`` starts; 1 means it runs serially.
+    """Worker processes a Monte-Carlo sweep of ``cfg`` forks; 1 means it runs in this process.
 
-    Never more than the sweep's tasks or the usable CPUs.  ``_chunks`` cuts
-    each (architecture, n) point into min(matrices, workers) chunks, so
-    counting one task per matrix gives the same cap.
+    Never more than the sweep's tasks or the usable CPUs, and 1 off Linux,
+    where a sweep does not fork.  ``_chunks`` cuts each (architecture, n)
+    point into min(matrices, workers) chunks and the children take the
+    tasks in turn, so counting one task per matrix forks no idle child.
     """
     workers = _integer("workers", workers, 1)
+    if sys.platform != "linux":
+        return 1
     points = len(cfg.architectures) * len(cfg.n_values)
     return min(workers, usable_cpus(), points * cfg.n_matrices)
 
 
 def _run_sweep(worker, cfg: SweepConfig, workers: int) -> list[tuple[str, int, np.ndarray]]:
-    """Run ``worker`` over every (point, chunk) task of a sweep in one pool.
+    """Run ``worker`` over every (point, chunk) task of a sweep, in forked children if ``pool_size`` > 1.
 
     Returns ``(arch, n, values)`` per (architecture, n) point in config
     order, the rows of ``values`` in matrix-index order.
@@ -306,15 +323,97 @@ def _run_sweep(worker, cfg: SweepConfig, workers: int) -> list[tuple[str, int, n
         if size == 1:
             parts = [worker(task) for task in tasks]
         else:
-            from concurrent.futures import ProcessPoolExecutor  # serial runs never load the pool stack
-            import numpy.random  # noqa: F401  imported before the fork, so no worker imports it again
-            with ProcessPoolExecutor(max_workers=size) as pool:
-                parts = list(pool.map(worker, tasks))
+            import numpy.random  # noqa: F401  imported before the fork, so no child imports it again
+            parts = _fork_map(worker, tasks, size)
     per_point = len(bounds)
     return [
         (arch, n, np.concatenate(parts[k * per_point : (k + 1) * per_point], axis=0))
         for k, (arch, n) in enumerate(points)
     ]
+
+
+def _flush_stdio() -> None:
+    """Flush Python's stdout and stderr, so a forked child neither repeats nor drops buffered output."""
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:
+            stream.flush()
+
+
+def _fork_map(worker, tasks: list, size: int) -> list:
+    """``[worker(task) for task in tasks]``, run by ``size`` forked children; child w runs ``tasks[w::size]``.
+
+    Raises the exception of the first failed task in task order.  A child
+    that exits without sending its results is a SweepError naming its
+    matrices and exit status.  No child outlives the call.
+    """
+    import signal  # serial runs never load it
+
+    children = []  # (pid, read end of its pipe), in share order
+    reaped = 0
+    try:
+        for w in range(size):
+            _flush_stdio()
+            read, write = os.pipe()
+            pipe = open(read, "rb")
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _run_share(worker, tasks[w::size], write)
+            except OSError:
+                pipe.close()
+                raise
+            finally:
+                os.close(write)
+            children.append((pid, pipe))
+        shares = []
+        for w, (pid, pipe) in enumerate(children):
+            payload = pipe.read()
+            pipe.close()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            reaped += 1
+            if code == 0:
+                shares.append(pickle.loads(payload))  # bytes our own child wrote
+                continue
+            ranges = ", ".join(dict.fromkeys(f"{lo}..{hi - 1}" for *_, lo, hi in tasks[w::size]))
+            how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+            shares.append(([], SweepError(f"sweep worker {w} (matrices {ranges}) {how} before sending its results")))
+    finally:
+        for pid, pipe in children[reaped:]:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    parts = []
+    for k in range(len(tasks)):
+        done, error = shares[k % size]
+        if k // size == len(done):  # the task that stopped its child
+            raise error
+        parts.append(done[k // size])
+    return parts
+
+
+def _run_share(worker, share: list, write: int) -> NoReturn:
+    """In a forked child: send ``(results, exception or None)`` of ``share`` through ``write`` and exit."""
+    code = 1
+    try:
+        done, error = [], None
+        try:
+            for task in share:
+                done.append(worker(task))
+        except BaseException as exc:  # re-raised by the parent
+            error = exc
+        try:
+            payload = pickle.dumps((done, error))
+            if error is not None:
+                pickle.loads(payload)  # an exception that pickles but cannot be rebuilt fails here
+        except Exception:
+            what, unsent = ("exception", error) if error is not None else ("results", done)
+            payload = pickle.dumps(([], SweepError(f"a sweep worker's {what} cannot be pickled: {unsent!r}")))
+        with open(write, "wb") as pipe:
+            pipe.write(payload)
+        _flush_stdio()
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def _openblas_threads():
@@ -335,8 +434,8 @@ def _openblas_threads():
 def _one_blas_thread():
     """Run the bundled OpenBLAS on one thread while the block runs.
 
-    Set in the parent before a pool forks: a forked worker inherits the
-    count, whereas setting it inside a worker leaves the helper threads it
+    Set in the parent before a sweep forks: a forked child inherits the
+    count, whereas setting it inside a child leaves the helper threads it
     re-creates busy-waiting.  At n <= 64 a second BLAS thread only spins,
     in a serial sweep as in a worker, and processes are the unit of
     parallelism.  No-op for other BLAS builds.

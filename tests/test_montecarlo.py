@@ -1,10 +1,12 @@
-import concurrent.futures
 import functools
 import json
 import math
 import os
+import pickle
+import signal
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -17,6 +19,7 @@ from crossmesh import (
     ConfigError,
     LOSSLESS,
     SweepConfig,
+    SweepError,
     apply_common_deviation,
     build_svd_clements,
     build_xbar,
@@ -73,22 +76,19 @@ def test_build_blocks_do_not_change_reports(monkeypatch, entries):
         assert loss_fidelity_sweep(cfg, LOSS_GRID, workers=workers) == reference, workers
 
 
-class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
+@pytest.fixture
+def forked(monkeypatch):
+    """The pids of the children forked from this process while the test runs."""
+    pids, fork = [], os.fork
 
-    sizes = []
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
 
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, tasks):
-        return map(fn, tasks)
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
 
 
 @pytest.mark.parametrize(
@@ -96,16 +96,44 @@ class _RecordingPool:
     [(64, 8, 2, 2), (3, 2, 5, 2), (4, 8, 5, 4), (2, 1, 5, None), (1, 8, 5, None)],
     ids=["capped-by-tasks", "capped-by-cpus", "as-asked", "one-cpu-serial", "one-worker-serial"],
 )
-def test_pool_never_exceeds_tasks_or_cpus(monkeypatch, workers, cpus, n_matrices, expected):
-    # _run_sweep looks the pool class up here when, and only when, it starts a pool.
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+def test_pool_never_exceeds_tasks_or_cpus(monkeypatch, forked, workers, cpus, n_matrices, expected):
     monkeypatch.setattr(montecarlo, "usable_cpus", lambda: cpus)
-    monkeypatch.setattr(_RecordingPool, "sizes", [])
     cfg = SweepConfig(architectures=(ARCH_XBAR,), n_values=(3,), n_matrices=n_matrices)
     reports = loss_fidelity_sweep(cfg, (0.0,), workers=workers)
     assert [r.fidelity_mean for r in reports] == [pytest.approx(1.0, abs=1e-12)]
-    assert _RecordingPool.sizes == ([] if expected is None else [expected])
+    assert len(forked) == (expected or 0)
     assert montecarlo.pool_size(cfg, workers) == (expected or 1)
+
+
+def test_chunks_cut_min_matrices_workers_even_pieces():
+    # A contiguous cover of 0..total-1, larger chunks first.
+    for total in (1, 2, 3, 4, 5, 6, 9, 10, 17, 500):
+        for workers in (1, 2, 3, 4, 6, 7, 64):
+            chunks = montecarlo._chunks(total, workers)
+            assert len(chunks) == min(total, workers), (total, workers)
+            assert [lo for lo, _hi in chunks] == [0] + [hi for _lo, hi in chunks[:-1]]
+            assert chunks[-1][1] == total
+            sizes = [hi - lo for lo, hi in chunks]
+            assert sizes == sorted(sizes, reverse=True) and sizes[0] - sizes[-1] <= 1, (total, workers)
+
+
+def test_children_take_points_in_turn_when_matrices_are_fewer_than_workers(monkeypatch, forked):
+    # One matrix per point and three workers: four one-matrix tasks, child 0 runs two of them.
+    monkeypatch.setattr(montecarlo, "usable_cpus", lambda: 3)
+    cfg = replace(LOSS_CFG, n_matrices=1)
+    serial = loss_fidelity_sweep(cfg, LOSS_GRID, workers=1)
+    assert loss_fidelity_sweep(cfg, LOSS_GRID, workers=3) == serial
+    assert len(forked) == montecarlo.pool_size(cfg, 3) == 3
+
+
+def test_sweeps_run_serially_off_linux(monkeypatch, forked):
+    monkeypatch.setattr(montecarlo, "usable_cpus", lambda: 2)
+    cfg = replace(LOSS_CFG, n_matrices=2)
+    reference = loss_fidelity_sweep(cfg, LOSS_GRID, workers=1)
+    monkeypatch.setattr(sys, "platform", "darwin")
+    assert montecarlo.pool_size(cfg, 2) == 1
+    assert loss_fidelity_sweep(cfg, LOSS_GRID, workers=2) == reference
+    assert forked == []
 
 
 def _report_blas_threads(task):
@@ -166,6 +194,94 @@ class TestOneBlasThreadPerWorker:
             assert get() == 2
         finally:
             set_(before)
+
+
+class _Unbuildable(Exception):
+    """Pickles, but its class cannot be rebuilt from the pickled args."""
+
+    def __init__(self, message, detail):
+        super().__init__(message)
+
+
+def _raise_unbuildable(task):
+    raise _Unbuildable("no rebuild", "detail")
+
+
+def _raise_unpicklable(task):
+    raise ValueError(lambda: "a lambda does not pickle")
+
+
+def _return_unpicklable(task):
+    return np.array([[lambda: "a lambda does not pickle"]], dtype=object)
+
+
+def _fail_unless_first_task(task):
+    _cfg, arch, _n, lo, _hi = task
+    if (arch, lo) != (ARCH_XBAR, 0):
+        raise ValueError(f"{arch} from matrix {lo} fails")
+    return np.zeros((2, 1))
+
+
+def _sleep_after_first_chunk(task):
+    lo, hi = task[-2:]
+    if lo > 0:
+        time.sleep(60)
+    return np.zeros((hi - lo, 1))
+
+
+class TestForkedChildren:
+    CFG = SweepConfig(n_values=(3,), n_matrices=4)
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "usable_cpus", lambda: 2)
+
+    @staticmethod
+    def assert_no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_no_child_outlives_a_failed_sweep(self, forked):
+        blas = montecarlo._openblas_threads()
+        before = blas[0]() if blas else None
+        with pytest.raises(ValueError, match="matrix 1 fails"):
+            montecarlo._run_sweep(_fail_on_matrix_1, self.CFG, workers=2)
+        assert len(forked) == 2
+        self.assert_no_child_left()
+        assert (blas[0]() if blas else None) == before
+
+    def test_first_failed_task_in_task_order_is_raised(self):
+        # Tasks: xbar 0..1, xbar 2..3, svd 0..1, svd 2..3.  Child 0 fails on
+        # its second task (svd), child 1 on its first (xbar 2..3), which comes first.
+        with pytest.raises(ValueError, match="^xbar from matrix 2 fails$"):
+            montecarlo._run_sweep(_fail_unless_first_task, self.CFG, workers=2)
+        self.assert_no_child_left()
+
+    def test_children_still_running_are_killed_when_the_parent_fails(self, monkeypatch):
+        # Child 1 sleeps for a minute; the parent fails on child 0's results and must not wait for it.
+        parent, loads = os.getpid(), pickle.loads
+
+        def failing_loads(data, **kwargs):
+            if os.getpid() == parent:
+                raise OSError("parent fails")
+            return loads(data, **kwargs)
+
+        monkeypatch.setattr(pickle, "loads", failing_loads)
+        started = time.monotonic()
+        with pytest.raises(OSError, match="parent fails"):
+            montecarlo._run_sweep(_sleep_after_first_chunk, self.CFG, workers=2)
+        assert time.monotonic() - started < 30
+        self.assert_no_child_left()
+
+    @pytest.mark.parametrize("worker, what", [
+        (_raise_unbuildable, "exception cannot be pickled: _Unbuildable"),
+        (_raise_unpicklable, "exception cannot be pickled: ValueError"),
+        (_return_unpicklable, "results cannot be pickled: \\[array"),
+    ], ids=["unbuildable-exception", "unpicklable-exception", "unpicklable-results"])
+    def test_what_cannot_be_pickled_is_a_sweep_error(self, worker, what):
+        with pytest.raises(SweepError, match=f"a sweep worker's {what}"):
+            montecarlo._run_sweep(worker, self.CFG, workers=2)
+        self.assert_no_child_left()
 
 
 def test_batched_trials_match_layer_product_oracle():
@@ -327,13 +443,18 @@ def test_integer_fields_take_numpy_ints_as_python_ints(monkeypatch):
     assert seen == [5] and type(seen[0]) is int
 
 
-def run_fresh(code: str, env=None, cwd=None) -> str:
-    """Stdout of ``code`` in a fresh interpreter with ``env`` (default ours) and this checkout's src."""
+def fresh_process(code: str, env=None, cwd=None) -> subprocess.CompletedProcess:
+    """``code`` run in a fresh interpreter with ``env`` (default ours) and this checkout's src."""
     env = dict(os.environ if env is None else env)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-    done = subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd, capture_output=True, text=True,
+    return subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd, capture_output=True, text=True,
                           timeout=60)
+
+
+def run_fresh(code: str, env=None, cwd=None) -> str:
+    """Stdout of ``fresh_process(code, env, cwd)``, which must exit 0."""
+    done = fresh_process(code, env, cwd)
     assert done.returncode == 0, done.stderr
     return done.stdout
 
@@ -360,30 +481,62 @@ def tiny_phase_sweep(threads: int) -> list[str]:
             "--trials", "2", "--out", "out.csv", "--threads", str(threads)]
 
 
-def test_serial_runs_leave_the_pool_stack_unloaded(tmp_path):
+def test_no_sweep_loads_the_pool_stack(tmp_path):
     code = (
         "import sys\n"
+        "from crossmesh import montecarlo\n"
         "from crossmesh.cli import run_experiment\n"
+        "montecarlo.usable_cpus = lambda: 2\n"
+        "stack = ('concurrent.futures', 'multiprocessing')\n"
         "assert run_experiment(['stats', '--n', '2']) == 0\n"
-        f"assert run_experiment({tiny_phase_sweep(1)!r}) == 0\n"
-        "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))\n"
+        "print(sorted(m for m in stack if m in sys.modules))\n"
+        "for threads in (1, 2):\n"
+        f"    assert run_experiment({tiny_phase_sweep(1)[:-1]!r} + [str(threads)]) == 0\n"
+        "    print(sorted(m for m in stack if m in sys.modules))\n"
     )
-    assert run_fresh(code, cwd=tmp_path).splitlines()[-1] == "[]"
+    assert run_fresh(code, cwd=tmp_path).splitlines()[-3:] == ["[]"] * 3
+    assert json.loads((tmp_path / "out.csv.manifest.json").read_text())["workers_used"] == 2
 
 
 @pytest.mark.skipif(montecarlo.usable_cpus() < 2, reason="a pool needs two usable CPUs")
 def test_parent_loads_numpy_random_before_the_pool_forks(tmp_path):
+    # Printed by the parent after each fork: two children, each line once.
     code = (
-        "import sys, concurrent.futures\n"
-        "pool = concurrent.futures.ProcessPoolExecutor\n"
-        "def recording_pool(*args, **kwargs):\n"
-        "    print('numpy.random' in sys.modules)\n"
-        "    return pool(*args, **kwargs)\n"
-        "concurrent.futures.ProcessPoolExecutor = recording_pool\n"
+        "import os, sys\n"
+        "fork = os.fork\n"
+        "def recording_fork():\n"
+        "    loaded = 'numpy.random' in sys.modules\n"
+        "    pid = fork()\n"
+        "    if pid:\n"
+        "        print(loaded)\n"
+        "    return pid\n"
+        "os.fork = recording_fork\n"
         "from crossmesh.cli import run_experiment\n"
         f"assert run_experiment({tiny_phase_sweep(2)!r}) == 0\n"
     )
-    assert run_fresh(code, cwd=tmp_path).split() == ["True"]
+    assert run_fresh(code, cwd=tmp_path).split() == ["True", "True"]
+
+
+def test_killed_worker_exits_2_with_one_error_line(tmp_path):
+    # The second child kills itself on its first task; the CLI writes nothing.
+    code = (
+        "import os, signal, sys\n"
+        "from crossmesh import cli, montecarlo\n"
+        "montecarlo.usable_cpus = lambda: 2\n"
+        "chunk = montecarlo._loss_chunk\n"
+        "def killed(*args):\n"
+        "    if args[-1][3] > 0:\n"
+        "        os.kill(os.getpid(), signal.SIGKILL)\n"
+        "    return chunk(*args)\n"
+        "montecarlo._loss_chunk = killed\n"
+        "sys.argv = ['crossmesh', 'fidelity-loss', '--n', '3,4', '--node-loss', '0,0.5', '--matrices', '5',"
+        " '--threads', '2', '--out', 'out.csv']\n"
+        "cli.console_entry()\n"
+    )
+    done = fresh_process(code, cwd=tmp_path)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == f"error: sweep worker 1 (matrices 3..4) was killed by signal {signal.SIGKILL:d} before sending its results\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_workers_forked_by_the_cli_inherit_the_frozen_heap(tmp_path):
