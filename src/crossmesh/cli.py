@@ -55,7 +55,6 @@ import math
 import os
 import platform
 import sys
-import tempfile
 import time
 from dataclasses import astuple, dataclass
 from typing import Callable
@@ -138,15 +137,12 @@ def parse_int_list(text: str) -> tuple[int, ...]:
 
 
 def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(prefix=".crossmesh-", dir=directory)
+    # Created 0666 less the umask, as open() would, without os.umask, which would change it process-wide.
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".crossmesh-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
-            # mkstemp creates the file 0600; give it the mode open() would.
-            umask = os.umask(0)
-            os.umask(umask)
-            os.fchmod(handle.fileno(), 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -46,13 +46,15 @@ pipe.  The parent runs no task itself, since its peak RSS counts every
 page it has mapped, a forked child's only the pages it touches.  It puts
 the rows back in task order, raises the exception of the first failed
 task, as the serial loop would, and kills and reaps any child still
-running when it leaves.  The children get through the fork alone what
-makes them cheap: one BLAS thread, ``numpy.random``, which the parent
-loads before forking, and, from the CLI, its frozen import-time heap
-(``cli.console_entry`` calls ``gc.freeze()``), which their collections
-skip.  Spawned children would get none of these, so sweeps fork only on
-Linux and run serially elsewhere, with the same results.  No sweep loads
-``concurrent.futures`` or ``multiprocessing``.
+running when it leaves.  The kernel SIGKILLs the children if the parent
+dies by a signal (``PR_SET_PDEATHSIG``), and their ``os._exit`` drops the
+stdio buffers they inherit unflushed.  The children get through the fork
+alone what makes them cheap: one BLAS thread, ``numpy.random``, which the
+parent loads before forking, and, from the CLI, its frozen import-time
+heap (``cli.console_entry`` calls ``gc.freeze()``), which their
+collections skip.  Spawned children would get none of these, so sweeps
+fork only on Linux and run serially elsewhere, with the same results.  No
+sweep loads ``concurrent.futures`` or ``multiprocessing``.
 """
 
 from __future__ import annotations
@@ -320,11 +322,7 @@ def _run_sweep(worker, cfg: SweepConfig, workers: int) -> list[tuple[str, int, n
     points = [(arch, n) for arch in cfg.architectures for n in cfg.n_values]
     tasks = [(cfg, arch, n) + bound for arch, n in points for bound in bounds]
     with _one_blas_thread():
-        if size == 1:
-            parts = [worker(task) for task in tasks]
-        else:
-            import numpy.random  # noqa: F401  imported before the fork, so no child imports it again
-            parts = _fork_map(worker, tasks, size)
+        parts = [worker(task) for task in tasks] if size == 1 else _fork_map(worker, tasks, size)
     per_point = len(bounds)
     return [
         (arch, n, np.concatenate(parts[k * per_point : (k + 1) * per_point], axis=0))
@@ -332,45 +330,37 @@ def _run_sweep(worker, cfg: SweepConfig, workers: int) -> list[tuple[str, int, n
     ]
 
 
-def _flush_stdio() -> None:
-    """Flush Python's stdout and stderr, so a forked child neither repeats nor drops buffered output."""
-    for stream in (sys.stdout, sys.stderr):
-        if stream is not None:
-            stream.flush()
-
-
 def _fork_map(worker, tasks: list, size: int) -> list:
     """``[worker(task) for task in tasks]``, run by ``size`` forked children; child w runs ``tasks[w::size]``.
 
-    Raises the exception of the first failed task in task order.  A child
-    that exits without sending its results is a SweepError naming its
-    matrices and exit status.  No child outlives the call.
+    Raises the exception of the first failed task in task order.  A child that exits without sending
+    its results is a SweepError naming its matrices and exit status.  No child outlives the call, or
+    this process if it dies by a signal (``_run_share``), and no stdio is flushed before a fork.
     """
     import signal  # serial runs never load it
+    import numpy.random  # noqa: F401  loaded before the fork, so no child imports it again
 
-    children = []  # (pid, read end of its pipe), in share order
-    reaped = 0
+    parent = os.getpid()
+    children = {}  # pid: read end of its pipe, in share order, until reaped
     try:
         for w in range(size):
-            _flush_stdio()
             read, write = os.pipe()
             pipe = open(read, "rb")
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _run_share(worker, tasks[w::size], write)
+                    _run_share(worker, tasks[w::size], write, parent)
             except OSError:
                 pipe.close()
                 raise
             finally:
                 os.close(write)
-            children.append((pid, pipe))
+            children[pid] = pipe
         shares = []
-        for w, (pid, pipe) in enumerate(children):
+        for w, (pid, pipe) in enumerate(list(children.items())):
             payload = pipe.read()
-            pipe.close()
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            reaped += 1
+            children.pop(pid).close()
             if code == 0:
                 shares.append(pickle.loads(payload))  # bytes our own child wrote
                 continue
@@ -378,7 +368,7 @@ def _fork_map(worker, tasks: list, size: int) -> list:
             how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
             shares.append(([], SweepError(f"sweep worker {w} (matrices {ranges}) {how} before sending its results")))
     finally:
-        for pid, pipe in children[reaped:]:
+        for pid, pipe in children.items():
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
@@ -391,12 +381,22 @@ def _fork_map(worker, tasks: list, size: int) -> list:
     return parts
 
 
-def _run_share(worker, share: list, write: int) -> NoReturn:
-    """In a forked child: send ``(results, exception or None)`` of ``share`` through ``write`` and exit."""
+def _run_share(worker, share: list, write: int, parent: int) -> NoReturn:
+    """In a child forked by ``parent``: send ``(results, exception or None)`` of ``share`` through ``write`` and exit.
+
+    The kernel SIGKILLs it once ``parent`` dies, and ``os._exit`` drops the stdio buffers it inherited unflushed.
+    """
+    import signal  # loaded by _fork_map
     code = 1
     try:
         done, error = [], None
         try:
+            prctl = ctypes.CDLL(None, use_errno=True).prctl
+            prctl.argtypes, prctl.restype = [ctypes.c_int, ctypes.c_ulong], ctypes.c_int
+            if prctl(1, signal.SIGKILL) != 0:  # 1: PR_SET_PDEATHSIG
+                raise OSError(ctypes.get_errno(), "prctl(PR_SET_PDEATHSIG) failed")
+            if os.getppid() != parent:  # it died before the prctl call: send nothing
+                os._exit(1)
             for task in share:
                 done.append(worker(task))
         except BaseException as exc:  # re-raised by the parent
@@ -410,7 +410,6 @@ def _run_share(worker, share: list, write: int) -> NoReturn:
             payload = pickle.dumps(([], SweepError(f"a sweep worker's {what} cannot be pickled: {unsent!r}")))
         with open(write, "wb") as pipe:
             pipe.write(payload)
-        _flush_stdio()
         code = 0
     finally:
         os._exit(code)

@@ -174,6 +174,24 @@ def test_outputs_follow_the_umask(tmp_path):
         assert path.stat().st_mode & 0o777 == 0o644
 
 
+def test_outputs_are_written_without_os_umask(tmp_path, monkeypatch):
+    # The umask is process-wide: setting it even briefly gives files other threads create meanwhile its value.
+    out, umask = tmp_path / "out.csv", os.umask
+
+    def refuse(mask):
+        raise AssertionError("os.umask called")
+
+    old = umask(0o027)
+    try:
+        monkeypatch.setattr(os, "umask", refuse)
+        assert run_experiment(["fig3", "--n", "3", "--node-loss", "0,1", "--out", str(out)]) == 0
+    finally:
+        umask(old)
+    for path in (out, tmp_path / "out.csv.manifest.json"):
+        assert path.stat().st_mode & 0o777 == 0o666 & ~0o027
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "out.csv.manifest.json"]
+
+
 @pytest.mark.parametrize("collision", ["csv", "manifest"])
 @pytest.mark.parametrize(
     "command",

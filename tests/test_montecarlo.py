@@ -222,6 +222,12 @@ def _fail_unless_first_task(task):
     return np.zeros((2, 1))
 
 
+def _touch_task_file(directory, task):
+    _cfg, arch, _n, lo, hi = task
+    (directory / f"{arch}-{lo}").touch()
+    return np.zeros((hi - lo, 1))
+
+
 def _sleep_after_first_chunk(task):
     lo, hi = task[-2:]
     if lo > 0:
@@ -272,6 +278,22 @@ class TestForkedChildren:
             montecarlo._run_sweep(_sleep_after_first_chunk, self.CFG, workers=2)
         assert time.monotonic() - started < 30
         self.assert_no_child_left()
+
+    def test_a_child_whose_parent_died_runs_no_task(self, tmp_path):
+        # The recorded parent, -1, is not the child's parent: it exits 1 at once, sending nothing.
+        read, write = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            try:
+                share = [(self.CFG, ARCH_XBAR, 3, 0, 2)]
+                montecarlo._run_share(functools.partial(_touch_task_file, tmp_path), share, write, -1)
+            finally:
+                os._exit(99)
+        os.close(write)
+        with open(read, "rb") as pipe:
+            payload = pipe.read()
+        assert (payload, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])) == (b"", 1)
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("worker, what", [
         (_raise_unbuildable, "exception cannot be pickled: _Unbuildable"),
@@ -443,13 +465,18 @@ def test_integer_fields_take_numpy_ints_as_python_ints(monkeypatch):
     assert seen == [5] and type(seen[0]) is int
 
 
-def fresh_process(code: str, env=None, cwd=None) -> subprocess.CompletedProcess:
-    """``code`` run in a fresh interpreter with ``env`` (default ours) and this checkout's src."""
+def fresh_env(env=None) -> dict:
+    """``env`` (default ours) with this checkout's src first on PYTHONPATH."""
     env = dict(os.environ if env is None else env)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-    return subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd, capture_output=True, text=True,
-                          timeout=60)
+    return env
+
+
+def fresh_process(code: str, env=None, cwd=None) -> subprocess.CompletedProcess:
+    """``code`` run in a fresh interpreter with ``env`` (default ours) and this checkout's src."""
+    return subprocess.run([sys.executable, "-c", code], env=fresh_env(env), cwd=cwd, capture_output=True,
+                          text=True, timeout=60)
 
 
 def run_fresh(code: str, env=None, cwd=None) -> str:
@@ -537,6 +564,76 @@ def test_killed_worker_exits_2_with_one_error_line(tmp_path):
     assert (done.returncode, done.stdout) == (2, "")
     assert done.stderr == f"error: sweep worker 1 (matrices 3..4) was killed by signal {signal.SIGKILL:d} before sending its results\n"
     assert list(tmp_path.iterdir()) == []
+
+
+def _running(pid: int) -> bool:
+    """Whether process ``pid`` exists and is not a zombie (a container's pid 1 may never reap an orphan)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rpartition(")")[2].split()[0] != "Z"
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="sweeps fork only on Linux")
+@pytest.mark.parametrize("sig", [signal.SIGTERM, signal.SIGKILL, signal.SIGHUP, signal.SIGINT],
+                         ids=lambda sig: sig.name)
+def test_no_worker_outlives_a_signalled_parent(tmp_path, sig):
+    # Each child marks that it runs with a file, then sleeps for a minute.  The dispositions are
+    # those of a CLI started from a shell, whatever this test's runner ignores.
+    code = (
+        "import os, signal, sys, time\n"
+        "signal.signal(signal.SIGHUP, signal.SIG_DFL)\n"
+        "signal.signal(signal.SIGTERM, signal.SIG_DFL)\n"
+        "signal.signal(signal.SIGINT, signal.default_int_handler)\n"
+        "from crossmesh import cli, montecarlo\n"
+        "montecarlo.usable_cpus = lambda: 2\n"
+        "def ready(*args):\n"
+        "    open(f'ready-{os.getpid()}', 'w').close()\n"
+        "    time.sleep(60)\n"
+        "montecarlo._loss_chunk = ready\n"
+        "sys.argv = ['crossmesh', 'fidelity-loss', '--n', '3,4', '--node-loss', '0,0.5', '--matrices', '5',"
+        " '--threads', '2', '--out', 'out.csv', '--svg', 'out.svg']\n"
+        "cli.console_entry()\n"
+    )
+    parent = subprocess.Popen([sys.executable, "-c", code], env=fresh_env(), cwd=tmp_path,
+                              stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    children = []
+    try:
+        started = time.monotonic()
+        while len(children) < 2:
+            assert parent.poll() is None and time.monotonic() - started < 30, "the workers did not start"
+            time.sleep(0.01)
+            children = [int(path.name.split("-")[1]) for path in tmp_path.glob("ready-*")]
+        os.kill(parent.pid, sig)
+        signalled = time.monotonic()
+        while any(map(_running, children)) and time.monotonic() - signalled < 1:
+            time.sleep(0.01)
+        assert [pid for pid in children if _running(pid)] == []
+        parent.wait(timeout=10)
+    finally:
+        for pid in filter(_running, children):
+            os.kill(pid, signal.SIGKILL)
+        parent.kill()
+        parent.wait()
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(f"ready-{pid}" for pid in children)
+
+
+def test_a_forked_sweep_repeats_no_output_and_keeps_the_sigterm_disposition():
+    # "before" is still buffered when the children fork; only the parent may write it.
+    code = (
+        "import signal, sys\n"
+        "from crossmesh import SweepConfig, loss_fidelity_sweep, montecarlo\n"
+        "montecarlo.usable_cpus = lambda: 2\n"
+        "cfg = SweepConfig(n_values=(3,), n_matrices=2)\n"
+        "assert montecarlo.pool_size(cfg, 2) == 2\n"
+        "disposition = signal.getsignal(signal.SIGTERM)\n"
+        "sys.stdout.write('before')\n"
+        "loss_fidelity_sweep(cfg, (0.0, 0.5), workers=2)\n"
+        "assert signal.getsignal(signal.SIGTERM) == disposition\n"
+        "print('|after')\n"
+    )
+    assert run_fresh(code) == "before|after\n"
 
 
 def test_workers_forked_by_the_cli_inherit_the_frozen_heap(tmp_path):
