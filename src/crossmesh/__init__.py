@@ -24,7 +24,6 @@ from .errors import (
     SweepError,
 )
 from .linalg import (
-    SvdFactors,
     fidelity,
     matrix_from_json,
     matrix_to_json,

@@ -281,20 +281,20 @@ def build_svd_clements(d, loss: LossModel) -> ClementsDevice:
     scales the cells at evaluation time.  DomainError for n < 2, which
     ``device_from_json`` would refuse to load.
     """
-    factors = svd_factorize(d)
-    n = factors.sigma.shape[-1]
+    u, sigma, v_dagger = svd_factorize(d)
+    n = sigma.shape[-1]
     if n < 2:
         raise DomainError(f"n must be >= 2, got {n}")
-    sigma_max = factors.sigma[..., :1]
+    sigma_max = sigma[..., :1]
     if np.any(sigma_max == 0.0):
         raise DomainError("cannot compile the zero matrix")
-    amplitudes = factors.sigma / sigma_max
+    amplitudes = sigma / sigma_max
 
     flat = amplitudes.ravel().tolist()
     transfers, sigma_theta = zip(*map(voa_transfer, flat))
     # Fold the attenuators' inherent unit-modulus phases into u.
     inherent = np.reshape([t / a if a > 0.0 else -1j for t, a in zip(transfers, flat)], amplitudes.shape)
-    m = clements_decompose(np.stack((factors.v_dagger, factors.u * inherent.conj()[..., None, :])))
+    m = clements_decompose(np.stack((v_dagger, u * inherent.conj()[..., None, :])))
     v_mesh, u_mesh = (ClementsMesh(m.n, m.theta[k], m.phi[k], m.output_phases[k]) for k in (0, 1))
     return _device(v_mesh, np.reshape(sigma_theta, amplitudes.shape), np.zeros(amplitudes.shape), u_mesh, loss)
 

@@ -38,7 +38,8 @@ vector or dump that breaks the rule or does not describe a valid device
 that is not finite; 3 an I/O failure, among them an
 ``--out``, ``--svg`` or ``<csv>.manifest.json`` that is a directory or
 lies in a directory that does not exist, which a sweep reports before it
-does any work.
+does any work; 130 an interrupt (SIGINT, as Ctrl-C sends it), reported as
+``error: interrupted``, with no traceback.
 
 The console entry calls ``gc.freeze()`` before the command, so no later
 collection re-walks the import-time heap, which lives until exit anyway;
@@ -70,6 +71,7 @@ from .clements import (
     svd_architecture_stats,
 )
 from .crossbar import (
+    XBAR_MODES,
     build_topology,
     build_xbar,
     device_from_json as xbar_device_from_json,
@@ -304,7 +306,7 @@ def _cmd_compile(args) -> int:
     loss = _load_loss(args.loss)
     if args.arch == ARCH_XBAR:
         # The crossbar's N x M weights are the transpose of the operator it applies.
-        dump = xbar_device_to_json(build_xbar(target.T, loss, args.mode or "balanced"))
+        dump = xbar_device_to_json(build_xbar(target.T, loss, args.mode or XBAR_MODES[0]))
     elif args.mode is not None:
         raise ConfigError("--mode applies to --arch xbar only")
     else:
@@ -378,7 +380,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("compile", help="program a matrix onto a device")
     p.add_argument("--arch", required=True, choices=[ARCH_XBAR, ARCH_SVD_CLEMENTS])
     p.add_argument("--matrix", required=True, help="JSON of the M x N operator to apply")
-    p.add_argument("--mode", default=None, choices=["balanced", "uniform"],
+    p.add_argument("--mode", default=None, choices=XBAR_MODES,
                    help="crossbar coupler design (default balanced; xbar only)")
     p.add_argument("--out", required=True)
     p.add_argument("--loss", default=None, help="path to loss-model JSON")
@@ -416,6 +418,9 @@ def run_experiment(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except KeyboardInterrupt:  # SIGINT; a parallel sweep has killed and reaped its workers by now
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 def console_entry() -> None:

@@ -35,6 +35,10 @@ from .errors import DegenerateDeviceError, DimensionError, DomainError
 from .linalg import array_from_json, ensure_matrix, int_from_json
 from .nodes import LossModel
 
+# The coupler designs, by the name a device dump stores: loss-balanced ratios
+# (the first, and the default) or identical 50:50 couplers.
+XBAR_MODES = ("balanced", "uniform")
+
 
 @dataclass(frozen=True)
 class XbarTopology:
@@ -98,23 +102,24 @@ def design_splitters(topology: XbarTopology, loss: LossModel) -> tuple[np.ndarra
     """Coupler ratios that equalize the transmission p_c of every column.
 
     p_c = p_{c+1} reads ``L_c xi_c = L_{c+1} t_c xi_{c+1}``; with
-    ``xi_c^2 + t_c^2 = 1`` that is ``xi_c^2 = x / (1 + x)`` for
-    ``x = xi_{c+1}^2 10^((A_c - A_{c+1}) / 10)``, solved backward from the
-    last column's virtual coupler ``xi_M = 1``; only the last step, which
-    skips column M's recombination crossings, can have A_c > A_{c+1}, and
-    its x is capped at 10^300, where x / (1 + x) is 1.0 anyway.  Returns
-    (xi, t), ``t`` of length M - 1; DomainError once xi_1^2, the least,
-    underflows (silicon passives: n >= 9018).
+    ``xi_c^2 + t_c^2 = 1`` that is ``xi_c^2 = x / (1 + x)`` and
+    ``t_c^2 = 1 / (1 + x)`` for ``x = xi_{c+1}^2 10^((A_c - A_{c+1}) / 10)``,
+    solved backward from the last column's virtual coupler ``xi_M = 1``
+    (``1 - xi_c^2`` would cancel as xi_c^2 nears 1, to relative error
+    eps * x).  Only the last step, which skips column M's recombination
+    crossings, can have A_c > A_{c+1}, and its x is capped at 10^300, where
+    x / (1 + x) is 1.0 anyway.  Returns (xi, t), ``t`` of length M - 1;
+    DomainError once xi_1^2, the least, underflows (silicon passives:
+    n >= 9018).
     """
     a_c = passive_loss_db(topology, loss).tolist()
-    xi2 = [1.0] * topology.m
+    xi2, t2 = [1.0] * topology.m, [0.0] * (topology.m - 1)
     for c in range(topology.m - 2, -1, -1):
         x = xi2[c + 1] * 10.0 ** (min(a_c[c] - a_c[c + 1], 3000.0) / 10.0)
-        xi2[c] = x / (1.0 + x)
+        xi2[c], t2[c] = x / (1.0 + x), 1.0 / (1.0 + x)
     if xi2[0] < 2.0**-1022:  # the least normal double, sys.float_info.min
         raise DomainError(f"crossbar coupler design at n={topology.n}: xi_1^2 underflows")
-    xi2 = np.array(xi2)
-    return np.sqrt(xi2), np.sqrt(1.0 - xi2[:-1])
+    return np.sqrt(xi2), np.sqrt(t2)
 
 
 def uniform_splitters(topology: XbarTopology) -> tuple[np.ndarray, np.ndarray]:
@@ -128,14 +133,14 @@ def uniform_splitters(topology: XbarTopology) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class XbarDevice:
-    """A programmed crossbar: weights, coupler ratios and loss model, and nothing derived from them."""
+    """A programmed crossbar: weights, coupler ratios, loss model and the ``XBAR_MODES`` name of its couplers."""
 
     topology: XbarTopology
     weights: np.ndarray
     xi: np.ndarray
     t: np.ndarray
     loss: LossModel
-    balanced: bool
+    mode: str
 
 
 def _cell_angles(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -152,33 +157,24 @@ def transmission_matrix(device: XbarDevice) -> np.ndarray:
     return loss.alpha * loss.t_node * l_c * t_products * device.xi / top.n_f
 
 
-def build_xbar(y, loss: LossModel, mode: str = "balanced") -> XbarDevice:
+def build_xbar(y, loss: LossModel, mode: str = XBAR_MODES[0]) -> XbarDevice:
     """Program a crossbar for an N x M complex target in one step.
 
     Every entry maps to its own cell: the stored weight matrix is the
     target divided by its largest entry magnitude, so all cell amplitudes
-    lie in [0, 1].  ``mode`` selects loss-balanced coupler ratios or
-    identical 50:50 couplers.
+    lie in [0, 1].  ``mode``, one of ``XBAR_MODES``, selects loss-balanced
+    coupler ratios (``"balanced"``, the default) or identical 50:50
+    couplers (``"uniform"``); the device keeps it as its ``mode``.
     """
     y = ensure_matrix(y, name="y")
     scale = float(np.max(np.abs(y)))
     if scale == 0.0:
         raise DomainError("cannot program the zero matrix")
     topology = build_topology(y.shape[0], y.shape[1])
-    if mode == "balanced":
-        xi, t = design_splitters(topology, loss)
-    elif mode == "uniform":
-        xi, t = uniform_splitters(topology)
-    else:
-        raise DomainError(f"mode must be 'balanced' or 'uniform', got {mode!r}")
-    return XbarDevice(
-        topology=topology,
-        weights=y / scale,
-        xi=xi,
-        t=t,
-        loss=loss,
-        balanced=(mode == "balanced"),
-    )
+    if mode not in XBAR_MODES:
+        raise DomainError(f"mode must be one of {XBAR_MODES}, got {mode!r}")
+    xi, t = design_splitters(topology, loss) if mode == XBAR_MODES[0] else uniform_splitters(topology)
+    return XbarDevice(topology=topology, weights=y / scale, xi=xi, t=t, loss=loss, mode=mode)
 
 
 def realized_matrix(device: XbarDevice, weights: np.ndarray | None = None) -> np.ndarray:
@@ -204,9 +200,7 @@ def evaluate_xbar(device: XbarDevice, x) -> np.ndarray:
     return realized_matrix(device) @ x
 
 
-def xbar_insertion_loss(
-    topology: XbarTopology, loss: LossModel, il_node_db: float | None = None
-) -> float:
+def xbar_insertion_loss(topology: XbarTopology, loss: LossModel, il_node_db: float) -> float:
     """Closed-form insertion loss of the loss-balanced crossbar, in dB, at any size.
 
     IL = IL_node + 2 log2(N_f) IL_coup + IL_xi + (N_f/2 - 1) IL_x
@@ -218,17 +212,15 @@ def xbar_insertion_loss(
     how it is computed: relative to the largest A_c, with no coupler solved
     and nothing to underflow.  Assumes transparent cells and modulators
     (alpha = 1); every column of the balanced design then shows this same
-    loss.  ``il_node_db`` overrides the cell term so the cell technology can
-    be swept independently of the fixed passive metrics in ``loss`` (the
-    coupler term always refers to the splitter/combiner trees).  Requires
-    M >= 2 (a single column has no coupler chain for the IL_xi term to
-    describe).
+    loss.  The cell term is ``il_node_db``, given apart from ``loss`` so the
+    cell technology can be swept against fixed passive metrics: only the
+    passive terms of ``loss`` are read (its coupler term refers to the
+    splitter/combiner trees).  Requires M >= 2 (a single column has no
+    coupler chain for the IL_xi term to describe).
     """
     if topology.m < 2:
         raise DomainError("closed-form insertion loss requires at least two columns")
-    if il_node_db is None:
-        il_node_db = loss.il_node_db
-    elif il_node_db < 0.0:
+    if il_node_db < 0.0:
         raise DomainError(f"il_node_db must be >= 0, got {il_node_db}")
     a_c = passive_loss_db(topology, loss)
     passive_db = a_c.max() + 10.0 * math.log10(np.sum(10.0 ** ((a_c - a_c.max()) / 10.0)))
@@ -310,7 +302,7 @@ def device_to_json(device: XbarDevice) -> dict:
         "n": device.topology.n,
         "m": device.topology.m,
         "n_f": device.topology.n_f,
-        "mode": "balanced" if device.balanced else "uniform",
+        "mode": device.mode,
         "xi": device.xi.tolist(),
         "t": device.t.tolist(),
         "weights": {"re": w.real.tolist(), "im": w.imag.tolist()},
@@ -325,15 +317,15 @@ def device_from_json(obj: dict) -> XbarDevice:
     The weights must be an n x m array of magnitudes at most 1, ``xi`` must
     have m entries and ``t`` m - 1, each a lossless splitter in [0, 1] with
     xi_c^2 + t_c^2 = 1 to 1e-12 (t = 0, so xi = 1, on the last column);
-    ``mode`` (default balanced) must be balanced or uniform.
+    ``mode`` must be one of ``XBAR_MODES`` (default balanced).
     """
     arch = obj.get("arch") if isinstance(obj, dict) else None
     if arch != "xbar":
         raise DomainError(f"not an xbar device dump: arch={arch!r}")
     n, m, n_f = (int_from_json(obj, key, "xbar dump") for key in ("n", "m", "n_f"))
-    mode = obj.get("mode", "balanced")
-    if mode not in ("balanced", "uniform"):
-        raise DomainError(f"xbar dump: mode must be 'balanced' or 'uniform', got {mode!r}")
+    mode = obj.get("mode", XBAR_MODES[0])
+    if mode not in XBAR_MODES:
+        raise DomainError(f"xbar dump: mode must be one of {XBAR_MODES}, got {mode!r}")
     topology = build_topology(n, m)
     if topology.n_f != n_f:
         raise DomainError(f"inconsistent dump: n={n} implies n_f={topology.n_f}, dump says {n_f}")
@@ -345,11 +337,5 @@ def device_from_json(obj: dict) -> XbarDevice:
     # The last column's virtual coupler passes everything on: t = 0, so xi = 1.
     if np.any(np.abs(np.concatenate((xi, t)) - 0.5) > 0.5) or np.any(np.abs(xi**2 + np.append(t, 0.0) ** 2 - 1) > 1e-12):
         raise DomainError("xbar dump: couplers must be lossless splitters: xi, t in [0, 1], xi^2 + t^2 = 1")
-    return XbarDevice(
-        topology=topology,
-        weights=weights,
-        xi=xi,
-        t=t,
-        loss=LossModel.from_json(obj.get("loss")),
-        balanced=(mode == "balanced"),
-    )
+    loss = LossModel.from_json(obj.get("loss"))
+    return XbarDevice(topology=topology, weights=weights, xi=xi, t=t, loss=loss, mode=mode)

@@ -2,18 +2,18 @@
 
 Matrices are plain ``numpy.ndarray`` objects with dtype complex128.  The
 helpers here enforce the contracts the rest of the library relies on:
-finite entries, an SVD wrapper with a deterministic ordering convention,
-the Frobenius fidelity measure, the seeded random-matrix ensemble used by
-the Monte-Carlo experiments, and ``array_from_json``, which reads every
-real number of a JSON input: a JSON number (int or float, never bool,
-string or null), finite, in lists of the declared shape.
+finite entries, ``svd_factorize`` (numpy's own ``(u, sigma, v_dagger)``
+triple of a checked square matrix or stack), the Frobenius fidelity
+measure, the seeded random-matrix ensemble used by the Monte-Carlo
+experiments, and ``array_from_json``, which reads every real number of a
+JSON input: a JSON number (int or float, never bool, string or null),
+finite, in lists of the declared shape.
 """
 
 from __future__ import annotations
 
 import reprlib
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,29 +55,16 @@ def unitarity_residual(u) -> float:
     return max(float(np.max(np.abs(m.conj().T @ m - np.eye(n)))) for m in u.reshape(-1, n, n))
 
 
-@dataclass(frozen=True)
-class SvdFactors:
-    """Factors of ``d = u @ diag(sigma) @ v_dagger``.
+def svd_factorize(d) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``np.linalg.svd`` of a checked square complex matrix or ``(..., n, n)`` stack.
 
-    ``u`` and ``v_dagger`` are unitary and ``sigma`` holds the singular
-    values sorted in descending order, after any batch axes of ``d``.
-    """
-
-    u: np.ndarray
-    sigma: np.ndarray
-    v_dagger: np.ndarray
-
-
-def svd_factorize(d) -> SvdFactors:
-    """Singular value decomposition of a square complex matrix or a ``(..., n, n)`` stack.
-
+    Returns numpy's triple ``(u, sigma, v_dagger)`` with
+    ``d = u @ diag(sigma) @ v_dagger``: ``u`` and ``v_dagger`` unitary,
+    ``sigma`` the singular values in descending order after any batch axes.
     The LAPACK driver is deterministic for a fixed input, stacked or not;
-    singular values come out in descending order, with degenerate values
-    left in first-occurrence order.
+    degenerate values stay in first-occurrence order.
     """
-    d = ensure_square(d, name="d")
-    u, sigma, v_dagger = np.linalg.svd(d)
-    return SvdFactors(u=u, sigma=sigma, v_dagger=v_dagger)
+    return np.linalg.svd(ensure_square(d, name="d"))
 
 
 def fidelity(y_exp, y) -> float | np.ndarray:

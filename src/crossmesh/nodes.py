@@ -175,18 +175,19 @@ def mzi_entries(theta: float, phi: float) -> tuple[complex, complex, complex, co
     return common * ephi * s, common * c, common * ephi * c, -common * s
 
 
-def voa_transfer(target_amplitude: float, loss: LossModel = LOSSLESS) -> tuple[complex, float]:
-    """Program a single-input/single-output attenuator cell.
+def voa_transfer(target_amplitude: float) -> tuple[complex, float]:
+    """Program a lossless single-input/single-output attenuator cell.
 
     Returns the complex field transfer of the connected port together with
     the cell angle that realizes it: ``theta = 2 asin(a)`` and
-    ``transfer = T_node * sin(theta/2) * (-i e^{i theta/2})``, so
-    ``|transfer| = T_node * a``.
+    ``transfer = sin(theta/2) * (-i e^{i theta/2})``, so ``|transfer| = a``.
+    A lossy cell at that angle transfers ``voa_transfer_at(theta, loss)``,
+    of magnitude ``T_node * a``.
     """
     if not (0.0 <= target_amplitude <= 1.0):
         raise DomainError(f"target amplitude must lie in [0, 1], got {target_amplitude}")
     theta = 2.0 * math.asin(target_amplitude)
-    return complex(voa_transfer_at(theta, loss)), theta
+    return complex(voa_transfer_at(theta)), theta
 
 
 def voa_transfer_at(theta, loss: LossModel = LOSSLESS) -> np.ndarray:

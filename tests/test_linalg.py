@@ -17,32 +17,32 @@ from oracles import jacobi_svd
 HUGE = int("9" * 400)
 
 
-def reconstruct(f):
-    return f.u @ np.diag(f.sigma.astype(np.complex128)) @ f.v_dagger
+def reconstruct(u, sigma, v_dagger):
+    return u @ np.diag(sigma.astype(np.complex128)) @ v_dagger
 
 
 class TestSvdFactorize:
     def test_identity(self):
-        f = svd_factorize(np.eye(3))
-        assert np.allclose(f.sigma, [1.0, 1.0, 1.0])
-        assert unitarity_residual(f.u @ f.v_dagger) < 1e-12
-        assert np.max(np.abs(reconstruct(f) - np.eye(3))) < 1e-12
+        u, sigma, v_dagger = svd_factorize(np.eye(3))
+        assert np.allclose(sigma, [1.0, 1.0, 1.0])
+        assert unitarity_residual(u @ v_dagger) < 1e-12
+        assert np.max(np.abs(reconstruct(u, sigma, v_dagger) - np.eye(3))) < 1e-12
 
     def test_diagonal(self):
-        f = svd_factorize(np.diag([2.0, 1.0]))
-        assert np.allclose(f.sigma, [2.0, 1.0])
+        u, sigma, v_dagger = svd_factorize(np.diag([2.0, 1.0]))
+        assert np.allclose(sigma, [2.0, 1.0])
         # factors are permutation-phase matrices: one unit entry per row
-        for mat in (f.u, f.v_dagger):
+        for mat in (u, v_dagger):
             assert np.allclose(np.abs(mat), np.eye(2), atol=1e-12)
-        assert np.max(np.abs(reconstruct(f) - np.diag([2.0, 1.0]))) < 1e-12
+        assert np.max(np.abs(reconstruct(u, sigma, v_dagger) - np.diag([2.0, 1.0]))) < 1e-12
 
     def test_against_jacobi_oracle(self):
         rng = np.random.default_rng(2024)
         d = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-        f = svd_factorize(d)
+        u, sigma, v_dagger = svd_factorize(d)
         u_o, sigma_o, v_o = jacobi_svd(d)
-        assert np.max(np.abs(f.sigma - sigma_o)) < 1e-9
-        assert np.max(np.abs(reconstruct(f) - d)) < 1e-10
+        assert np.max(np.abs(sigma - sigma_o)) < 1e-9
+        assert np.max(np.abs(reconstruct(u, sigma, v_dagger) - d)) < 1e-10
         assert np.max(np.abs(u_o @ np.diag(sigma_o.astype(complex)) @ v_o - d)) < 1e-10
 
     @pytest.mark.parametrize("n", [2, 5, 8, 16, 32])
@@ -50,19 +50,28 @@ class TestSvdFactorize:
         rng = np.random.default_rng(100 + n)
         for _ in range(20):
             d = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            f = svd_factorize(d)
-            assert unitarity_residual(f.u) < 1e-10
-            assert unitarity_residual(f.v_dagger) < 1e-10
-            assert np.all(np.diff(f.sigma) <= 1e-12)
-            assert np.all(f.sigma >= 0.0)
-            assert np.max(np.abs(reconstruct(f) - d)) < 1e-10
+            u, sigma, v_dagger = svd_factorize(d)
+            assert unitarity_residual(u) < 1e-10
+            assert unitarity_residual(v_dagger) < 1e-10
+            assert np.all(np.diff(sigma) <= 1e-12)
+            assert np.all(sigma >= 0.0)
+            assert np.max(np.abs(reconstruct(u, sigma, v_dagger) - d)) < 1e-10
 
     def test_deterministic(self):
         d = random_target_matrix(5, 7)
-        f1, f2 = svd_factorize(d), svd_factorize(d)
-        assert np.array_equal(f1.u, f2.u)
-        assert np.array_equal(f1.sigma, f2.sigma)
-        assert np.array_equal(f1.v_dagger, f2.v_dagger)
+        for f1, f2 in zip(svd_factorize(d), svd_factorize(d)):
+            assert np.array_equal(f1, f2)
+
+    @pytest.mark.parametrize("shape", [(5, 5), (3, 4, 4)], ids=["matrix", "stack"])
+    def test_is_numpys_own_triple(self, shape):
+        # The checks add nothing to the factors: each equals numpy's, bit for bit.
+        rng = np.random.default_rng(11)
+        d = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        factors = svd_factorize(d)
+        expected = np.linalg.svd(d)
+        assert len(factors) == len(expected) == 3
+        for got, want in zip(factors, expected):
+            assert np.array_equal(got, want)
 
     def test_errors(self):
         with pytest.raises(DimensionError):

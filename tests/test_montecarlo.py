@@ -575,13 +575,12 @@ def _running(pid: int) -> bool:
     return stat.rpartition(")")[2].split()[0] != "Z"
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="sweeps fork only on Linux")
-@pytest.mark.parametrize("sig", [signal.SIGTERM, signal.SIGKILL, signal.SIGHUP, signal.SIGINT],
-                         ids=lambda sig: sig.name)
-def test_no_worker_outlives_a_signalled_parent(tmp_path, sig):
-    # Each child marks that it runs with a file, then sleeps for a minute.  The dispositions are
-    # those of a CLI started from a shell, whatever this test's runner ignores.
-    code = (
+def _sleeping_sweep(threads: int) -> str:
+    """A CLI loss sweep whose every task marks that it runs with a file ``ready-<pid>``, then sleeps for a minute.
+
+    The dispositions are those of a CLI started from a shell, whatever the test runner ignores.
+    """
+    return (
         "import os, signal, sys, time\n"
         "signal.signal(signal.SIGHUP, signal.SIG_DFL)\n"
         "signal.signal(signal.SIGTERM, signal.SIG_DFL)\n"
@@ -593,18 +592,33 @@ def test_no_worker_outlives_a_signalled_parent(tmp_path, sig):
         "    time.sleep(60)\n"
         "montecarlo._loss_chunk = ready\n"
         "sys.argv = ['crossmesh', 'fidelity-loss', '--n', '3,4', '--node-loss', '0,0.5', '--matrices', '5',"
-        " '--threads', '2', '--out', 'out.csv', '--svg', 'out.svg']\n"
+        f" '--threads', '{threads}', '--out', 'out.csv', '--svg', 'out.svg']\n"
         "cli.console_entry()\n"
     )
-    parent = subprocess.Popen([sys.executable, "-c", code], env=fresh_env(), cwd=tmp_path,
+
+
+def _ready(where: Path) -> list[int]:
+    """The pids of the processes of a ``_sleeping_sweep`` run in ``where`` that have marked themselves."""
+    return [int(path.name.split("-")[1]) for path in where.glob("ready-*")]
+
+
+def _wait_ready(parent: subprocess.Popen, where: Path, count: int) -> list[int]:
+    """``_ready(where)`` once ``count`` processes of ``parent``'s sleeping sweep have marked themselves."""
+    started = time.monotonic()
+    while len(_ready(where)) < count:
+        assert parent.poll() is None and time.monotonic() - started < 30, "the workers did not start"
+        time.sleep(0.01)
+    return _ready(where)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="sweeps fork only on Linux")
+@pytest.mark.parametrize("sig", [signal.SIGTERM, signal.SIGKILL, signal.SIGHUP, signal.SIGINT],
+                         ids=lambda sig: sig.name)
+def test_no_worker_outlives_a_signalled_parent(tmp_path, sig):
+    parent = subprocess.Popen([sys.executable, "-c", _sleeping_sweep(2)], env=fresh_env(), cwd=tmp_path,
                               stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-    children = []
     try:
-        started = time.monotonic()
-        while len(children) < 2:
-            assert parent.poll() is None and time.monotonic() - started < 30, "the workers did not start"
-            time.sleep(0.01)
-            children = [int(path.name.split("-")[1]) for path in tmp_path.glob("ready-*")]
+        children = _wait_ready(parent, tmp_path, 2)
         os.kill(parent.pid, sig)
         signalled = time.monotonic()
         while any(map(_running, children)) and time.monotonic() - signalled < 1:
@@ -612,11 +626,39 @@ def test_no_worker_outlives_a_signalled_parent(tmp_path, sig):
         assert [pid for pid in children if _running(pid)] == []
         parent.wait(timeout=10)
     finally:
-        for pid in filter(_running, children):
+        for pid in filter(_running, _ready(tmp_path)):
             os.kill(pid, signal.SIGKILL)
         parent.kill()
         parent.wait()
     assert sorted(path.name for path in tmp_path.iterdir()) == sorted(f"ready-{pid}" for pid in children)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="sweeps fork only on Linux")
+@pytest.mark.parametrize("group", [False, True], ids=["parent", "process-group"])
+@pytest.mark.parametrize("threads", [1, 2], ids=["serial", "threads-2"])
+def test_ctrl_c_ends_the_cli_with_one_line(tmp_path, threads, group):
+    # SIGINT to the CLI alone, or to its whole process group as a terminal's Ctrl-C sends it.
+    parent = subprocess.Popen([sys.executable, "-c", _sleeping_sweep(threads)], env=fresh_env(), cwd=tmp_path,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True)
+    try:
+        ready = _wait_ready(parent, tmp_path, threads)
+        if group:
+            os.killpg(parent.pid, signal.SIGINT)
+        else:
+            os.kill(parent.pid, signal.SIGINT)
+        out, err = parent.communicate(timeout=10)
+    finally:
+        for pid in filter(_running, _ready(tmp_path)):
+            if pid != parent.pid:
+                os.kill(pid, signal.SIGKILL)
+        parent.kill()
+        parent.wait()
+    assert (parent.returncode, out, err) == (130, "", "error: interrupted\n")
+    # The serial sweep runs its task in the CLI itself; each forked worker has ended.
+    workers = [pid for pid in ready if pid != parent.pid]
+    assert len(workers) == (0 if threads == 1 else threads)
+    assert [pid for pid in workers if _running(pid)] == []
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(f"ready-{pid}" for pid in ready)
 
 
 def test_a_forked_sweep_repeats_no_output_and_keeps_the_sigterm_disposition():

@@ -78,7 +78,7 @@ def test_design_splitters_equalises_every_column(n, m, loss):
     topology = build_topology(n, m)
     xi, t = design_splitters(topology, loss)
     device = XbarDevice(topology=topology, weights=np.ones((n, m)), xi=xi, t=t,
-                        loss=loss, balanced=True)
+                        loss=loss, mode="balanced")
     p = transmission_matrix(device)
     assert np.all(p > 0.0)
     assert (p.max() - p.min()) / p.max() < 1e-12
