@@ -335,10 +335,8 @@ def apply_common_deviation(device: ClementsDevice, dtheta, dphi) -> ClementsDevi
     errors), e.g. columns 0 and 1 of ``rng.normal(0, sigma, (n * n, 2))``.
     Leading axes make a batch of devices: ``(K, 1)`` columns are K
     shared-deviation trials.  Output phase screens are plain shifters, not
-    MZI cells, and stay untouched.  A scalar zero pair returns ``device``.
+    MZI cells, and stay untouched.
     """
-    if np.ndim(dtheta) == np.ndim(dphi) == 0 and dtheta == 0.0 and dphi == 0.0:
-        return device
     return replace(device, theta=np.mod(device.theta + dtheta, _TWO_PI), phi=np.mod(device.phi + dphi, _TWO_PI))
 
 

@@ -79,7 +79,7 @@ from .crossbar import (
     evaluate_xbar,
 )
 from .errors import ConfigError, CrossmeshError, DomainError
-from .linalg import matrix_from_json, vector_from_json, vector_to_json
+from .linalg import ensure_square, matrix_from_json, vector_from_json, vector_to_json
 from .nodes import SILICON_PASSIVES, LossModel
 from .montecarlo import (
     ARCH_SVD_CLEMENTS,
@@ -174,16 +174,6 @@ def _load_loss(path: str | None) -> LossModel:
         return LossModel.from_json(_load_json(path))
     except DomainError as exc:
         raise ConfigError(f"bad loss file {path}: {exc}") from exc
-
-
-def _series(points) -> list[tuple[str, list, list]]:
-    """Chart series from (label, x, y) points, in order of first appearance."""
-    series = {}
-    for label, x, y in points:
-        xs, ys = series.setdefault(label, ([], []))
-        xs.append(x)
-        ys.append(y)
-    return [(label, xs, ys) for label, (xs, ys) in series.items()]
 
 
 def _write_manifest(command: str, config: dict, outputs: list[str], started: float, *,
@@ -292,7 +282,7 @@ def _cmd_sweep(args) -> int:
     rows = experiment.run(cfg, values)
     texts = {args.out: _csv_text(experiment.header, rows)}
     if args.svg:  # rendered before anything is written, so a chart that fails leaves no file
-        texts[args.svg] = line_chart(_series(map(experiment.point, rows)), **experiment.chart)
+        texts[args.svg] = line_chart(map(experiment.point, rows), **experiment.chart)
     for path, text in texts.items():
         _atomic_write(path, text)
     master_seed = values.pop("master_seed", None)
@@ -310,7 +300,7 @@ def _cmd_compile(args) -> int:
     elif args.mode is not None:
         raise ConfigError("--mode applies to --arch xbar only")
     else:
-        dump = svd_device_to_json(build_svd_clements(target, loss))
+        dump = svd_device_to_json(build_svd_clements(ensure_square(target, name=f"{ARCH_SVD_CLEMENTS} matrix"), loss))
     _atomic_write(args.out, json.dumps(dump, indent=2) + "\n")
     return 0
 

@@ -44,7 +44,7 @@ crossbar cell is scored in closed form (``crossbar.common_deviation_fidelity``).
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -99,11 +99,6 @@ class LossModel:
         """Field transmittivity of one MZI cell: two couplers, two shifters."""
         return self.l_coup**2 * self.k**2
 
-    @property
-    def il_node_db(self) -> float:
-        """Power insertion loss of one MZI cell, 2*IL_coup + 2*IL_ps."""
-        return 2.0 * self.il_coup_db + 2.0 * self.il_ps_db
-
     def to_json(self) -> dict:
         return asdict(self)
 
@@ -143,13 +138,7 @@ def node_loss_model(il_node_db: float, passives: LossModel = SILICON_PASSIVES) -
         coup, ps = il_node_db / 2.0, 0.0
     else:
         coup, ps = 0.06, (il_node_db - 0.12) / 2.0
-    return LossModel(
-        il_coup_db=coup,
-        il_ps_db=ps,
-        il_xi_db=passives.il_xi_db,
-        il_x_db=passives.il_x_db,
-        alpha_db=passives.alpha_db,
-    )
+    return replace(passives, il_coup_db=coup, il_ps_db=ps)
 
 
 def cell_entries(theta, phi, field=1.0) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

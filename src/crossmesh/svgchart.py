@@ -1,8 +1,9 @@
 """Minimal self-contained SVG line charts for the experiment CLI.
 
 No plotting dependency: the CLI emits CSV as the primary output and this
-writer produces a static companion chart.  Output is deterministic for a
-fixed input.
+writer draws a static companion chart from ``(label, x, y)`` points.  One
+rule sets both axes, widening one only where a tick step could not move a
+tick (see ``line_chart``).  Output is deterministic for a fixed input.
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b",
 
 
 def _nice_step(span: float) -> float:
-    if span <= 0.0:
-        return 1.0
     raw = span / 5.0
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 5.0):
@@ -27,9 +26,16 @@ def _nice_step(span: float) -> float:
     return 10.0 * mag
 
 
+def _axis(values, pad: float) -> tuple[float, float]:
+    """Bounds of the axis through ``values``, ``pad`` spans wider each side; see ``line_chart``."""
+    lo, hi = min(values), max(values)
+    ulp = math.ulp(max(abs(lo), abs(hi)))
+    if hi - lo < 5.0 * ulp:  # a step of a fifth of the span may not move a tick: _ticks would never end
+        hi = lo + max(1.0, 10.0 * ulp)
+    return lo - pad * (hi - lo), hi + pad * (hi - lo)
+
+
 def _ticks(lo: float, hi: float) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
     step = _nice_step(hi - lo)
     first = math.ceil(lo / step) * step
     out = []
@@ -44,25 +50,23 @@ def _fmt(v: float) -> str:
     return f"{v:g}"
 
 
-def line_chart(series, *, title: str, xlabel: str, ylabel: str) -> str:
-    """Render labelled (x, y) polyline series as an SVG document string.
+def line_chart(points, *, title: str, xlabel: str, ylabel: str) -> str:
+    """Render (label, x, y) points as an SVG document string.
 
-    ``series`` is an iterable of (label, xs, ys) with equal-length numeric
-    sequences; DomainError if a padded axis bound is not finite.
+    Each label's points, in input order, draw one polyline; the legend
+    lists labels in order of first appearance.  ``_axis`` sets both axes
+    by one rule: an axis spans its values, save that a span under 5 ulps
+    of its largest magnitude (equal values, values a few ulps apart, or
+    values of 2**53 and more) becomes max(1, 10 ulps), so equal values
+    below 2**49 get [v, v + 1]; y is then padded by 5 % of its span each
+    side.
+    ValueError for no points, DomainError if a bound is not finite.
     """
-    series = [(str(label), list(map(float, xs)), list(map(float, ys)))
-              for label, xs, ys in series]
-    pts = [(x, y) for _, xs, ys in series for x, y in zip(xs, ys)]
-    if not pts:
-        raise ValueError("cannot chart empty series")
-    x_lo, x_hi = min(p[0] for p in pts), max(p[0] for p in pts)
-    y_lo, y_hi = min(p[1] for p in pts), max(p[1] for p in pts)
-    if x_hi == x_lo:
-        x_hi = x_lo + 1.0
-    if y_hi == y_lo:
-        y_hi = y_lo + 1.0
-    pad_y = 0.05 * (y_hi - y_lo)
-    y_lo, y_hi = y_lo - pad_y, y_hi + pad_y
+    points = [(str(label), float(x), float(y)) for label, x, y in points]
+    if not points:
+        raise ValueError("no points to chart")
+    x_lo, x_hi = _axis([p[1] for p in points], 0.0)
+    y_lo, y_hi = _axis([p[2] for p in points], 0.05)
     if not all(map(math.isfinite, (x_lo, x_hi, y_lo, y_hi, x_hi - x_lo, y_hi - y_lo))):
         raise DomainError(f"cannot chart x in [{x_lo}, {x_hi}], y in [{y_lo}, {y_hi}]: not finite")
 
@@ -96,10 +100,12 @@ def line_chart(series, *, title: str, xlabel: str, ylabel: str) -> str:
         f'<text x="18" y="{mt + ph / 2:.1f}" text-anchor="middle" '
         f'transform="rotate(-90 18 {mt + ph / 2:.1f})">{ylabel}</text>'
     )
-    for i, (label, xs, ys) in enumerate(series):
+    series = {}
+    for label, x, y in points:
+        series.setdefault(label, []).append(f"{sx(x):.2f},{sy(y):.2f}")
+    for i, (label, coords) in enumerate(series.items()):
         color = _PALETTE[i % len(_PALETTE)]
-        coords = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys))
-        parts.append(f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.6"/>')
+        parts.append(f'<polyline points="{" ".join(coords)}" fill="none" stroke="{color}" stroke-width="1.6"/>')
         ly = mt + 16 + 18 * i
         parts.append(f'<line x1="{ml + pw + 10}" y1="{ly - 4}" x2="{ml + pw + 34}" y2="{ly - 4}" stroke="{color}" stroke-width="2"/>')
         parts.append(f'<text x="{ml + pw + 40}" y="{ly}">{label}</text>')

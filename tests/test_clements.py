@@ -256,7 +256,8 @@ class TestBuildEvaluate:
 class TestPerturbation:
     def test_sigma_zero_identity(self):
         device = build_svd_clements(target_matrix(0, 4, 0), LOSSLESS)
-        assert apply_common_deviation(device, 0.0, 0.0) is device
+        shifted = apply_common_deviation(device, 0.0, 0.0)
+        assert np.array_equal(shifted.theta, device.theta) and np.array_equal(shifted.phi, device.phi)
         zeros = apply_common_deviation(device, np.zeros(16), np.zeros(16))
         assert np.array_equal(evaluate_svd_clements(zeros), evaluate_svd_clements(device))
 

@@ -413,6 +413,11 @@ class TestCompileEval:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not (tmp_path / "device.json").exists()
 
+    def test_non_square_svd_compile_exits_2(self, tmp_path, capsys):
+        assert self.compile(tmp_path, self.A[:2], "--arch", "svd-clements") == 2
+        assert capsys.readouterr().err == "error: svd-clements matrix must be square, got (2, 3)\n"
+        assert not (tmp_path / "device.json").exists()
+
     def test_mode_is_rejected_for_svd_clements(self, tmp_path, capsys):
         assert self.compile(tmp_path, self.A, "--arch", "svd-clements", "--mode", "uniform") == 1
         err = capsys.readouterr().err

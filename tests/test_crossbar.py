@@ -215,7 +215,7 @@ class TestInsertionLoss:
     )
     def test_formula_equals_simulation(self, n, m):
         loss = node_loss_model(1.37)
-        il = xbar_insertion_loss(build_topology(n, m), loss, il_node_db=loss.il_node_db)
+        il = xbar_insertion_loss(build_topology(n, m), loss, il_node_db=2 * (loss.il_coup_db + loss.il_ps_db))
         device = build_xbar(np.ones((n, m)), loss, "balanced")
         out = evaluate_xbar(device, np.ones(n))
         il_sim = -10.0 * np.log10(np.abs(out) ** 2)
@@ -230,7 +230,7 @@ class TestInsertionLoss:
         ps_db = (2.4 - 2.0 * loss.il_coup_db) / 2.0
         sim_loss = LossModel(il_coup_db=loss.il_coup_db, il_ps_db=ps_db,
                              il_xi_db=loss.il_xi_db, il_x_db=loss.il_x_db)
-        assert abs(sim_loss.il_node_db - 2.4) < 1e-12
+        assert abs(2 * (sim_loss.il_coup_db + sim_loss.il_ps_db) - 2.4) < 1e-12
         device = build_xbar(np.ones((9, 4)), sim_loss, "balanced")
         il_sim = -20.0 * np.log10(np.abs(evaluate_xbar(device, np.ones(9))))
         assert np.max(np.abs(il_sim - il)) < 1e-9

@@ -52,8 +52,9 @@ class TestLossModel:
 
     def test_node_consistency(self):
         loss = LossModel(il_coup_db=0.06, il_ps_db=0.94)
-        assert abs(loss.il_node_db - 2.0) < 1e-12
-        assert abs(loss.t_node - 10 ** (-loss.il_node_db / 20)) < 1e-12
+        il_node_db = 2 * (loss.il_coup_db + loss.il_ps_db)
+        assert abs(il_node_db - 2.0) < 1e-12
+        assert abs(loss.t_node - 10 ** (-il_node_db / 20)) < 1e-12
 
     def test_negative_rejected(self):
         with pytest.raises(DomainError):
@@ -75,14 +76,14 @@ class TestNodeLossModel:
     def test_standard_split(self):
         lm = node_loss_model(2.0)
         assert lm.il_coup_db == 0.06
-        assert abs(lm.il_node_db - 2.0) < 1e-12
+        assert abs(2 * (lm.il_coup_db + lm.il_ps_db) - 2.0) < 1e-12
         assert lm.il_xi_db == SILICON_PASSIVES.il_xi_db
 
     def test_below_threshold(self):
         lm = node_loss_model(0.08)
         assert lm.il_ps_db == 0.0
         assert abs(lm.il_coup_db - 0.04) < 1e-15
-        assert abs(lm.il_node_db - 0.08) < 1e-12
+        assert abs(2 * (lm.il_coup_db + lm.il_ps_db) - 0.08) < 1e-12
 
     def test_zero(self):
         lm = node_loss_model(0.0)
