@@ -9,9 +9,11 @@ compile         program a matrix onto a device, dump device JSON
 eval            apply a dumped device to an input vector
 stats           architecture size/depth/programming-step numbers
 
-``compile --matrix`` takes the M x N operator A to apply (square for
-svd-clements); ``eval`` returns the device's output, proportional to A x up
-to losses.  ``--mode`` (crossbar couplers, default balanced) is xbar-only.
+``--n`` takes integer literals (``4,8`` or ``4:64:4``, not ``4.0``), read
+exactly at any size.  ``compile --matrix`` takes the M x N operator A to
+apply (square for svd-clements); ``eval`` returns the device's output,
+proportional to A x up to losses.  ``--mode`` (crossbar couplers, default
+balanced) is xbar-only.
 
 The three experiments write their CSV (and SVG) atomically (temp file +
 rename, permissions from the umask) and then ``<csv>.manifest.json`` with
@@ -34,9 +36,10 @@ CSV or its manifest, a loss file that breaks that rule or names an
 unknown loss, JSON that does not parse or nests too deeply to parse, or a
 dump naming an unknown architecture; 2 a numerical failure, or a matrix,
 vector or dump that breaks the rule or does not describe a valid device
-(a failed sweep point names itself), or an insertion loss or chart bound
-that is not finite; 3 an I/O failure, among them an
-``--out``, ``--svg`` or ``<csv>.manifest.json`` that is a directory or
+(a failed sweep point names itself), an insertion loss or chart bound
+that is not finite, an integer overflow, or memory running out (``error:
+out of memory`` when nothing more is known); 3 an I/O failure, among them
+an ``--out``, ``--svg`` or ``<csv>.manifest.json`` that is a directory or
 lies in a directory that does not exist, which a sweep reports before it
 does any work; 130 an interrupt (SIGINT, as Ctrl-C sends it), reported as
 ``error: interrupted``, with no traceback.
@@ -98,11 +101,13 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def parse_value_list(text: str) -> tuple[float, ...]:
+def parse_value_list(text: str, number=float) -> tuple:
     """Parse ``start:stop:step`` (inclusive within half a step) or a comma list.
 
-    Every number given must be finite; ``montecarlo._grid`` checks a sweep
-    grid's other rules, and ``SweepConfig`` rejects repeated sizes.
+    ``number`` reads each value: ``float`` (which must be finite) or ``int``
+    (integer literals only, such as ``4`` but not ``4.0`` or ``1e1``, so
+    sizes are exact).  ``montecarlo._grid`` checks a sweep grid's other
+    rules, and ``SweepConfig`` rejects repeated sizes.
     """
     text = text.strip()
     if ":" in text:
@@ -112,16 +117,19 @@ def parse_value_list(text: str) -> tuple[float, ...]:
     else:
         parts = [p for p in text.split(",") if p.strip() != ""]
     try:
-        values = tuple(float(p) for p in parts)
+        values = tuple(number(p) for p in parts)
     except ValueError as exc:
         raise ConfigError(f"bad value list {text!r}: {exc}") from exc
-    if not all(math.isfinite(v) for v in values):
+    if not all(isinstance(v, int) or math.isfinite(v) for v in values):  # isfinite overflows on huge ints
         raise ConfigError(f"values must be finite, got {text!r}")
     if ":" in text:
         start, stop, step = values
         if step <= 0:
             raise ConfigError(f"range step must be positive, got {step}")
-        span = (stop - start) / step  # infinite if the range overflows
+        try:
+            span = (stop - start) / step  # infinite if a float range overflows
+        except OverflowError:  # an int range does not fit a float
+            span = math.inf
         if not -0.5 <= span < math.inf:
             raise ConfigError(f"range {text!r} is empty or has no finite number of points")
         values = tuple(start + k * step for k in range(int(math.floor(span + 0.5)) + 1))
@@ -129,13 +137,7 @@ def parse_value_list(text: str) -> tuple[float, ...]:
 
 
 def parse_int_list(text: str) -> tuple[int, ...]:
-    values = parse_value_list(text)
-    out = []
-    for v in values:
-        if abs(v - round(v)) > 1e-9:
-            raise ConfigError(f"expected integers, got {v}")
-        out.append(int(round(v)))
-    return tuple(out)
+    return parse_value_list(text, int)
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -402,8 +404,11 @@ def run_experiment(argv=None) -> int:
     except json.JSONDecodeError as exc:
         print(f"error: malformed JSON input: {exc}", file=sys.stderr)
         return 1
-    except (CrossmeshError, FloatingPointError, np.linalg.LinAlgError) as exc:
+    except (CrossmeshError, FloatingPointError, OverflowError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

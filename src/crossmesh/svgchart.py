@@ -3,12 +3,14 @@
 No plotting dependency: the CLI emits CSV as the primary output and this
 writer draws a static companion chart from ``(label, x, y)`` points.  One
 rule sets both axes, widening one only where a tick step could not move a
-tick (see ``line_chart``).  Output is deterministic for a fixed input.
+tick; ticks are integer multiples k * step (see ``line_chart``).  Output
+is deterministic for a fixed input.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
 from .errors import DomainError
 
@@ -30,24 +32,16 @@ def _axis(values, pad: float) -> tuple[float, float]:
     """Bounds of the axis through ``values``, ``pad`` spans wider each side; see ``line_chart``."""
     lo, hi = min(values), max(values)
     ulp = math.ulp(max(abs(lo), abs(hi)))
-    if hi - lo < 5.0 * ulp:  # a step of a fifth of the span may not move a tick: _ticks would never end
+    if hi - lo < 5.0 * max(ulp, sys.float_info.min):  # a fifth of it may move no tick, or underflow
         hi = lo + max(1.0, 10.0 * ulp)
-    return lo - pad * (hi - lo), hi + pad * (hi - lo)
+    margin = pad * (hi - lo) if pad else 0.0  # 0 * inf would be nan
+    return lo - margin, hi + margin
 
 
 def _ticks(lo: float, hi: float) -> list[float]:
     step = _nice_step(hi - lo)
-    first = math.ceil(lo / step) * step
-    out = []
-    v = first
-    while v <= hi + 1e-9 * step:
-        out.append(0.0 if abs(v) < 1e-12 else v)
-        v += step
-    return out
-
-
-def _fmt(v: float) -> str:
-    return f"{v:g}"
+    ticks = (k * step for k in range(math.ceil(lo / step), math.floor(hi / step) + 2))
+    return [t for t in ticks if lo <= t and t - hi <= 1e-9 * step]  # hi / step may round past an integer
 
 
 def line_chart(points, *, title: str, xlabel: str, ylabel: str) -> str:
@@ -56,10 +50,11 @@ def line_chart(points, *, title: str, xlabel: str, ylabel: str) -> str:
     Each label's points, in input order, draw one polyline; the legend
     lists labels in order of first appearance.  ``_axis`` sets both axes
     by one rule: an axis spans its values, save that a span under 5 ulps
-    of its largest magnitude (equal values, values a few ulps apart, or
-    values of 2**53 and more) becomes max(1, 10 ulps), so equal values
-    below 2**49 get [v, v + 1]; y is then padded by 5 % of its span each
-    side.
+    of its largest magnitude or 5 smallest normal doubles (equal values,
+    values a few ulps apart or of 2**53 and more, subnormal spans) becomes
+    max(1, 10 ulps), so equal values below 2**49 get [v, v + 1]; y is then
+    padded by 5 % of its span each side.  Ticks are the k * step in an
+    axis (its top within 1e-9 step), step 1, 2 or 5 times a power of ten.
     ValueError for no points, DomainError if a bound is not finite.
     """
     points = [(str(label), float(x), float(y)) for label, x, y in points]
@@ -89,12 +84,12 @@ def line_chart(points, *, title: str, xlabel: str, ylabel: str) -> str:
     for tx in _ticks(x_lo, x_hi):
         px = sx(tx)
         parts.append(f'<line x1="{px:.1f}" y1="{mt + ph}" x2="{px:.1f}" y2="{mt + ph + 5}" stroke="#333"/>')
-        parts.append(f'<text x="{px:.1f}" y="{mt + ph + 18}" text-anchor="middle">{_fmt(tx)}</text>')
+        parts.append(f'<text x="{px:.1f}" y="{mt + ph + 18}" text-anchor="middle">{tx:g}</text>')
     for ty in _ticks(y_lo, y_hi):
         py = sy(ty)
         parts.append(f'<line x1="{ml - 5}" y1="{py:.1f}" x2="{ml}" y2="{py:.1f}" stroke="#333"/>')
         parts.append(f'<line x1="{ml}" y1="{py:.1f}" x2="{ml + pw}" y2="{py:.1f}" stroke="#ddd"/>')
-        parts.append(f'<text x="{ml - 8}" y="{py + 4:.1f}" text-anchor="end">{_fmt(ty)}</text>')
+        parts.append(f'<text x="{ml - 8}" y="{py + 4:.1f}" text-anchor="end">{ty:g}</text>')
     parts.append(f'<text x="{ml + pw / 2:.1f}" y="{_HEIGHT - 10}" text-anchor="middle">{xlabel}</text>')
     parts.append(
         f'<text x="18" y="{mt + ph / 2:.1f}" text-anchor="middle" '

@@ -155,6 +155,53 @@ def test_fig3_repeated_node_loss_exits_1(tmp_path, capsys):
     assert not out.exists()
 
 
+class TestSizeLists:
+    """``--n`` reads integer literals as Python ints, never through a float."""
+
+    def test_size_past_2_53_is_written_exactly(self, tmp_path):
+        out = tmp_path / "f.csv"
+        argv = ["fig3", "--arch", "svd-clements", "--n", "9007199254740993", "--node-loss", "0", "--out", str(out)]
+        assert run_experiment(argv) == 0
+        assert [line.split(",")[2] for line in out.read_text().splitlines()[1:]] == ["9007199254740993"] * 2
+        manifest = json.loads((tmp_path / "f.csv.manifest.json").read_text())
+        assert manifest["config"]["n_values"] == [9007199254740993]
+
+    @pytest.mark.parametrize("sizes", ["4.0000000001", "1e1", "4.5", "1:5.5:3", "2:6.5:3"])
+    def test_non_integer_literal_exits_1(self, tmp_path, capsys, sizes):
+        out = tmp_path / "f.csv"
+        assert run_experiment(["fig3", "--n", sizes, "--node-loss", "0", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, sizes", [("4:64:4", tuple(range(4, 65, 4))), ("4:10:4", (4, 8, 12))])
+    def test_ranges_keep_the_half_step_rule(self, text, sizes):
+        values = cli.parse_int_list(text)
+        assert values == sizes and all(type(v) is int for v in values)
+
+    def test_size_past_the_largest_double_is_a_numerical_failure(self, tmp_path, capsys):
+        out = tmp_path / "f.csv"
+        argv = ["fig3", "--arch", "svd-clements", "--n", str(10**400), "--node-loss", "0", "--out", str(out)]
+        assert run_experiment(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("message, line", [("", "error: out of memory\n"),
+                                           ("Unable to allocate 3 GiB", "error: Unable to allocate 3 GiB\n")],
+                         ids=["bare", "numpy"])
+def test_out_of_memory_exits_2_and_writes_nothing(tmp_path, capsys, monkeypatch, message, line):
+    def sweep(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "insertion_loss_sweep", sweep)
+    argv = ["fig3", "--n", "4", "--node-loss", "0", "--out", str(tmp_path / "f.csv"), "--svg", str(tmp_path / "f.svg")]
+    assert run_experiment(argv) == 2
+    assert capsys.readouterr().err == line
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("flags", [["--n", "1"], ["--n", "4", "--m", "0"]], ids=["n-1", "m-0"])
 def test_stats_size_error_exits_1(capsys, flags):
     assert run_experiment(["stats"] + flags) == 1

@@ -9,16 +9,20 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from crossmesh import DomainError
 from crossmesh.cli import _EXPERIMENTS
-from crossmesh.svgchart import line_chart
+from crossmesh.svgchart import _axis, _nice_step, _ticks, line_chart
 
 ROOT = Path(__file__).resolve().parent.parent
 CHART = dict(title="t", xlabel="x", ylabel="y")
 # Tick marks: x ticks hang below the plot (y1 = 40 + 392), y ticks stick out left of it (x1 = 64 - 5).
 X_TICK = re.compile(r'<line x1="[^"]*" y1="432" ')
 Y_TICK = re.compile(r'<line x1="59" ')
+# An x tick's mark and label: (position, label).
+X_TICK_LABEL = re.compile(r'<line x1="([^"]*)" y1="432" [^\n]*\n<text [^>]*>([^<]*)</text>')
 
 
 def legend(svg: str) -> list[str]:
@@ -31,16 +35,16 @@ def coordinates(svg: str) -> list[float]:
     return [float(v) for v in attrs + points]
 
 
-def chart_in_child(values) -> str:
-    """The chart of points (v, v) for ``values``, drawn in a child with 2 GB of address space and 20 s.
+def chart_in_child(points) -> str:
+    """The chart of (x, y) ``points``, drawn in a child with 2 GB of address space and 20 s.
 
-    An axis whose tick step cannot move would loop until memory is gone.
+    An axis whose ticks never end would loop until memory is gone.
     """
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (2_000_000 * 1024,) * 2)
 
     code = ("import sys; from crossmesh.svgchart import line_chart; "
-            f"sys.stdout.write(line_chart([('s', v, v) for v in {values!r}], title='t', xlabel='x', ylabel='y'))")
+            f"sys.stdout.write(line_chart([('s', x, y) for x, y in {points!r}], title='t', xlabel='x', ylabel='y'))")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           timeout=20, preexec_fn=limit)
@@ -58,7 +62,7 @@ def test_legend_follows_first_appearance():
 @pytest.mark.parametrize("values", [(0.25, 0.25), (1.0, 1.0000000000000004), (1e17,), (-1e17, -1e17)],
                          ids=["equal", "near-equal", "huge", "huge-negative"])
 def test_degenerate_axes_end_with_few_ticks(values):
-    svg = chart_in_child(values)
+    svg = chart_in_child([(v, v) for v in values])
     x_ticks, y_ticks = len(X_TICK.findall(svg)), len(Y_TICK.findall(svg))
     assert 1 <= x_ticks <= 12 and 1 <= y_ticks <= 12
     assert all(map(math.isfinite, coordinates(svg)))
@@ -70,6 +74,49 @@ def test_equal_values_keep_a_unit_axis():
     assert re.findall(r'y1="432" x2="[^"]*" y2="437" stroke="#333"/>\n<text [^>]*>([^<]*)<', svg) == [
         "2", "2.2", "2.4", "2.6", "2.8", "3"]
     assert re.findall(r'points="([^"]*)"', svg) == ["64.00,414.18 64.00,414.18"]
+
+
+def test_tiny_axis_gets_distinct_ticks_inside_the_plot():
+    # A 4e-13-wide sigma axis: ticks 0, 1e-13, ..., 4e-13, none snapped to 0.
+    ticks = X_TICK_LABEL.findall(line_chart([("s", 0.0, 1.0), ("s", 4e-13, 0.5)], **CHART))
+    assert [label for _, label in ticks] == ["0", "1e-13", "2e-13", "3e-13", "4e-13"]
+    positions = [float(x) for x, _ in ticks]
+    assert positions == sorted(set(positions)) and 64.0 <= positions[0] and positions[-1] <= 560.0
+
+
+def test_axis_up_to_the_largest_double_ends():
+    # A tick after the last finite one is inf, and inf <= hi + 1e-9 step once that sum overflows.
+    svg = chart_in_child([(0.0, 0.0), (sys.float_info.max, 1.0)])
+    ticks = X_TICK_LABEL.findall(svg)
+    assert [label for _, label in ticks] == ["0", "5e+307", "1e+308", "1.5e+308"]
+    assert all(64.0 <= float(x) <= 560.0 for x, _ in ticks)
+
+
+def test_subnormal_span_charts():
+    # A fifth of 3e-323 has no tick step: the axis widens to [0, 1].
+    ticks = X_TICK_LABEL.findall(line_chart([("s", 0.0, 1.0), ("s", 3e-323, 2.0)], **CHART))
+    assert [label for _, label in ticks] == ["0", "0.2", "0.4", "0.6", "0.8", "1"]
+
+
+def test_overflowing_axis_names_its_bounds():
+    v = sys.float_info.max
+    with pytest.raises(DomainError) as info:
+        line_chart([("s", v, v)], **CHART)
+    assert f"x in [{v}, inf], y in [-inf, inf]" in str(info.value) and "nan" not in str(info.value)
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(st.floats(allow_nan=False, allow_infinity=False), st.floats(allow_nan=False, allow_infinity=False),
+       st.sampled_from([0.0, 0.05]))
+def test_ticks_are_few_increasing_and_inside_the_axis(a, b, pad):
+    # Through _axis, the span every chart's _ticks is given: at least 5 ulps and 5 normal doubles.
+    lo, hi = _axis([a, b], pad)
+    assume(all(map(math.isfinite, (lo, hi, hi - lo))))
+    step = _nice_step(hi - lo)
+    ticks = _ticks(lo, hi)
+    assert 1 <= len(ticks) <= 12
+    assert all(t < u for t, u in zip(ticks, ticks[1:]))
+    assert all(map(math.isfinite, ticks)) and lo <= ticks[0] and ticks[-1] - hi <= step * 1e-9
 
 
 def test_no_points_is_a_value_error():
