@@ -45,15 +45,19 @@ does any work; 130 an interrupt (SIGINT, as Ctrl-C sends it), reported as
 ``error: interrupted``, with no traceback.
 
 The console entry calls ``gc.freeze()`` before the command, so no later
-collection re-walks the import-time heap, which lives until exit anyway;
-``run_experiment`` leaves the GC alone, as freezing a host that calls it
-in-process would keep that host's cyclic garbage forever.
+collection re-walks the import-time heap, which lives until exit anyway.
+It blocks ``_hashlib`` too, so the ``secrets`` import inside ``numpy.random``
+maps no OpenSSL (~3.4 MB of RSS; every stream is seeded, nothing hashed),
+but only when hashlib's built-in fallbacks all exist, as a reduced build
+would log an error for each one missing.  ``run_experiment`` does neither:
+a freeze would keep an in-process host's cyclic garbage forever.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
+import importlib.util
 import json
 import math
 import os
@@ -106,8 +110,9 @@ def parse_value_list(text: str, number=float) -> tuple:
 
     ``number`` reads each value: ``float`` (which must be finite) or ``int``
     (integer literals only, such as ``4`` but not ``4.0`` or ``1e1``, so
-    sizes are exact).  ``montecarlo._grid`` checks a sweep grid's other
-    rules, and ``SweepConfig`` rejects repeated sizes.
+    sizes are exact).  A range of over 10**6 points is a ConfigError before
+    any is built.  ``montecarlo._grid`` checks a sweep grid's other rules,
+    and ``SweepConfig`` rejects repeated sizes.
     """
     text = text.strip()
     if ":" in text:
@@ -132,7 +137,10 @@ def parse_value_list(text: str, number=float) -> tuple:
             span = math.inf
         if not -0.5 <= span < math.inf:
             raise ConfigError(f"range {text!r} is empty or has no finite number of points")
-        values = tuple(start + k * step for k in range(int(math.floor(span + 0.5)) + 1))
+        count = int(math.floor(span + 0.5)) + 1
+        if count > 10**6:
+            raise ConfigError(f"range {text!r} has {count} points, more than 10**6")
+        values = tuple(start + k * step for k in range(count))
     return values
 
 
@@ -420,6 +428,10 @@ def run_experiment(argv=None) -> int:
 
 def console_entry() -> None:
     gc.freeze()  # everything alive here lives until exit; forked workers inherit the frozen heap
+    # hashlib's fallbacks for the hashes it builds at import; numpy < 2.0 has loaded _hashlib already.
+    sha2 = ("_sha2",) if sys.version_info >= (3, 12) else ("_sha256", "_sha512")
+    if all(importlib.util.find_spec(name) for name in ("_md5", "_sha1", "_blake2", "_sha3") + sha2):
+        sys.modules.setdefault("_hashlib", None)
     sys.exit(run_experiment())
 
 

@@ -201,7 +201,7 @@ def evaluate_xbar(device: XbarDevice, x) -> np.ndarray:
 
 
 def xbar_insertion_loss(topology: XbarTopology, loss: LossModel, il_node_db: float) -> float:
-    """Closed-form insertion loss of the loss-balanced crossbar, in dB, at any size.
+    """Closed-form insertion loss of the loss-balanced crossbar, in dB, at any size numpy can index.
 
     IL = IL_node + 2 log2(N_f) IL_coup + IL_xi + (N_f/2 - 1) IL_x
          - 10 log10(xi_1^2) + 20 log10(N_f / N)
@@ -216,10 +216,13 @@ def xbar_insertion_loss(topology: XbarTopology, loss: LossModel, il_node_db: flo
     cell technology can be swept against fixed passive metrics: only the
     passive terms of ``loss`` are read (its coupler term refers to the
     splitter/combiner trees).  Requires M >= 2 (a single column has no
-    coupler chain for the IL_xi term to describe).
+    coupler chain for the IL_xi term to describe) and M < 2**59, half
+    numpy's bound on an array of M doubles; a DomainError names n otherwise.
     """
     if topology.m < 2:
         raise DomainError("closed-form insertion loss requires at least two columns")
+    if topology.m > np.iinfo(np.intp).max // 16:  # half numpy's limit: np.arange rounds a long length up
+        raise DomainError(f"crossbar insertion loss at n={topology.n}: too many columns for a numpy array")
     if il_node_db < 0.0:
         raise DomainError(f"il_node_db must be >= 0, got {il_node_db}")
     a_c = passive_loss_db(topology, loss)
@@ -227,12 +230,17 @@ def xbar_insertion_loss(topology: XbarTopology, loss: LossModel, il_node_db: flo
     return float(il_node_db + 20.0 * math.log10(topology.n_f / topology.n) + passive_db)
 
 
-def restoration_matrix(device: XbarDevice) -> np.ndarray:
-    """Diagonal output correction (P^T)^{-1} that restores fidelity to 1."""
+def _restoration(device: XbarDevice) -> np.ndarray:
+    """The diagonal of ``restoration_matrix``, 1 / p_c per column."""
     p = transmission_matrix(device)
     if np.any(p <= 0.0):
         raise DegenerateDeviceError("restoration impossible: some column has p_c = 0")
-    return np.diag(1.0 / p)
+    return 1.0 / p
+
+
+def restoration_matrix(device: XbarDevice) -> np.ndarray:
+    """Diagonal output correction (P^T)^{-1} that restores fidelity to 1."""
+    return np.diag(_restoration(device))
 
 
 def weights_with_common_deviation(device: XbarDevice, dtheta) -> np.ndarray:
@@ -307,7 +315,7 @@ def device_to_json(device: XbarDevice) -> dict:
         "t": device.t.tolist(),
         "weights": {"re": w.real.tolist(), "im": w.imag.tolist()},
         "loss": device.loss.to_json(),
-        "restoration": np.diag(restoration_matrix(device)).tolist(),
+        "restoration": _restoration(device).tolist(),
     }
 
 

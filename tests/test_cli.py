@@ -1,4 +1,6 @@
 import gc
+import hashlib  # loads _hashlib (OpenSSL) into this process, where the library keeps it
+import importlib.util
 import json
 import os
 import platform
@@ -14,6 +16,7 @@ import pytest
 from crossmesh import (
     LOSSLESS,
     SILICON_PASSIVES,
+    ConfigError,
     DomainError,
     LossModel,
     SweepConfig,
@@ -37,13 +40,17 @@ from oracles import balanced_xbar_insertion_loss_db
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def run_module(*args, module="crossmesh"):
+def run_python(*args, cwd=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
     return subprocess.run(
-        [sys.executable, "-m", module, *args],
-        env=env, capture_output=True, text=True, timeout=60,
+        [sys.executable, *args],
+        env=env, cwd=cwd, capture_output=True, text=True, timeout=60,
     )
+
+
+def run_module(*args, module="crossmesh"):
+    return run_python("-m", module, *args)
 
 
 class TestModuleEntry:
@@ -81,6 +88,83 @@ class TestGcPolicy:
                 "--trials", "2", "--out", str(tmp_path / "out.csv")]
         assert run_experiment(argv) == 0
         assert (gc.isenabled(), gc.get_freeze_count()) == state
+
+
+# Runs argv (JSON in argv[1]) through the console entry, after the optional preamble in argv[2],
+# then reports what the process loaded and whether its hashes still work.
+ENTRY_PROBE = """
+import json, os, sys
+exec(sys.argv[2])
+from crossmesh.cli import console_entry
+loaded = sys.modules.get("_hashlib") is not None
+sys.argv = ["crossmesh"] + json.loads(sys.argv[1])
+try:
+    console_entry()
+except SystemExit as exc:
+    code = exc.code
+import hashlib, hmac
+maps = open("/proc/self/maps").read() if os.path.exists("/proc/self/maps") else ""
+print(json.dumps({"code": code, "loaded_at_entry": loaded, "blocked": "_hashlib" in sys.modules
+                  and sys.modules["_hashlib"] is None, "libcrypto": "libcrypto" in maps,
+                  "sha256": hashlib.sha256(b"").hexdigest(), "md5": hashlib.md5(b"").hexdigest(),
+                  "compare_digest": [hmac.compare_digest(b"ab", b"ab"), hmac.compare_digest(b"ab", b"ac")]}))
+"""
+SHA256_EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+MD5_EMPTY = "d41d8cd98f00b204e9800998ecf8427e"
+HAVE_OPENSSL = importlib.util.find_spec("_hashlib") is not None
+
+
+class TestOpenSslBlock:
+    """The console entry keeps OpenSSL out of the process; library callers keep it."""
+
+    SWEEPS = {
+        "phase": ["fidelity-phase", "--arch", "xbar,svd-clements", "--n", "3", "--sigma", "0:0.1:0.05",
+                  "--matrices", "2", "--trials", "3"],
+        "loss-threads-2": ["fidelity-loss", "--n", "3,4", "--node-loss", "0:1:0.5", "--matrices", "2",
+                           "--threads", "2"],
+    }
+
+    @pytest.mark.parametrize("sweep", SWEEPS)
+    def test_console_entry_runs_without_openssl(self, tmp_path, sweep):
+        argv = self.SWEEPS[sweep] + ["--out", "entry.csv"]
+        done = run_python("-c", ENTRY_PROBE, json.dumps(argv), "", cwd=tmp_path)
+        assert done.returncode == 0 and done.stderr == ""
+        probe = json.loads(done.stdout)
+        assert probe["code"] == 0
+        if not probe["loaded_at_entry"]:  # numpy < 2.0 loads it with numpy, before the entry runs
+            assert probe["blocked"] and not probe["libcrypto"]
+        assert probe["sha256"] == SHA256_EMPTY and probe["md5"] == MD5_EMPTY
+        assert probe["compare_digest"] == [True, False]
+        # The same sweep in this process, which has OpenSSL loaded, writes the same bytes.
+        assert HAVE_OPENSSL == (sys.modules.get("_hashlib") is not None)
+        assert run_experiment(self.SWEEPS[sweep] + ["--out", str(tmp_path / "library.csv")]) == 0
+        assert (tmp_path / "entry.csv").read_bytes() == (tmp_path / "library.csv").read_bytes()
+
+    @pytest.mark.skipif(not HAVE_OPENSSL, reason="this Python has no _hashlib to keep")
+    def test_a_build_missing_a_builtin_hash_keeps_openssl(self, tmp_path):
+        # A CPython built with fewer --with-builtin-hashlib-hashes, simulated by hiding _md5.
+        argv = self.SWEEPS["phase"] + ["--out", "entry.csv"]
+        done = run_python("-c", ENTRY_PROBE, json.dumps(argv), "sys.modules['_md5'] = None", cwd=tmp_path)
+        assert done.returncode == 0 and done.stderr == ""
+        probe = json.loads(done.stdout)
+        assert probe["code"] == 0 and not probe["blocked"]
+        assert probe["md5"] == MD5_EMPTY and probe["sha256"] == SHA256_EMPTY
+        # Without the guard, that build's hashlib would log an error and a traceback.
+        done = run_python("-c", "import sys\nsys.modules['_md5'] = sys.modules['_hashlib'] = None\nimport hashlib")
+        assert done.returncode == 0 and "code for hash md5 was not found" in done.stderr
+
+    def test_library_callers_keep_openssl(self, tmp_path):
+        script = """
+import sys
+from crossmesh import cli
+assert sys.modules.get("_hashlib", "absent") is not None
+assert cli.run_experiment(sys.argv[1:]) == 0
+import hashlib
+assert "_hashlib" in sys.modules
+print(sys.modules["_hashlib"] is not None)
+"""
+        done = run_python("-c", script, *self.SWEEPS["phase"], "--out", "lib.csv", cwd=tmp_path)
+        assert done.returncode == 0 and done.stderr == "" and done.stdout == f"{HAVE_OPENSSL}\n"
 
 
 class TestConfigErrors:
@@ -178,6 +262,44 @@ class TestSizeLists:
     def test_ranges_keep_the_half_step_rule(self, text, sizes):
         values = cli.parse_int_list(text)
         assert values == sizes and all(type(v) is int for v in values)
+
+    @pytest.mark.parametrize("argv", [["--n", "4", "--node-loss", "0:1:1e-9"],
+                                      ["--n", "2:1000000000000:1", "--node-loss", "0"]],
+                             ids=["node-loss-1e9-points", "n-1e12-points"])
+    def test_range_past_the_point_cap_exits_1_at_once(self, tmp_path, argv):
+        # In a child under an address-space limit (which only bounds a regression: it would be exit 2).
+        script = """
+import resource, sys, time
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+resource.setrlimit(resource.RLIMIT_AS, (3 * 2**30 if hard == resource.RLIM_INFINITY else min(3 * 2**30, hard), hard))
+from crossmesh.cli import run_experiment
+started = time.perf_counter()
+code = run_experiment(sys.argv[1:])
+print(code, time.perf_counter() - started)
+"""
+        done = run_python("-c", script, "fig3", *argv, "--out", "f.csv", cwd=tmp_path)
+        code, seconds = done.stdout.split()
+        assert code == "1" and float(seconds) < 1.0
+        assert done.stderr.startswith("error: range ") and done.stderr.endswith(" points, more than 10**6\n")
+        assert done.stderr.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_point_cap_is_inclusive(self):
+        assert len(cli.parse_int_list("0:999999:1")) == 10**6
+        with pytest.raises(ConfigError, match="has 1000001 points"):
+            cli.parse_int_list("0:1000000:1")
+
+    def test_float_range_keeps_its_values(self):
+        assert cli.parse_value_list("0:2:0.05") == tuple(0.0 + k * 0.05 for k in range(41))
+
+    @pytest.mark.parametrize("n", [2**60 + 3, 2**63 + 3, 2**64 + 3, 10**399 + 7],
+                             ids=["2**60+3", "2**63+3", "2**64+3", "400-digits"])
+    def test_crossbar_size_past_numpy_arrays_exits_2(self, tmp_path, capsys, n):
+        out = tmp_path / "f.csv"
+        assert run_experiment(["fig3", "--arch", "xbar", "--n", str(n), "--node-loss", "0", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: crossbar insertion loss at n={n}: too many columns for a numpy array\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_size_past_the_largest_double_is_a_numerical_failure(self, tmp_path, capsys):
         out = tmp_path / "f.csv"

@@ -343,6 +343,17 @@ class TestRestoration:
                             loss=LOSSLESS, mode="uniform")
         with pytest.raises(DegenerateDeviceError):
             restoration_matrix(device)
+        with pytest.raises(DegenerateDeviceError):
+            device_to_json(device)
+
+    @pytest.mark.parametrize("mode", ["balanced", "uniform"])
+    def test_dump_writes_the_reciprocal_transmissions(self, mode):
+        # Read straight off 1 / p, not off the diagonal of a dense M x M matrix.
+        for n, m in ((2, 2), (3, 5), (8, 4)):
+            device = build_xbar(target_matrix(61, max(n, m), 0)[:n, :m], node_loss_model(0.7), mode)
+            restoration = device_to_json(device)["restoration"]
+            assert restoration == (1.0 / transmission_matrix(device)).tolist()
+            assert restoration == np.diag(restoration_matrix(device)).tolist()
 
 
 class TestBuild:
